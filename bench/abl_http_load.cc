@@ -10,17 +10,9 @@
 // below 2x the configured concurrency at 10k connections or the run fails:
 // the server runs on ~#LWPs, not ~#connections.
 //
-// When the kernel supports io_uring, a third phase runs first: 1k keep-alive
-// connections through the uring completion engine (its own HttpServer
-// instance), recorded under uring_c1k_* keys. The engine is then stopped and
-// the run hands off to epoll — a stopped uring engine stays stopped for the
-// process lifetime, and switching requires quiescence — so the c1k_/c10k_
-// keys remain the epoll (readiness) numbers the bench.sh gate baselines on.
-//
 // The 10k phase clamps to the fd rlimit (2 fds per connection, client +
 // server end); the JSON records the connection count actually driven.
 
-#include <errno.h>
 #include <netinet/in.h>
 #include <string.h>
 #include <sys/resource.h>
@@ -39,7 +31,6 @@
 #include "src/http/server.h"
 #include "src/io/io.h"
 #include "src/lwp/lwp.h"
-#include "src/net/backend.h"
 #include "src/net/net.h"
 #include "src/util/clock.h"
 
@@ -244,20 +235,27 @@ int main() {
   config.initial_pool_lwps = kConcurrency;
   sunmt::Runtime::Configure(config);
   sunmt::thread_setconcurrency(kConcurrency);
+  if (sunmt::net_poller_start() != 0) {
+    fprintf(stderr, "net_poller_start failed\n");
+    return 1;
+  }
 
   sunmt::HttpCache cache(/*shards=*/16, /*max_bytes=*/16 << 20);
-  auto make_server_config = [&cache]() {
-    sunmt::HttpServerConfig server_config;
-    server_config.backlog = 8192;
-    server_config.idle_timeout_ns = 300ll * 1000 * 1000 * 1000;
-    server_config.conn_stack_bytes = kConnStack;
-    server_config.cache = &cache;
-    server_config.handler = [](const sunmt::HttpMessage&,
-                               sunmt::HttpExchange* ex) {
-      ex->Respond(200, "text/plain", "hello, world\n");
-    };
-    return server_config;
+  sunmt::HttpServerConfig server_config;
+  server_config.backlog = 8192;
+  server_config.idle_timeout_ns = 300ll * 1000 * 1000 * 1000;
+  server_config.conn_stack_bytes = kConnStack;
+  server_config.cache = &cache;
+  server_config.handler = [](const sunmt::HttpMessage&,
+                             sunmt::HttpExchange* ex) {
+    ex->Respond(200, "text/plain", "hello, world\n");
   };
+  sunmt::HttpServer server(std::move(server_config));
+  if (server.Start() != 0) {
+    fprintf(stderr, "server start failed: errno %d\n", sunmt::thread_errno());
+    return 1;
+  }
+  g_server = &server;
 
   printf("\nAblation A12: HTTP keep-alive load — %d clients, %d reqs/client, "
          "concurrency %d\n",
@@ -266,61 +264,6 @@ int main() {
     printf("  (10k phase clamped to %d connections by the fd rlimit of %llu)\n",
            big_phase, static_cast<unsigned long long>(rl.rlim_max));
   }
-
-  // Completion-engine phase first: a stopped uring engine stays stopped, so
-  // it cannot follow the epoll phases, and switching engines requires
-  // quiescence (server stopped, nothing registered).
-  const bool uring = sunmt::net_uring_supported();
-  PhaseResult u1k = {};
-  double uring_batch_mean = 0.0;
-  if (uring) {
-    if (sunmt::net_backend_select("uring") != 0) {
-      fprintf(stderr, "net_backend_select(uring) failed: errno %d\n", errno);
-      return 1;
-    }
-    if (sunmt::net_poller_start() != 0) {
-      fprintf(stderr, "net_poller_start (uring) failed\n");
-      return 1;
-    }
-    sunmt::HttpServer uring_server(make_server_config());
-    if (uring_server.Start() != 0) {
-      fprintf(stderr, "server start (uring) failed: errno %d\n",
-              sunmt::thread_errno());
-      return 1;
-    }
-    g_server = &uring_server;
-    u1k = RunPhase(1000);
-    sunmt::NetBackendStats stats = {};
-    sunmt::net_backend_snapshot(&stats);
-    uring_batch_mean =
-        stats.enters > 0 ? static_cast<double>(stats.sqes_flushed) /
-                               static_cast<double>(stats.enters)
-                         : 0.0;
-    printf("  %5d conns: %9.0f req/s   p50 %7.1f us   p99 %7.1f us   %4zu LWPs"
-           "   (uring, sqe batch %.1f)\n",
-           u1k.conns, u1k.reqs_per_s, u1k.p50_us, u1k.p99_us, u1k.lwps,
-           uring_batch_mean);
-    uring_server.Stop();
-    g_server = nullptr;
-    sunmt::net_poller_stop();
-    if (sunmt::net_backend_select("epoll") != 0) {
-      fprintf(stderr, "net_backend_select(epoll) failed: errno %d\n", errno);
-      return 1;
-    }
-  } else {
-    printf("  uring phase skipped (kernel lacks io_uring)\n");
-  }
-
-  if (sunmt::net_poller_start() != 0) {
-    fprintf(stderr, "net_poller_start failed\n");
-    return 1;
-  }
-  sunmt::HttpServer server(make_server_config());
-  if (server.Start() != 0) {
-    fprintf(stderr, "server start failed: errno %d\n", sunmt::thread_errno());
-    return 1;
-  }
-  g_server = &server;
 
   PhaseResult c1k = RunPhase(1000);
   printf("  %5d conns: %9.0f req/s   p50 %7.1f us   p99 %7.1f us   %4zu LWPs\n",
@@ -341,18 +284,7 @@ int main() {
   }
 
   sunmt_bench::BenchJson json{"abl_http_load"};
-  // c1k_/c10k_ keys stay the epoll (readiness) numbers for baseline
-  // continuity; the uring completion engine reports under uring_c1k_*.
-  json.AddStr("backend", uring ? "uring+epoll" : "epoll");
   json.Add("concurrency", kConcurrency);
-  if (uring) {
-    json.Add("uring_c1k_conns", u1k.conns);
-    json.Add("uring_c1k_reqs_per_s", u1k.reqs_per_s);
-    json.Add("uring_c1k_p50_us", u1k.p50_us);
-    json.Add("uring_c1k_p99_us", u1k.p99_us);
-    json.Add("uring_c1k_lwps", static_cast<double>(u1k.lwps));
-    json.Add("uring_sqe_batch_mean", uring_batch_mean);
-  }
   json.Add("c1k_conns", c1k.conns);
   json.Add("c1k_reqs_per_s", c1k.reqs_per_s);
   json.Add("c1k_p50_us", c1k.p50_us);

@@ -1,27 +1,18 @@
 // Ablation A11 — netpoller echo server economics.
 //
-// The tentpole claim: N mostly-idle connections must not cost ~N LWPs. The
-// netpoller phases serve kConns echo connections through each available
-// engine — the uring completion engine when the kernel supports it, then the
-// epoll readiness engine (threads park; the pool stays at the configured
-// concurrency) — and assert the total LWP count stays below 2x
-// thread_setconcurrency. The uring phase additionally asserts the batching
-// claim the completion engine exists for: one io_uring_enter flushes many
-// queued SQEs, so the net.uring_sqe_batch mean must exceed 1. The final phase
-// serves the same workload on the old blocking path, where every parked
-// connection pins an LWP in the kernel — the pool must be pre-sized to
-// ~kConns (the honest statement of SIGWAITING's end state; growing there one
-// 500us watchdog period at a time would take minutes). Every phase reports
-// req/s and p50/p99 request latency under the same 8-client serial
-// request/response load.
+// The tentpole claim: N mostly-idle connections must not cost ~N LWPs. Phase 1
+// serves kConns echo connections through the netpoller (threads park on
+// readiness; the pool stays at the configured concurrency) and asserts the
+// total LWP count stays below 2x thread_setconcurrency. Phase 2 serves the
+// same workload on the old blocking path, where every parked connection pins
+// an LWP in the kernel — the pool must be pre-sized to ~kConns (the honest
+// statement of SIGWAITING's end state; growing there one 500us watchdog period
+// at a time would take minutes). Both phases report req/s and p50/p99 request
+// latency under the same 8-client serial request/response load.
 //
-// Phase order is load-bearing twice over: the LWP pool never shrinks, so the
-// engine phases must run before the blocking phase inflates the pool; and a
-// stopped uring engine stays stopped for the process lifetime, so uring runs
-// first and hands off to epoll (engine switching requires quiescence — see
-// net_backend_select).
+// Phase order is load-bearing: the LWP pool never shrinks, so the poller phase
+// must run before the blocking phase inflates the pool.
 
-#include <errno.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -37,7 +28,6 @@
 #include "src/core/thread.h"
 #include "src/io/io.h"
 #include "src/lwp/lwp.h"
-#include "src/net/backend.h"
 #include "src/net/net.h"
 #include "src/util/clock.h"
 
@@ -206,56 +196,12 @@ int main() {
   printf("\nAblation A11: netpoller echo — %d connections, %d clients, %d reqs/client\n",
          kConns, kClients, kReqsPerClient);
 
-  const bool uring = sunmt::net_uring_supported();
-  PhaseResult uring_phase = {};
-  double uring_batch_mean = 0.0;
-  if (uring) {
-    if (sunmt::net_backend_select("uring") != 0) {
-      fprintf(stderr, "net_backend_select(uring) failed: errno %d\n", errno);
-      return 1;
-    }
-    if (sunmt::net_poller_start() != 0) {
-      fprintf(stderr, "net_poller_start (uring) failed\n");
-      return 1;
-    }
-    uring_phase = RunPhase(/*use_poller=*/true);
-    sunmt::NetBackendStats stats = {};
-    sunmt::net_backend_snapshot(&stats);
-    uring_batch_mean =
-        stats.enters > 0
-            ? static_cast<double>(stats.sqes_flushed) / static_cast<double>(stats.enters)
-            : 0.0;
-    printf("  uring path:    %9.0f req/s   p50 %7.1f us   p99 %7.1f us   %4zu LWPs"
-           "   sqe batch %.1f\n",
-           uring_phase.reqs_per_s, uring_phase.p50_us, uring_phase.p99_us,
-           uring_phase.lwps, uring_batch_mean);
-    if (uring_phase.lwps >= 2 * kConcurrency) {
-      fprintf(stderr, "FAIL: uring phase used %zu LWPs (>= 2 x concurrency %d)\n",
-              uring_phase.lwps, kConcurrency);
-      return 1;
-    }
-    // The completion engine's reason to exist: many parked ops ride one
-    // io_uring_enter. A mean at or below 1 means the batching path is dead.
-    if (uring_batch_mean <= 1.0) {
-      fprintf(stderr, "FAIL: uring sqe batch mean %.2f (must be > 1)\n",
-              uring_batch_mean);
-      return 1;
-    }
-    sunmt::net_poller_stop();
-    if (sunmt::net_backend_select("epoll") != 0) {
-      fprintf(stderr, "net_backend_select(epoll) failed: errno %d\n", errno);
-      return 1;
-    }
-  } else {
-    printf("  uring path:    skipped (kernel lacks io_uring)\n");
-  }
-
   if (sunmt::net_poller_start() != 0) {
     fprintf(stderr, "net_poller_start failed\n");
     return 1;
   }
   PhaseResult poller = RunPhase(/*use_poller=*/true);
-  printf("  epoll path:    %9.0f req/s   p50 %7.1f us   p99 %7.1f us   %4zu LWPs\n",
+  printf("  poller path:   %9.0f req/s   p50 %7.1f us   p99 %7.1f us   %4zu LWPs\n",
          poller.reqs_per_s, poller.p50_us, poller.p99_us, poller.lwps);
 
   // The tentpole assertion: serving kConns parked connections took O(concurrency)
@@ -277,18 +223,8 @@ int main() {
          static_cast<double>(blocking.lwps) / static_cast<double>(poller.lwps));
 
   sunmt_bench::BenchJson json{"abl_net_echo"};
-  // poller_* keys stay the epoll (readiness) numbers for baseline continuity;
-  // the uring completion engine reports under uring_* when the kernel has it.
-  json.AddStr("backend", uring ? "uring+epoll" : "epoll");
   json.Add("conns", kConns);
   json.Add("concurrency", kConcurrency);
-  if (uring) {
-    json.Add("uring_reqs_per_s", uring_phase.reqs_per_s);
-    json.Add("uring_p50_us", uring_phase.p50_us);
-    json.Add("uring_p99_us", uring_phase.p99_us);
-    json.Add("uring_lwps", static_cast<double>(uring_phase.lwps));
-    json.Add("uring_sqe_batch_mean", uring_batch_mean);
-  }
   json.Add("poller_reqs_per_s", poller.reqs_per_s);
   json.Add("poller_p50_us", poller.p50_us);
   json.Add("poller_p99_us", poller.p99_us);

@@ -71,25 +71,14 @@ class BenchJson {
     metrics_.emplace_back(metric, value);
   }
 
-  // String-valued metric (e.g. which netpoller engines produced the numbers);
-  // emitted as a JSON string in the same metrics object.
-  void AddStr(const std::string& metric, const std::string& value) {
-    str_metrics_.emplace_back(metric, value);
-  }
-
   void Emit() const {
     // The leading newline keeps "^BENCH_" greppable even when a colorized
     // reporter left an ANSI reset sequence dangling on the current line.
     printf("\nBENCH_%s.json {\"bench\":\"%s\",\"metrics\":{", name_.c_str(),
            JsonEscape(name_).c_str());
-    size_t emitted = 0;
-    for (const auto& m : metrics_) {
-      printf("%s\"%s\":%.6g", emitted++ == 0 ? "" : ",",
-             JsonEscape(m.first).c_str(), m.second);
-    }
-    for (const auto& m : str_metrics_) {
-      printf("%s\"%s\":\"%s\"", emitted++ == 0 ? "" : ",",
-             JsonEscape(m.first).c_str(), JsonEscape(m.second).c_str());
+    for (size_t i = 0; i < metrics_.size(); ++i) {
+      printf("%s\"%s\":%.6g", i == 0 ? "" : ",",
+             JsonEscape(metrics_[i].first).c_str(), metrics_[i].second);
     }
     printf("}}\n");
     fflush(stdout);
@@ -98,7 +87,6 @@ class BenchJson {
  private:
   std::string name_;
   std::vector<std::pair<std::string, double>> metrics_;
-  std::vector<std::pair<std::string, std::string>> str_metrics_;
 };
 
 inline double TimeUnitToNs(benchmark::TimeUnit unit) {

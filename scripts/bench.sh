@@ -166,13 +166,9 @@ PY
 fi
 
 # ---- Net echo throughput gate ------------------------------------------------
-# The echo ablation carries the netpoller's raw numbers across both engines;
-# fail if the epoll reqs/s regresses more than 10% + the measured noise floor
-# against the recorded baseline, or if the uring completion engine falls more
-# than 10% + noise behind epoll within the same runs (the completion engine
-# must not cost throughput; uring keys are absent — and the engine comparison
-# skipped — on kernels without io_uring). Best-of-2, same construction as the
-# http gate.
+# The echo ablation carries the netpoller's raw numbers; fail if its reqs/s
+# regresses more than 10% + the measured noise floor against the recorded
+# baseline. Best-of-2, same construction as the http gate.
 echob="$build/bench/abl_net_echo"
 if [[ -s "$prev_echo" && -s "$repo/BENCH_abl_net_echo.json" && -x "$echob" && $failed -eq 0 ]]; then
   echo "== net echo throughput (best-of-2 reqs/s vs recorded baseline) =="
@@ -187,29 +183,14 @@ key = "poller_reqs_per_s"
 if key not in prev or key not in run1 or key not in run2:
     print(f"  {key} missing from baseline or fresh runs; skipping gate")
     sys.exit(0)
-bad = False
-best_e = max(run1[key], run2[key])
-noise_e = best_e / min(run1[key], run2[key]) - 1
-allowed = 0.10 + noise_e
-delta = best_e / prev[key] - 1
-print(f"  {key}: {prev[key]:.0f} -> {best_e:.0f} best-of-2 "
-      f"({delta:+.2%}, noise floor {noise_e:.2%}, allowed -{allowed:.2%})")
+best = max(run1[key], run2[key])
+noise = best / min(run1[key], run2[key]) - 1
+allowed = 0.10 + noise
+delta = best / prev[key] - 1
+print(f"  {key}: {prev[key]:.0f} -> {best:.0f} best-of-2 "
+      f"({delta:+.2%}, noise floor {noise:.2%}, allowed -{allowed:.2%})")
 if delta < -allowed:
-    bad = True
-ukey = "uring_reqs_per_s"
-if ukey in run1 and ukey in run2:
-    best_u = max(run1[ukey], run2[ukey])
-    noise_u = best_u / min(run1[ukey], run2[ukey]) - 1
-    allowed_u = 0.10 + noise_e + noise_u
-    ratio = best_u / best_e - 1
-    print(f"  uring vs epoll: {best_u:.0f} vs {best_e:.0f} best-of-2 "
-          f"({ratio:+.2%}, noise floor {noise_e + noise_u:.2%}, allowed -{allowed_u:.2%})")
-    if ratio < -allowed_u:
-        bad = True
-else:
-    print("  uring keys absent (kernel lacks io_uring); engine comparison skipped")
-if bad:
-    sys.exit("net echo reqs/s out of bounds")
+    sys.exit("net echo reqs/s regressed beyond 10% + noise floor")
 print("  net echo throughput within bounds")
 PY
 fi

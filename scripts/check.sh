@@ -22,6 +22,9 @@
 #      violate those tests' exact-timing expectations; the http test layers its
 #      own fault/short sweep internally). A failing sweep prints the seed that
 #      reproduces it; the env lane's banner records its seed in the log.
+#   6. Benchmark lane: builds perfbench/ (a separate CMake project over the
+#      same src/) and runs each workload briefly, untraced, so a change that
+#      breaks the benchmark's build or its health checks fails here.
 #
 # Usage: scripts/check.sh [jobs]   (default: nproc)
 
@@ -36,15 +39,13 @@ cmake --build "$repo/build" -j "$jobs"
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
 
 echo
-echo "== tsan: net + http + stats + sched + lifecycle + timer + uring labels =="
+echo "== tsan: net + http + stats + sched + lifecycle + timer labels =="
 cmake -S "$repo" -B "$repo/build-tsan" -DSUNMT_SANITIZE=thread >/dev/null
 cmake --build "$repo/build-tsan" -j "$jobs"
 # TSan multiplies the http sweep's hand-offs ~10x; the smaller seed count
 # keeps it inside the per-test timeout (same trade as the inject lane below).
-# The uring label carries the net/http reruns pinned to the completion engine;
-# on a kernel without io_uring they report SKIP rather than green.
 SUNMT_SHAKEDOWN_SEEDS=16 \
-  ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" -L "net|http|stats|sched|lifecycle|timer|uring"
+  ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" -L "net|http|stats|sched|lifecycle|timer"
 
 echo
 echo "== lockdep: lockdep label (plain + tsan) =="
@@ -82,9 +83,15 @@ echo "== shakedown: env-injected net/http/stats/sched/lifecycle/timer labels =="
 inject_seed=$(( $(date +%s) % 10000 ))
 echo "SUNMT_INJECT seed=$inject_seed (replay a failure by exporting the same spec)"
 SUNMT_INJECT="seed=$inject_seed,rate=0.05,ops=yield|delay|steal" \
-  ctest --test-dir "$repo/build" --output-on-failure -j "$jobs" -L "net|http|stats|sched|lifecycle|timer|uring"
+  ctest --test-dir "$repo/build" --output-on-failure -j "$jobs" -L "net|http|stats|sched|lifecycle|timer"
 SUNMT_INJECT="seed=$inject_seed,rate=0.02,ops=yield|delay|steal" SUNMT_SHAKEDOWN_SEEDS=16 \
-  ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" -L "net|http|stats|sched|lifecycle|timer|uring"
+  ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" -L "net|http|stats|sched|lifecycle|timer"
+
+echo
+echo "== benchmark: perfbench workloads (untraced, 2 s each) =="
+for workload in http_keepalive http_churn forkjoin; do
+  python3 "$repo/perfbench/run.py" --workload "$workload" --seed 1 --seconds 2 --trace 0
+done
 
 echo
 echo "check.sh: all green"

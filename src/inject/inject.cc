@@ -189,7 +189,6 @@ const char* PointName(Point p) {
     case kRegistryShard:   return "registry.shard";
     case kLockdep:         return "lockdep.check";
     case kTimerWheel:      return "timer.wheel";
-    case kNetCompletion:   return "net.completion";
     case kPointCount:      break;
   }
   return "?";

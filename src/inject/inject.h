@@ -69,9 +69,6 @@ enum Point : uint8_t {
   kRegistryShard,        // thread-registry shard lookup/iteration entry
   kLockdep,              // lockdep order-check / pre-block walk (SUNMT_DEBUG)
   kTimerWheel,           // timer-wheel shard sweep & lock-free cancel CAS
-  kNetCompletion,        // uring engine: submit entry + completion delivery
-                         // (fault: dropped/deferred completion, spurious wake;
-                         // short: clamped transfer lengths)
   kPointCount,
 };
 

@@ -234,19 +234,8 @@ std::string FormatProcessState() {
   out += line;
   NetBackendStats ns;
   if (net_backend_snapshot(&ns)) {
-    // Completion-engine counters stay zero under the readiness engine; the
-    // mean SQE batch depth (sqes_flushed / enters) is the number that shows
-    // whether the ring is actually amortizing syscalls under load.
-    snprintf(line, sizeof(line),
-             "NET backend=%s registered=%d parked=%d submits=%" PRIu64
-             " completes=%" PRIu64 " cancels=%" PRIu64 " enters=%" PRIu64
-             " sqe_batch_mean=%.1f\n",
-             ns.name, ns.registered, ns.parked, ns.submits, ns.completes,
-             ns.cancels, ns.enters,
-             ns.enters > 0
-                 ? static_cast<double>(ns.sqes_flushed) /
-                       static_cast<double>(ns.enters)
-                 : 0.0);
+    snprintf(line, sizeof(line), "NET backend=%s registered=%d parked=%d\n",
+             ns.name, ns.registered, ns.parked);
     out += line;
   }
   inject::Counters inj = inject::Snapshot();

@@ -1,128 +1,23 @@
-// Pluggable netpoller engine: one interface, two I/O models.
-//
-// PR 2's epoll engine implements the *readiness* model — a thread that hits
-// EAGAIN parks until the poller reports the fd ready, then retries the
-// nonblocking syscall itself — readiness is a hint, and the post-wake retry
-// can still lose the race. The io_uring engine implements the *completion*
-// model for ops that would block: the operation itself (read/send/accept/
-// connect) is submitted to the kernel as an SQE and the thread parks until
-// the CQE arrives carrying the result, so there is no post-wake retry and no
-// readiness race, and one io_uring_enter(2) from the reaper flushes every
-// operation queued since the last one (the batch depth is surfaced as the
-// net.uring_sqe_batch stat). Ready ops take the same one-syscall nonblocking
-// fast path as the epoll engine.
-//
-// Both engines sit behind this interface and honor the same contracts the
-// wrappers in net.h document: results and errno semantics of the plain
-// syscalls via thread_errno(), ETIME on expired deadlines (with the
-// timeout_fire_seq fire/cancel ack protocol underneath), ECANCELED on
-// shutdown, MSG_NOSIGNAL write semantics, object-cache allocation on the
-// deadline path, and the dedicated/inline-tick scheduler modes.
-//
-// Selection: SUNMT_NET_BACKEND=epoll|uring, read once at first use. The
-// default is epoll; "uring" probes io_uring_setup(2) at runtime and falls
-// back to epoll when the kernel lacks it (ENOSYS, seccomp EPERM, or a
-// pre-5.4 ring without IORING_FEAT_SINGLE_MMAP/NODROP), so the same binary
-// runs everywhere. net_backend_select() switches engines at runtime for
-// same-binary ablation, but only while the current engine is quiescent.
+// Netpoller snapshot for introspection and benchmarks: which engine serves
+// the net_* API (always the epoll readiness poller) and its two gauges.
 
 #ifndef SUNMT_SRC_NET_BACKEND_H_
 #define SUNMT_SRC_NET_BACKEND_H_
 
-#include <sys/socket.h>
-#include <sys/types.h>
-#include <sys/uio.h>
-
-#include <cstdint>
-
 namespace sunmt {
 
-// Counter snapshot for introspection (the NET line in FormatProcessState()).
-// The submit/complete/enter families are meaningful for the completion engine;
-// the readiness engine reports its gauges and leaves them zero.
+// The NET line in FormatProcessState().
 struct NetBackendStats {
   const char* name = "";
-  int registered = 0;        // fds currently registered
-  int parked = 0;            // threads currently parked in the engine
-  uint64_t submits = 0;      // operations handed to the kernel (SQEs prepared)
-  uint64_t completes = 0;    // operation results delivered to waiters (CQEs)
-  uint64_t cancels = 0;      // cancel SQEs issued (deadline/unregister/stop)
-  uint64_t enters = 0;       // io_uring_enter(2) calls that flushed SQEs
-  uint64_t sqes_flushed = 0; // SQEs carried by those enters (mean = batch depth)
+  int registered = 0;  // fds currently registered
+  int parked = 0;      // threads currently parked on readiness
 };
 
-// One netpoller engine. Each implementation owns its complete retry/park loop:
-// the I/O methods return the syscall's result (or -1) with thread_errno() set
-// exactly as net.h documents, so net.cc is pure dispatch.
-class NetBackend {
- public:
-  virtual ~NetBackend() = default;
-
-  virtual const char* Name() const = 0;
-
-  // Lifecycle, net_poller_start/stop/running semantics. StartDedicated returns
-  // 0 or -1 with errno; Stop wakes every parked waiter with ECANCELED.
-  virtual int StartDedicated() = 0;
-  virtual int Stop() = 0;
-  virtual bool Running() const = 0;
-
-  // Registration, net_register/net_unregister semantics (0 or -1 with errno).
-  virtual int Register(int fd) = 0;
-  virtual int Unregister(int fd) = 0;
-  virtual bool IsRegistered(int fd) const = 0;
-  virtual int ParkedCount() const = 0;
-
-  // Parking I/O. timeout_ns < 0 waits forever, 0 is a nonblocking try, > 0 is
-  // a deadline reported as ETIME.
-  virtual ssize_t Read(int fd, void* buf, size_t count, int64_t timeout_ns) = 0;
-  virtual ssize_t Write(int fd, const void* buf, size_t count,
-                        int64_t timeout_ns) = 0;
-  virtual ssize_t Writev(int fd, const struct iovec* iov, int iovcnt,
-                         int64_t timeout_ns) = 0;
-  virtual int Accept(int sockfd, struct sockaddr* addr, socklen_t* addrlen,
-                     int64_t timeout_ns) = 0;
-  virtual int Connect(int sockfd, const struct sockaddr* addr,
-                      socklen_t addrlen, int64_t timeout_ns) = 0;
-
-  // Returns 0 (ready) / ETIME / ECANCELED / EBADF directly, like
-  // NetPoller::WaitReady.
-  virtual int WaitReady(int fd, uint32_t events, int64_t timeout_ns) = 0;
-
-  // Inline-mode poll for the scheduler idle path and the anti-starvation tick:
-  // number of threads woken, 0 if another poller holds the claim, -1 if inline
-  // polling is not needed (dedicated loop running, nobody parked).
-  virtual int PollInline() = 0;
-
-  virtual void Snapshot(NetBackendStats* out) const = 0;
-};
-
-// The active engine, selecting (and instantiating) on first call.
-NetBackend& net_backend();
-
-// True once net_backend() has ever run — lets cold paths (stop, introspection,
-// parked-count probes) skip without instantiating an engine.
-bool net_backend_exists();
-
-// Name of the active engine: "epoll" or "uring". Instantiates on first call.
+// Name of the netpoller engine: "epoll".
 const char* net_backend_name();
 
-// Whether this kernel can run the io_uring engine (probe result, cached).
-bool net_uring_supported();
-
-// Runtime engine switch for same-binary ablation (the echo/http benches run
-// both engines in one invocation). Succeeds only while the current engine is
-// quiescent — stopped or never started, nothing registered, nobody parked —
-// since fds registered with one engine are invisible to the other. Returns 0,
-// or -1 with errno: EBUSY (not quiescent), EINVAL (unknown name), ENOSYS
-// ("uring" on a kernel without io_uring).
-int net_backend_select(const char* name);
-
-// Fills `out` from the active engine; false if none was ever instantiated.
+// Fills `out` from the poller; false if it was never instantiated.
 bool net_backend_snapshot(NetBackendStats* out);
-
-// Engine factories (backend-internal; see epoll_backend.cc / uring_backend.cc).
-NetBackend* NetEpollBackendGet();
-NetBackend* NetUringBackendGet();  // nullptr when the kernel lacks io_uring
 
 }  // namespace sunmt
 

@@ -1,26 +1,52 @@
-// Public netpoller API: thin dispatch onto the active engine (backend.h).
-// Each engine owns its complete retry/park loop and reports errors through
-// thread_errno() exactly as documented in net.h (cleared to 0 on success);
-// the wrappers here only add the lazy io-router installation and the
-// no-engine-yet guards for cold paths.
+// Public netpoller API: nonblocking syscall + park-on-EAGAIN retry loops over
+// NetPoller::WaitReady. Every wrapper reports errors through thread_errno()
+// like the src/io family, and additionally clears it to 0 on success.
 
 #include "src/net/net.h"
 
 #include <errno.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 
+#include "src/inject/inject.h"
 #include "src/io/io.h"
 #include "src/net/backend.h"
-#include "src/net/net_internal.h"
+#include "src/net/poller.h"
+#include "src/util/clock.h"
 
 namespace sunmt {
 namespace {
 
-using net_internal::NetResult;
+// Success/failure funnel shared by all wrappers.
+template <typename T>
+T NetResult(T result, int err) {
+  thread_errno() = err;
+  if (err != 0) {
+    return static_cast<T>(-1);
+  }
+  return result;
+}
+
+bool WouldBlock(int err) { return err == EAGAIN || err == EWOULDBLOCK; }
+
+// Whether an injected EAGAIN is allowed to stand. The poller's wakeups are
+// edge-triggered: WaitReady may only be entered after a *real* EAGAIN, because
+// readiness that arrived earlier has already had its edge latched and consumed.
+// Faking an EAGAIN while the fd is ready would park on an edge that never
+// comes — a state real execution cannot reach (a true EAGAIN means the fd was
+// drained, so any later readiness fires a fresh edge). So the fault only
+// stands on a genuinely not-ready fd; otherwise it decays to a no-op and the
+// caller performs the real syscall.
+bool InjectedEagainHolds(int fd, short events) {
+  struct pollfd p = {fd, events, 0};
+  return poll(&p, 1, 0) == 0;
+}
 
 // Routes io_read/io_write/io_accept on registered fds through the parking
-// path, so blocking-style call sites inherit the netpoller's LWP economics.
+// path, so blocking-style call sites inherit the poller's LWP economics.
 // Installed lazily at first registration (before that no fd is managed).
 void EnsureIoRouter() {
   static const IoNetRouter kRouter = {
@@ -35,60 +61,146 @@ void EnsureIoRouter() {
   }
 }
 
+// Remaining budget for multi-park operations: each re-park (e.g. after a
+// concurrent consumer stole the readiness, or a partial writev) must not
+// restart the clock. Forever (<0) and nonblocking-try (0) pass through.
+struct Deadline {
+  explicit Deadline(int64_t timeout_ns)
+      : timeout_ns_(timeout_ns),
+        start_ns_(timeout_ns > 0 ? MonotonicNowNs() : 0) {}
+
+  int64_t Remaining() const {
+    if (timeout_ns_ <= 0) {
+      return timeout_ns_;
+    }
+    int64_t left = timeout_ns_ - (MonotonicNowNs() - start_ns_);
+    // A fully consumed deadline must not turn into "wait forever" or a
+    // nonblocking try that reports EAGAIN; 1ns parks and times out as ETIME.
+    return left > 0 ? left : 1;
+  }
+
+  int64_t timeout_ns_;
+  int64_t start_ns_;
+};
+
+// write(2)/writev(2) on a peer-closed socket raise SIGPIPE, which would kill
+// the whole process out from under every other connection (first hit by the
+// HTTP server, where clients hang up whenever they like). MSG_NOSIGNAL turns
+// that into a plain EPIPE; non-socket fds fall back to the raw syscalls.
+ssize_t WriteNoSigpipe(int fd, const void* buf, size_t count) {
+  ssize_t n = send(fd, buf, count, MSG_NOSIGNAL);
+  if (n < 0 && errno == ENOTSOCK) {
+    n = write(fd, buf, count);
+  }
+  return n;
+}
+
+ssize_t WritevNoSigpipe(int fd, const struct iovec* iov, int iovcnt) {
+  struct msghdr msg = {};
+  msg.msg_iov = const_cast<struct iovec*>(iov);
+  msg.msg_iovlen = static_cast<size_t>(iovcnt);
+  ssize_t n = sendmsg(fd, &msg, MSG_NOSIGNAL);
+  if (n < 0 && errno == ENOTSOCK) {
+    n = writev(fd, iov, iovcnt);
+  }
+  return n;
+}
+
 }  // namespace
 
 // ---- Lifecycle / registration ----------------------------------------------
 
 int net_poller_start() {
-  int rc = net_backend().StartDedicated();
+  int rc = NetPoller::Get().StartDedicated();
   return NetResult(rc, rc == 0 ? 0 : errno);
 }
 
 int net_poller_stop() {
-  if (!net_backend_exists()) {
+  if (!NetPoller::Exists()) {
     return 0;
   }
-  int rc = net_backend().Stop();
+  int rc = NetPoller::Get().Stop();
   return NetResult(rc, rc == 0 ? 0 : errno);
 }
 
 bool net_poller_running() {
-  return net_backend_exists() && net_backend().Running();
+  return NetPoller::Exists() && NetPoller::Get().Running();
 }
 
 int net_register(int fd) {
   EnsureIoRouter();
-  int rc = net_backend().Register(fd);
+  int rc = NetPoller::Get().Register(fd);
   return NetResult(rc, rc == 0 ? 0 : errno);
 }
 
 int net_unregister(int fd) {
-  if (!net_backend_exists()) {
+  if (!NetPoller::Exists()) {
     return NetResult(-1, EBADF);
   }
-  int rc = net_backend().Unregister(fd);
+  int rc = NetPoller::Get().Unregister(fd);
   return NetResult(rc, rc == 0 ? 0 : errno);
 }
 
 bool net_is_registered(int fd) {
-  return net_backend_exists() && net_backend().IsRegistered(fd);
+  return NetPoller::Exists() && NetPoller::Get().IsRegistered(fd);
 }
 
 int net_parked_count() {
-  return net_backend_exists() ? net_backend().ParkedCount() : 0;
+  return NetPoller::Exists() ? NetPoller::Get().ParkedCount() : 0;
 }
 
 int net_wait_ready(int fd, uint32_t events, int64_t timeout_ns) {
-  if (!net_backend_exists()) {
+  if (!NetPoller::Exists()) {
     return EBADF;
   }
-  return net_backend().WaitReady(fd, events, timeout_ns);
+  return NetPoller::Get().WaitReady(fd, events, timeout_ns);
+}
+
+const char* net_backend_name() { return "epoll"; }
+
+bool net_backend_snapshot(NetBackendStats* out) {
+  if (!NetPoller::Exists()) {
+    return false;
+  }
+  NetPoller& poller = NetPoller::Get();
+  out->name = net_backend_name();
+  out->registered = poller.RegisteredCount();
+  out->parked = poller.ParkedCount();
+  return true;
 }
 
 // ---- Parking I/O ------------------------------------------------------------
 
 ssize_t net_read_deadline(int fd, void* buf, size_t count, int64_t timeout_ns) {
-  return net_backend().Read(fd, buf, count, timeout_ns);
+  NetPoller& poller = NetPoller::Get();
+  Deadline deadline(timeout_ns);
+  count = inject::ShortTransfer(inject::kNetSyscall, count);
+  for (;;) {
+    // Injected not-ready: skip the syscall and take the WaitReady path, as if
+    // the data arrived just after an EAGAIN — races the deadline against the
+    // park/wake machinery. (Not with timeout 0: a nonblocking try must report
+    // the fd's true state. Not on a ready fd: see InjectedEagainHolds.)
+    if (timeout_ns == 0 || !inject::Fault(inject::kNetSyscall) ||
+        !InjectedEagainHolds(fd, POLLIN)) {
+      ssize_t n = read(fd, buf, count);
+      if (n >= 0) {
+        return NetResult(n, 0);
+      }
+      if (!WouldBlock(errno)) {
+        return NetResult<ssize_t>(-1, errno);
+      }
+    }
+    if (inject::Fault(inject::kNetWaitReady)) {
+      continue;  // injected spurious readiness: retry the syscall
+    }
+    int rc = poller.WaitReady(fd, NET_READABLE, deadline.Remaining());
+    if (rc == ETIME && timeout_ns == 0) {
+      rc = EAGAIN;  // a nonblocking try reports like the raw syscall
+    }
+    if (rc != 0) {
+      return NetResult<ssize_t>(-1, rc);
+    }
+  }
 }
 
 ssize_t net_read(int fd, void* buf, size_t count) {
@@ -97,7 +209,31 @@ ssize_t net_read(int fd, void* buf, size_t count) {
 
 ssize_t net_write_deadline(int fd, const void* buf, size_t count,
                            int64_t timeout_ns) {
-  return net_backend().Write(fd, buf, count, timeout_ns);
+  NetPoller& poller = NetPoller::Get();
+  Deadline deadline(timeout_ns);
+  count = inject::ShortTransfer(inject::kNetSyscall, count);
+  for (;;) {
+    if (timeout_ns == 0 || !inject::Fault(inject::kNetSyscall) ||
+        !InjectedEagainHolds(fd, POLLOUT)) {
+      ssize_t n = WriteNoSigpipe(fd, buf, count);
+      if (n >= 0) {
+        return NetResult(n, 0);
+      }
+      if (!WouldBlock(errno)) {
+        return NetResult<ssize_t>(-1, errno);
+      }
+    }
+    if (inject::Fault(inject::kNetWaitReady)) {
+      continue;
+    }
+    int rc = poller.WaitReady(fd, NET_WRITABLE, deadline.Remaining());
+    if (rc == ETIME && timeout_ns == 0) {
+      rc = EAGAIN;
+    }
+    if (rc != 0) {
+      return NetResult<ssize_t>(-1, rc);
+    }
+  }
 }
 
 ssize_t net_write(int fd, const void* buf, size_t count) {
@@ -109,7 +245,66 @@ ssize_t net_writev_deadline(int fd, const struct iovec* iov, int iovcnt,
   if (iovcnt < 0 || iovcnt > NET_IOV_MAX) {
     return NetResult<ssize_t>(-1, EINVAL);
   }
-  return net_backend().Writev(fd, iov, iovcnt, timeout_ns);
+  // Local copy: continuation after a partial writev advances iov_base/iov_len
+  // of the first incomplete entry, which must not scribble on the caller's
+  // (possibly const, possibly reused) array.
+  struct iovec local[NET_IOV_MAX];
+  size_t total = 0;
+  for (int i = 0; i < iovcnt; ++i) {
+    local[i] = iov[i];
+    total += iov[i].iov_len;
+  }
+  if (total == 0) {
+    return NetResult<ssize_t>(0, 0);
+  }
+  NetPoller& poller = NetPoller::Get();
+  Deadline deadline(timeout_ns);
+  int idx = 0;
+  for (;;) {
+    while (idx < iovcnt && local[idx].iov_len == 0) {
+      ++idx;
+    }
+    if (idx == iovcnt) {
+      return NetResult<ssize_t>(static_cast<ssize_t>(total), 0);
+    }
+    if (timeout_ns == 0 || !inject::Fault(inject::kNetSyscall) ||
+        !InjectedEagainHolds(fd, POLLOUT)) {
+      // Injected short transfer: clamp this attempt to a prefix of the first
+      // pending entry, exercising the mid-entry continuation below.
+      size_t clamped = inject::ShortTransfer(inject::kNetSyscall, local[idx].iov_len);
+      ssize_t n = clamped < local[idx].iov_len
+                      ? WriteNoSigpipe(fd, local[idx].iov_base, clamped)
+                      : WritevNoSigpipe(fd, &local[idx], iovcnt - idx);
+      if (n > 0) {
+        size_t adv = static_cast<size_t>(n);
+        while (adv > 0 && idx < iovcnt) {
+          if (adv >= local[idx].iov_len) {
+            adv -= local[idx].iov_len;
+            local[idx].iov_len = 0;
+            ++idx;
+          } else {
+            local[idx].iov_base = static_cast<char*>(local[idx].iov_base) + adv;
+            local[idx].iov_len -= adv;
+            adv = 0;
+          }
+        }
+        continue;  // partial write: the fd may still be writable, retry first
+      }
+      if (n < 0 && !WouldBlock(errno)) {
+        return NetResult<ssize_t>(-1, errno);
+      }
+    }
+    if (inject::Fault(inject::kNetWaitReady)) {
+      continue;
+    }
+    int rc = poller.WaitReady(fd, NET_WRITABLE, deadline.Remaining());
+    if (rc == ETIME && timeout_ns == 0) {
+      rc = EAGAIN;
+    }
+    if (rc != 0) {
+      return NetResult<ssize_t>(-1, rc);
+    }
+  }
 }
 
 ssize_t net_writev(int fd, const struct iovec* iov, int iovcnt) {
@@ -118,7 +313,30 @@ ssize_t net_writev(int fd, const struct iovec* iov, int iovcnt) {
 
 int net_accept_deadline(int sockfd, struct sockaddr* addr, socklen_t* addrlen,
                         int64_t timeout_ns) {
-  return net_backend().Accept(sockfd, addr, addrlen, timeout_ns);
+  NetPoller& poller = NetPoller::Get();
+  Deadline deadline(timeout_ns);
+  for (;;) {
+    if (timeout_ns == 0 || !inject::Fault(inject::kNetSyscall) ||
+        !InjectedEagainHolds(sockfd, POLLIN)) {
+      int fd = accept(sockfd, addr, addrlen);
+      if (fd >= 0) {
+        return NetResult(fd, 0);
+      }
+      if (!WouldBlock(errno)) {
+        return NetResult(-1, errno);
+      }
+    }
+    if (inject::Fault(inject::kNetWaitReady)) {
+      continue;
+    }
+    int rc = poller.WaitReady(sockfd, NET_READABLE, deadline.Remaining());
+    if (rc == ETIME && timeout_ns == 0) {
+      rc = EAGAIN;
+    }
+    if (rc != 0) {
+      return NetResult(-1, rc);
+    }
+  }
 }
 
 int net_accept(int sockfd, struct sockaddr* addr, socklen_t* addrlen) {
@@ -127,7 +345,24 @@ int net_accept(int sockfd, struct sockaddr* addr, socklen_t* addrlen) {
 
 int net_connect_deadline(int sockfd, const struct sockaddr* addr,
                          socklen_t addrlen, int64_t timeout_ns) {
-  return net_backend().Connect(sockfd, addr, addrlen, timeout_ns);
+  if (connect(sockfd, addr, addrlen) == 0) {
+    return NetResult(0, 0);
+  }
+  if (errno == EINTR || errno == EINPROGRESS) {
+    // Nonblocking connect in flight: writability signals completion, and the
+    // verdict is read out of SO_ERROR (connect(2), EINPROGRESS).
+    int rc = NetPoller::Get().WaitReady(sockfd, NET_WRITABLE, timeout_ns);
+    if (rc != 0) {
+      return NetResult(-1, rc);
+    }
+    int so_error = 0;
+    socklen_t len = sizeof(so_error);
+    if (getsockopt(sockfd, SOL_SOCKET, SO_ERROR, &so_error, &len) != 0) {
+      return NetResult(-1, errno);
+    }
+    return NetResult(so_error == 0 ? 0 : -1, so_error);
+  }
+  return NetResult(-1, errno);
 }
 
 int net_connect(int sockfd, const struct sockaddr* addr, socklen_t addrlen) {

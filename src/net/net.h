@@ -4,31 +4,19 @@
 // the LWP executing it until the system call is completed") makes every blocked
 // io_read pin an LWP in the kernel; a server with N mostly-idle connections
 // then needs ~N LWPs, with SIGWAITING growing the pool one watchdog period at a
-// time. This module is the M:N architecture's answer: file descriptors are
-// registered with a netpoller engine, and a thread that would have blocked in
-// the kernel instead parks in the user-level scheduler until its I/O can
-// complete. The LWP pool stays at the configured concurrency no matter how
-// many connections are idle.
+// time. This module is the M:N architecture's answer: file descriptors are made
+// nonblocking, a single epoll(7) instance watches all of them, and a thread
+// that hits EAGAIN parks in the user-level scheduler until the poller reports
+// readiness, then retries the syscall itself. The LWP pool stays at the
+// configured concurrency no matter how many connections are idle.
 //
-// Two engines implement this API behind the interface in backend.h, selected
-// by SUNMT_NET_BACKEND (epoll|uring, default epoll, "uring" falls back to
-// epoll on kernels without io_uring):
-//  * The readiness engine (epoll): fds are made nonblocking, one epoll(7)
-//    instance watches all of them, and a thread that hits EAGAIN parks until
-//    the engine reports readiness, then retries the syscall itself.
-//  * The completion engine (io_uring): a ready op is served by one
-//    nonblocking try, and an op that would block is submitted to the kernel
-//    as an SQE; the thread parks until the CQE arrives carrying the result,
-//    so there is no post-wake retry syscall and no readiness race.
-//
-// Modes (either engine):
+// Modes:
 //  * Dedicated (net_poller_start()): a bound thread — owning its own LWP, so
-//    pool LWPs are never consumed — blocks in the kernel (epoll_wait or
-//    io_uring_enter) and wakes parked threads as events/completions arrive.
-//    This is the serving configuration.
+//    pool LWPs are never consumed — blocks in epoll_wait and wakes parked
+//    threads as events arrive. This is the serving configuration.
 //  * Inline fallback (no start call): registering an fd arms the scheduler's
 //    idle path and a periodic timer tick to poll with a zero timeout, so the
-//    API still works (with ~ms wake latency) before the engine is configured.
+//    API still works (with ~ms wake latency) before the poller is configured.
 //
 // Registered fds are also honored by the src/io wrappers (io_read/io_write/
 // io_accept route to the parking path), so blocking-style code gets the
@@ -36,7 +24,7 @@
 // LWP-blocking behavior.
 //
 // Errors land in thread_errno() (the paper's per-thread errno), including
-// ETIME for expired deadlines and ECANCELED when the engine shuts down under a
+// ETIME for expired deadlines and ECANCELED when the poller shuts down under a
 // parked thread.
 
 #ifndef SUNMT_SRC_NET_NET_H_
@@ -50,10 +38,9 @@
 
 namespace sunmt {
 
-// Starts the dedicated engine thread: a THREAD_BIND_LWP thread blocking in
-// epoll_wait (readiness engine) or io_uring_enter (completion engine).
-// Idempotent; returns 0, or -1 (thread_errno set) on failure. Safe to call
-// before or after net_register.
+// Starts the dedicated poller: a THREAD_BIND_LWP thread blocking in epoll_wait.
+// Idempotent; returns 0, or -1 (thread_errno set) if the poller thread cannot
+// be created. Safe to call before or after net_register.
 int net_poller_start();
 
 // Stops the poller and wakes every parked thread with ECANCELED. In-flight
@@ -64,16 +51,15 @@ int net_poller_stop();
 // True if readiness events are being delivered (dedicated or inline mode).
 bool net_poller_running();
 
-// Registers `fd` with the active engine: makes it nonblocking (O_NONBLOCK is
-// a property of the open file description) and starts watching it. Regular
-// files are not pollable — both engines refuse them (EPERM). Returns 0, or
+// Registers `fd` with the poller: makes it nonblocking (O_NONBLOCK is a
+// property of the open file description) and adds it to the epoll set.
+// Regular files are not pollable — epoll refuses them (EPERM). Returns 0, or
 // -1 with thread_errno set.
 int net_register(int fd);
 
-// Removes `fd` from the poller and wakes its parked waiters (their retried
-// operation sees whatever the fd returns — typically EAGAIN surfaced as
-// thread_errno). Call before close(2); the fd remains nonblocking. Returns 0,
-// or -1 if the fd was not registered.
+// Removes `fd` from the poller and wakes its parked waiters: their calls
+// return -1 with thread_errno() == ECANCELED. Call before close(2); the fd
+// remains nonblocking. Returns 0, or -1 if the fd was not registered.
 int net_unregister(int fd);
 
 // True if `fd` is currently registered.
@@ -83,11 +69,11 @@ bool net_is_registered(int fd);
 int net_parked_count();
 
 // ---- Parking I/O on registered fds -----------------------------------------
-// Each call parks the calling thread until the operation can complete — by
-// readiness retry (epoll engine) or submitted completion (uring engine).
-// Results and errno semantics match the plain syscalls; deadline variants
-// return -1 with thread_errno() == ETIME if `timeout_ns` elapses first
-// (timeout_ns < 0 waits forever; 0 is a pure nonblocking try).
+// Each call retries the nonblocking syscall and parks the calling thread on
+// EAGAIN until the poller reports readiness. Results and errno semantics match
+// the plain syscalls; deadline variants return -1 with thread_errno() == ETIME
+// if `timeout_ns` elapses first (timeout_ns < 0 waits forever; 0 is a pure
+// nonblocking try).
 
 ssize_t net_read(int fd, void* buf, size_t count);
 ssize_t net_write(int fd, const void* buf, size_t count);
@@ -109,16 +95,15 @@ ssize_t net_writev_deadline(int fd, const struct iovec* iov, int iovcnt,
 
 // accept(2) on a registered listening socket. The accepted fd is returned
 // blocking-mode untouched and unregistered; register it to serve it through
-// the engine. addr/addrlen may be null (the peer address is discarded).
+// the poller. addr/addrlen may be null (the peer address is discarded).
 int net_accept(int sockfd, struct sockaddr* addr, socklen_t* addrlen);
 inline int net_accept(int sockfd) { return net_accept(sockfd, nullptr, nullptr); }
 int net_accept_deadline(int sockfd, struct sockaddr* addr, socklen_t* addrlen,
                         int64_t timeout_ns);
 
-// connect(2) on a registered socket: initiates the connect, parks until it
-// resolves (writability + SO_ERROR on the readiness engine, the OP_CONNECT
-// CQE on the completion engine), and reports the verdict. Returns 0, or -1
-// with thread_errno set (ETIME on the deadline variant).
+// connect(2) on a registered socket: initiates the nonblocking connect, parks
+// until the socket is writable, and reports the final SO_ERROR. Returns 0, or
+// -1 with thread_errno set (ETIME on the deadline variant).
 int net_connect(int sockfd, const struct sockaddr* addr, socklen_t addrlen);
 int net_connect_deadline(int sockfd, const struct sockaddr* addr, socklen_t addrlen,
                          int64_t timeout_ns);

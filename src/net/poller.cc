@@ -114,8 +114,7 @@ NetPoller::NetPoller() {
   ev.events = EPOLLIN;
   ev.data.fd = wakeup_fd_;
   SUNMT_CHECK(epoll_ctl(epfd_, EPOLL_CTL_ADD, wakeup_fd_, &ev) == 0);
-  // The scheduler idle-poll hook is owned by the backend layer (backend.cc),
-  // which dispatches to whichever engine is live.
+  sched::SetIdlePollHook(&NetPoller::IdlePollHook, kInlinePollPeriodNs);
 }
 
 NetPoller::FdEntry* NetPoller::GetEntry(int fd) const {
@@ -516,8 +515,6 @@ int NetPoller::IdlePollHook() {
   }
   return poller->PollInline();
 }
-
-int64_t NetPoller::IdlePollPeriodNs() { return kInlinePollPeriodNs; }
 
 // Timer-engine backstop for inline mode: idle LWPs poll opportunistically, but
 // if every LWP is busy running compute threads nobody reaches the idle path —

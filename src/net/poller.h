@@ -71,7 +71,7 @@ class NetPoller {
   // Threads currently parked on readiness (tests/introspection).
   int ParkedCount() const { return parked_count_.load(std::memory_order_relaxed); }
 
-  // Fds currently registered (introspection via NetBackend::Snapshot).
+  // Fds currently registered (introspection via net_backend_snapshot).
   int RegisteredCount() const {
     return registered_count_.load(std::memory_order_relaxed);
   }
@@ -87,9 +87,6 @@ class NetPoller {
   // Scheduler idle-path adapter: PollInline() on the singleton, -1 if it was
   // never created. Installed via sched::SetIdlePollHook.
   static int IdlePollHook();
-
-  // How long an idle LWP should shallow-park between inline polls.
-  static int64_t IdlePollPeriodNs();
 
  private:
   NetPoller();

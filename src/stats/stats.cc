@@ -115,10 +115,6 @@ const char* LatencyStatName(LatencyStat stat) {
       return "net.readiness_wait";
     case LatencyStat::kNetEpollBatch:
       return "net.epoll_batch";
-    case LatencyStat::kNetCompletionWait:
-      return "net.completion_wait";
-    case LatencyStat::kNetUringSqeBatch:
-      return "net.uring_sqe_batch";
     case LatencyStat::kCount:
       break;
   }
@@ -127,8 +123,7 @@ const char* LatencyStatName(LatencyStat stat) {
 
 bool LatencyStatIsDuration(LatencyStat stat) {
   return stat != LatencyStat::kRunQueueDepth &&
-         stat != LatencyStat::kNetEpollBatch &&
-         stat != LatencyStat::kNetUringSqeBatch;
+         stat != LatencyStat::kNetEpollBatch;
 }
 
 namespace {

@@ -79,8 +79,6 @@ enum class LatencyStat : uint8_t {
   kKernelWait,         // LWP blocked in the kernel (KernelWaitScope)
   kNetReadinessWait,   // thread parked on fd readiness (src/net WaitReady)
   kNetEpollBatch,      // events per nonempty epoll_wait drain (dimensionless)
-  kNetCompletionWait,  // thread parked on a uring op's CQE (SubmitAndWait)
-  kNetUringSqeBatch,   // SQEs per flushing io_uring_enter (dimensionless)
   kCount,
 };
 

@@ -28,7 +28,6 @@
 #include "src/io/io.h"
 #include "src/ipc/fork1.h"
 #include "src/ipc/shared_arena.h"
-#include "src/net/backend.h"
 #include "src/net/net.h"
 #include "src/util/clock.h"
 #include "tests/test_util.h"
@@ -782,14 +781,6 @@ TEST(HttpShakedown, ServerSurvivesInjectSweep) {
 }  // namespace sunmt
 
 int main(int argc, char** argv) {
-  // See net_test.cc: the *_uring ctest variant must SKIP, not vacuously pass
-  // on epoll fallback, when the kernel cannot run the completion engine.
-  const char* backend = getenv("SUNMT_NET_BACKEND");
-  if (backend != nullptr && strcmp(backend, "uring") == 0 &&
-      !sunmt::net_uring_supported()) {
-    fprintf(stderr, "SKIP: kernel lacks io_uring, uring engine unavailable\n");
-    return 77;
-  }
   sunmt::RuntimeConfig config;
   config.initial_pool_lwps = 2;  // small fixed pool: connections must park
   sunmt::Runtime::Configure(config);

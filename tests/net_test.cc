@@ -13,8 +13,6 @@
 #include <errno.h>
 #include <fcntl.h>
 #include <netinet/in.h>
-#include <stdio.h>
-#include <stdlib.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -27,7 +25,6 @@
 #include "src/inject/inject.h"
 #include "src/io/io.h"
 #include "src/lwp/lwp.h"
-#include "src/net/backend.h"
 #include "src/net/net.h"
 #include "src/signal/signal.h"
 #include "src/util/clock.h"
@@ -438,6 +435,32 @@ TEST(NetDedicated, WritevSurvivesInjectedShortTransfers) {
   close(fds[1]);
 }
 
+// HttpServer::Stop relies on this: unregistering an fd wakes the threads
+// parked on it with ECANCELED instead of leaving them parked.
+TEST(NetDedicated, UnregisterCancelsParkedWaiter) {
+  int fds[2];
+  MakeSocketpair(fds);
+  ASSERT_EQ(net_register(fds[0]), 0);
+  static std::atomic<int> observed;
+  observed.store(0);
+  thread_id_t waiter = Spawn([&] {
+    char ch;
+    EXPECT_EQ(net_read(fds[0], &ch, 1), -1);
+    observed.store(thread_errno());
+  });
+  int64_t deadline = MonotonicNowNs() + 5 * kSec;
+  while (net_parked_count() == 0 && MonotonicNowNs() < deadline) {
+    usleep(1000);
+  }
+  ASSERT_EQ(net_parked_count(), 1);
+  EXPECT_EQ(net_unregister(fds[0]), 0);
+  EXPECT_TRUE(Join(waiter));
+  EXPECT_EQ(observed.load(), ECANCELED);
+  EXPECT_EQ(net_parked_count(), 0);
+  close(fds[0]);
+  close(fds[1]);
+}
+
 // The tentpole's economic claim, as a regression test: a storm of threads
 // blocked on socket I/O keeps the LWP pool flat when parked via the poller,
 // while the same storm on the blocking path must grow the pool (SIGWAITING)
@@ -563,16 +586,6 @@ TEST(NetShutdown, StopWakesParkedThreadsWithEcanceled) {
 }  // namespace sunmt
 
 int main(int argc, char** argv) {
-  // The *_uring ctest variant re-runs this binary with SUNMT_NET_BACKEND=uring
-  // to hold the completion engine to the same contract. On a kernel without
-  // io_uring that would silently fall back to epoll and test nothing new, so
-  // report SKIP (ctest SKIP_RETURN_CODE) instead of a vacuous pass.
-  const char* backend = getenv("SUNMT_NET_BACKEND");
-  if (backend != nullptr && strcmp(backend, "uring") == 0 &&
-      !sunmt::net_uring_supported()) {
-    fprintf(stderr, "SKIP: kernel lacks io_uring, uring engine unavailable\n");
-    return 77;
-  }
   sunmt::RuntimeConfig config;
   config.initial_pool_lwps = 2;  // small fixed pool makes flat-vs-grow visible
   sunmt::Runtime::Configure(config);

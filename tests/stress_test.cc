@@ -38,8 +38,9 @@ struct StressWorld {
   long mutex_shadow[4] = {};  // guarded by the matching mutex
   std::atomic<long> sema_tokens_in{0};
   std::atomic<long> sema_tokens_out{0};
-  std::atomic<int> rw_writers{0};
-  std::atomic<int> rw_readers{0};
+  // Per rwlock: a reader of one lock may legally overlap a writer of the other.
+  std::atomic<int> rw_writers[2] = {};
+  std::atomic<int> rw_readers[2] = {};
   std::atomic<bool> violation{false};
 };
 
@@ -76,21 +77,21 @@ void StressBody(uint64_t seed, int ops) {
       case 4: {  // read-side critical section
         int r = static_cast<int>(rng.NextBounded(2));
         rw_enter(&w.rwlocks[r], RW_READER);
-        w.rw_readers.fetch_add(1);
-        if (w.rw_writers.load() != 0) {
+        w.rw_readers[r].fetch_add(1);
+        if (w.rw_writers[r].load() != 0) {
           w.violation.store(true);
         }
-        w.rw_readers.fetch_sub(1);
+        w.rw_readers[r].fetch_sub(1);
         rw_exit(&w.rwlocks[r]);
         break;
       }
       case 5: {  // write-side critical section
         int r = static_cast<int>(rng.NextBounded(2));
         rw_enter(&w.rwlocks[r], RW_WRITER);
-        if (w.rw_writers.fetch_add(1) != 0) {
+        if (w.rw_writers[r].fetch_add(1) != 0) {
           w.violation.store(true);
         }
-        w.rw_writers.fetch_sub(1);
+        w.rw_writers[r].fetch_sub(1);
         rw_exit(&w.rwlocks[r]);
         break;
       }
