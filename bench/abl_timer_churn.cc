@@ -9,29 +9,16 @@
 //   churn   4 threads x 250k cancel+re-arm pairs against a standing
 //           population of 1000 live 10s-out timers per thread — the
 //           rearm-before-fire fast path with the live-deadline census a real
-//           server carries (every connection holds a pending timeout). On the
-//           wheel each pair is an O(1) bucket insert plus a lock-free tag
-//           CAS; on the heap each cancel is an O(n) scan + re-heapify under
-//           the global lock, so the phase self-limits on elapsed time and
-//           reports the rate it reached.
+//           server carries (every connection holds a pending timeout). Each
+//           pair is an O(1) bucket insert plus a lock-free tag CAS.
 //   expire  100k short one-shots (1..50ms), measuring delivered fires/s
 //           through the engine's fire path.
-//   burst   (wheel only) arm 1M live 30s-out timers, then cancel all 1M —
-//           the heap baseline's cancel is O(n) against a million-entry vector
-//           and would turn the phase quadratic.
+//   burst   arm 1M live 30s-out timers, then cancel all 1M.
 //
-// The binary re-execs itself (--child) once per engine — the wheel as built,
-// then SUNMT_TIMER_ENGINE=heap SUNMT_TIMER_SHARDS=1 — so both numbers come
-// from the same binary, and emits churn_speedup_vs_heap, which scripts/
-// bench.sh gates at >= 2x.
-
-#include <unistd.h>
+// scripts/bench.sh gates churn_pairs_per_s against the recorded baseline.
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -48,7 +35,6 @@ constexpr int64_t kSec = 1000 * kMs;
 constexpr int kThreads = 4;
 constexpr int kChurnPairsPerThread = 250'000;  // x4 threads = 1M pairs
 constexpr int kLivePerThread = 1000;           // standing deadline census
-constexpr int64_t kChurnCutoffNs = 5 * kSec;   // slow baselines report a rate
 constexpr int kExpireTimers = 100'000;
 constexpr int kBurstTimers = 1'000'000;
 
@@ -56,8 +42,6 @@ void NopCb(void*, uint64_t) {}
 
 struct ChurnArgs {
   int id = 0;
-  int iters = 0;
-  std::atomic<uint64_t>* pairs = nullptr;
   std::atomic<uint64_t>* failures = nullptr;
 };
 
@@ -72,9 +56,7 @@ void ChurnMain(void* arg) {
       return;
     }
   }
-  int64_t start = sunmt::MonotonicNowNs();
-  int done = 0;
-  for (int i = 0; i < a->iters; ++i) {
+  for (int i = 0; i < kChurnPairsPerThread; ++i) {
     // A random live deadline completes early and is replaced — the cancel +
     // re-arm a timed wait performs when the awaited event beats the timeout.
     sunmt::timer_id_t& slot = ring[rng.NextBounded(kLivePerThread)];
@@ -87,13 +69,7 @@ void ChurnMain(void* arg) {
       a->failures->fetch_add(1);
       break;
     }
-    ++done;
-    if ((i & 1023) == 0 &&
-        sunmt::MonotonicNowNs() - start > kChurnCutoffNs) {
-      break;  // O(n)-cancel baselines would run for minutes at full count
-    }
   }
-  a->pairs->fetch_add(done);
   for (sunmt::timer_id_t slot : ring) {
     if (slot != sunmt::kInvalidTimerId) {
       sunmt::timer_cancel(slot);
@@ -124,18 +100,20 @@ double SecondsSince(int64_t start_ns) {
   return static_cast<double>(sunmt::MonotonicNowNs() - start_ns) / 1e9;
 }
 
-// One engine's measurement pass; prints a single parseable CHURN line.
-int ChildMain() {
-  sunmt::TimerEngineStats es = sunmt::timer_engine_stats();
+}  // namespace
+
+int main() {
+  sunmt::RuntimeConfig config;
+  config.initial_pool_lwps = kThreads;
+  sunmt::Runtime::Configure(config);
   std::atomic<uint64_t> failures{0};
 
   // -- churn --
-  std::atomic<uint64_t> pairs{0};
   std::vector<ChurnArgs> cargs(kThreads);
   int64_t t0 = sunmt::MonotonicNowNs();
   std::vector<sunmt::thread_id_t> ids;
   for (int t = 0; t < kThreads; ++t) {
-    cargs[t] = ChurnArgs{t, kChurnPairsPerThread, &pairs, &failures};
+    cargs[t] = ChurnArgs{t, &failures};
     ids.push_back(sunmt::thread_create(nullptr, 0, &ChurnMain, &cargs[t],
                                        sunmt::THREAD_WAIT));
   }
@@ -143,12 +121,13 @@ int ChildMain() {
     sunmt::thread_wait(id);
   }
   double churn_s = SecondsSince(t0);
-  if (failures.load() != 0 || pairs.load() == 0) {
+  if (failures.load() != 0) {
     fprintf(stderr, "churn failures: %llu\n",
             static_cast<unsigned long long>(failures.load()));
     return 1;
   }
-  double churn_rate = static_cast<double>(pairs.load()) / churn_s;
+  double churn_rate = static_cast<double>(kThreads) * kChurnPairsPerThread /
+                      churn_s;
 
   // -- expire --
   uint64_t fires0 = sunmt::timer_fire_count();
@@ -179,106 +158,39 @@ int ChildMain() {
   }
   double expire_rate = delivered / expire_s;
 
-  // -- burst (wheel only: the heap cancel would be quadratic here) --
-  double burst_arm_rate = 0, burst_cancel_rate = 0;
-  if (es.wheel_engine) {
-    std::vector<sunmt::timer_id_t> burst;
-    burst.reserve(kBurstTimers);
-    t0 = sunmt::MonotonicNowNs();
-    for (int i = 0; i < kBurstTimers; ++i) {
-      sunmt::timer_id_t id =
-          sunmt::timer_arm_callback(30 * kSec, &NopCb, nullptr, 0);
-      if (id == sunmt::kInvalidTimerId) {
-        fprintf(stderr, "burst arm %d failed\n", i);
-        return 1;
-      }
-      burst.push_back(id);
+  // -- burst --
+  std::vector<sunmt::timer_id_t> burst;
+  burst.reserve(kBurstTimers);
+  t0 = sunmt::MonotonicNowNs();
+  for (int i = 0; i < kBurstTimers; ++i) {
+    sunmt::timer_id_t id =
+        sunmt::timer_arm_callback(30 * kSec, &NopCb, nullptr, 0);
+    if (id == sunmt::kInvalidTimerId) {
+      fprintf(stderr, "burst arm %d failed\n", i);
+      return 1;
     }
-    burst_arm_rate = kBurstTimers / SecondsSince(t0);
-    t0 = sunmt::MonotonicNowNs();
-    for (sunmt::timer_id_t id : burst) {
-      if (sunmt::timer_cancel(id) != 0) {
-        fprintf(stderr, "burst cancel failed\n");
-        return 1;
-      }
-    }
-    burst_cancel_rate = kBurstTimers / SecondsSince(t0);
+    burst.push_back(id);
   }
-
-  printf("CHURN engine=%s churn_pairs_per_s=%.6g expire_fires_per_s=%.6g "
-         "burst_arm_per_s=%.6g burst_cancel_per_s=%.6g\n",
-         es.wheel_engine ? "wheel" : "heap", churn_rate, expire_rate,
-         burst_arm_rate, burst_cancel_rate);
-  fflush(stdout);
-  return 0;
-}
-
-struct ChildResult {
-  double churn = 0, expire = 0, burst_arm = 0, burst_cancel = 0;
-  bool ok = false;
-};
-
-ChildResult RunChild(const char* self, const char* env_prefix) {
-  std::string cmd = std::string("env ") + env_prefix + " '" + self +
-                    "' --child 2>&1";
-  FILE* p = popen(cmd.c_str(), "r");
-  ChildResult r;
-  if (p == nullptr) {
-    return r;
-  }
-  char line[512];
-  while (fgets(line, sizeof(line), p) != nullptr) {
-    fputs(line, stderr);  // child logs pass through for the CI record
-    char engine[16];
-    if (sscanf(line,
-               "CHURN engine=%15s churn_pairs_per_s=%lf "
-               "expire_fires_per_s=%lf burst_arm_per_s=%lf "
-               "burst_cancel_per_s=%lf",
-               engine, &r.churn, &r.expire, &r.burst_arm,
-               &r.burst_cancel) == 5) {
-      r.ok = true;
+  double burst_arm_rate = kBurstTimers / SecondsSince(t0);
+  t0 = sunmt::MonotonicNowNs();
+  for (sunmt::timer_id_t id : burst) {
+    if (sunmt::timer_cancel(id) != 0) {
+      fprintf(stderr, "burst cancel failed\n");
+      return 1;
     }
   }
-  if (pclose(p) != 0) {
-    r.ok = false;
-  }
-  return r;
-}
+  double burst_cancel_rate = kBurstTimers / SecondsSince(t0);
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc > 1 && strcmp(argv[1], "--child") == 0) {
-    sunmt::RuntimeConfig config;
-    config.initial_pool_lwps = kThreads;
-    sunmt::Runtime::Configure(config);
-    return ChildMain();
-  }
-
-  ChildResult wheel = RunChild(argv[0], "SUNMT_TIMER_ENGINE=wheel");
-  ChildResult heap =
-      RunChild(argv[0], "SUNMT_TIMER_ENGINE=heap SUNMT_TIMER_SHARDS=1");
-  if (!wheel.ok || !heap.ok) {
-    fprintf(stderr, "abl_timer_churn: child run failed (wheel=%d heap=%d)\n",
-            wheel.ok, heap.ok);
-    return 1;
-  }
-
-  double speedup = heap.churn > 0 ? wheel.churn / heap.churn : 0;
-  printf("\nabl_timer_churn: churn wheel=%.3gM pairs/s heap=%.3gM pairs/s "
-         "(%.2fx); expire wheel=%.3gk/s heap=%.3gk/s; burst arm=%.3gM/s "
-         "cancel=%.3gM/s\n",
-         wheel.churn / 1e6, heap.churn / 1e6, speedup, wheel.expire / 1e3,
-         heap.expire / 1e3, wheel.burst_arm / 1e6, wheel.burst_cancel / 1e6);
+  printf("\nabl_timer_churn: churn=%.3gM pairs/s; expire=%.3gk/s; "
+         "burst arm=%.3gM/s cancel=%.3gM/s\n",
+         churn_rate / 1e6, expire_rate / 1e3, burst_arm_rate / 1e6,
+         burst_cancel_rate / 1e6);
 
   sunmt_bench::BenchJson json("abl_timer_churn");
-  json.Add("churn_pairs_per_s", wheel.churn);
-  json.Add("churn_pairs_per_s_heap", heap.churn);
-  json.Add("churn_speedup_vs_heap", speedup);
-  json.Add("expire_fires_per_s", wheel.expire);
-  json.Add("expire_fires_per_s_heap", heap.expire);
-  json.Add("burst_arm_per_s", wheel.burst_arm);
-  json.Add("burst_cancel_per_s", wheel.burst_cancel);
+  json.Add("churn_pairs_per_s", churn_rate);
+  json.Add("expire_fires_per_s", expire_rate);
+  json.Add("burst_arm_per_s", burst_arm_rate);
+  json.Add("burst_cancel_per_s", burst_cancel_rate);
   json.Emit();
   return 0;
 }

@@ -2,16 +2,12 @@
 # Runs every bench/abl_* binary and collects the machine-readable
 # BENCH_<name>.json line each one emits (see bench/bench_util.h) into
 # BENCH_<name>.json files in the repo root, so the perf trajectory is
-# recorded per PR instead of scrolling away in a terminal.
+# recorded per PR instead of scrolling away in a terminal. Then checks the
+# fresh numbers against the previously recorded ones with the regression gates
+# in the table below.
 #
 # Usage: scripts/bench.sh [extra benchmark args...]
 #   e.g. scripts/bench.sh --benchmark_min_time=0.2
-#
-# Also guards the shakedown injector's zero-cost-when-disabled claim (with
-# SUNMT_INJECT unset, abl_microtask must stay within 1% of the recorded
-# baseline plus the measured run-to-run noise floor of two back-to-back runs)
-# and the lockdep detector's equivalent claim on abl_mutex_variants with
-# SUNMT_DEBUG unset.
 
 set -euo pipefail
 
@@ -23,6 +19,91 @@ if [[ ! -d "$build/bench" ]]; then
   exit 1
 fi
 
+# Regression gates, one row each: bench, metric keys, better direction,
+# tolerance, run count. A key list (comma-separated) takes the best of the runs
+# per key; "geomean" takes the geometric mean of first-run/baseline over every
+# key the baseline and all runs share. Either fails when that is worse than
+# the baseline by more than the tolerance plus the noise floor (max/min - 1 of
+# the runs, geomean'd for "geomean"; 0 for a single run). Runs after the first
+# re-execute the bench. Host throughput swings ~±25% run to run, hence the
+# best-of-2 throughput gates.
+gates=(
+  # The shakedown hooks (src/inject) sit on every hand-off path; with
+  # SUNMT_INJECT unset each must cost one relaxed load.
+  "abl_microtask      geomean                             lower  0.01 2"
+  # The lock-order detector (src/debug/lockdep) hooks every acquire; with
+  # SUNMT_DEBUG unset each must cost one relaxed load.
+  "abl_mutex_variants geomean                             lower  0.01 2"
+  # The HTTP server is the end-to-end consumer of the netpoller and the
+  # unbound-thread stack: keep-alive reqs/s at both connection scales.
+  "abl_http_load      c1k_reqs_per_s,c10k_reqs_per_s      higher 0.10 2"
+  # The netpoller's raw numbers.
+  "abl_net_echo       poller_reqs_per_s                   higher 0.10 2"
+  # The timed-wait hot path: arm/cancel churn against a standing population.
+  "abl_timer_churn    churn_pairs_per_s                   higher 0.10 2"
+  # The magazine caches and sharded registry: cost of a 16k-thread batch.
+  "abl_thread_scale   BM_UnboundThreadBatch/16000_real_ns lower  0.10 1"
+)
+
+# gate BENCH KEYS BETTER TOLERANCE RUNS [bench args...]: applies one row.
+# Returns nonzero when the gate fails; exits when a re-run fails.
+gate() {
+  local name="$1" keys="$2" better="$3" tol="$4" runs="$5"
+  shift 5
+  local bin="$build/bench/$name" fresh="$repo/BENCH_$name.json"
+  local -a run_files=("$fresh")
+  local i out
+  [[ -s "$tmp/$name.prev.json" && -s "$fresh" ]] || return 0
+  [[ $runs -eq 1 || -x "$bin" ]] || return 0
+  echo "== $name regression gate ($keys, $better is better, $runs run(s)) vs recorded baseline =="
+  for ((i = 2; i <= runs; i++)); do
+    out="$("$bin" "$@" 2>&1)" || { echo "$out"; exit 1; }
+    printf '%s\n' "$out" | grep -E "^BENCH_${name}\.json " | tail -1 |
+      cut -d' ' -f2- > "$tmp/$name.run$i.json"
+    [[ -s "$tmp/$name.run$i.json" ]] || { echo "$out"; exit 1; }
+    run_files+=("$tmp/$name.run$i.json")
+  done
+  python3 - "$keys" "$better" "$tol" "$tmp/$name.prev.json" "${run_files[@]}" <<'PY'
+import json, math, sys
+keys, better, tol, prev_path, *run_paths = sys.argv[1:]
+tol = float(tol)
+prev = json.load(open(prev_path))["metrics"]
+runs = [json.load(open(p))["metrics"] for p in run_paths]
+
+def geomean(vals):
+    return math.exp(sum(math.log(v) for v in vals) / len(vals))
+
+def check(label, delta, noise):
+    worse = delta if better == "lower" else -delta
+    allowed = tol + noise
+    print(f"  {label}: {delta:+.2%} (noise floor {noise:.2%}, "
+          f"allowed {'+' if better == 'lower' else '-'}{allowed:.2%})")
+    return worse <= allowed
+
+ok = True
+if keys == "geomean":
+    shared = sorted(set(prev).intersection(*runs))
+    if not shared:
+        sys.exit("no shared metrics between baseline and fresh runs")
+    noise = geomean([max(r[k] for r in runs) / min(r[k] for r in runs)
+                     for k in shared]) - 1
+    ok = check("geomean vs baseline",
+               geomean([runs[0][k] / prev[k] for k in shared]) - 1, noise)
+else:
+    for key in keys.split(","):
+        if key not in prev or any(key not in r for r in runs):
+            print(f"  {key} missing from baseline or fresh runs; skipping")
+            continue
+        vals = [r[key] for r in runs]
+        best = min(vals) if better == "lower" else max(vals)
+        ok = check(f"{key} {prev[key]:.6g} -> {best:.6g}", best / prev[key] - 1,
+                   max(vals) / min(vals) - 1) and ok
+if not ok:
+    sys.exit("regressed beyond tolerance + noise floor")
+print("  within bounds")
+PY
+}
+
 shopt -s nullglob
 benches=("$build"/bench/abl_*)
 if [[ ${#benches[@]} -eq 0 ]]; then
@@ -30,21 +111,13 @@ if [[ ${#benches[@]} -eq 0 ]]; then
   exit 1
 fi
 
-# Stash the previously recorded microtask baseline before the loop overwrites
-# it; the injector cost check below compares against it.
-prev_micro="$(mktemp)"
-prev_scale="$(mktemp)"
-prev_mutex="$(mktemp)"
-prev_http="$(mktemp)"
-prev_timer="$(mktemp)"
-prev_echo="$(mktemp)"
-trap 'rm -f "$prev_micro" "$prev_scale" "$prev_mutex" "$prev_http" "$prev_timer" "$prev_echo"' EXIT
-cp "$repo/BENCH_abl_microtask.json" "$prev_micro" 2>/dev/null || true
-cp "$repo/BENCH_abl_thread_scale.json" "$prev_scale" 2>/dev/null || true
-cp "$repo/BENCH_abl_mutex_variants.json" "$prev_mutex" 2>/dev/null || true
-cp "$repo/BENCH_abl_http_load.json" "$prev_http" 2>/dev/null || true
-cp "$repo/BENCH_abl_timer_churn.json" "$prev_timer" 2>/dev/null || true
-cp "$repo/BENCH_abl_net_echo.json" "$prev_echo" 2>/dev/null || true
+# Stash the recorded baselines before the loop below overwrites them.
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+for row in "${gates[@]}"; do
+  read -r name _ <<<"$row"
+  cp "$repo/BENCH_$name.json" "$tmp/$name.prev.json" 2>/dev/null || true
+done
 
 failed=0
 for bin in "${benches[@]}"; do
@@ -69,208 +142,10 @@ for bin in "${benches[@]}"; do
   echo "-> BENCH_${name}.json"
 done
 
-# ---- Injector disabled-path cost gate ---------------------------------------
-# The shakedown hooks (src/inject) are compiled into every hand-off path; when
-# SUNMT_INJECT is unset each one must cost a single relaxed load. Compare the
-# fresh abl_microtask numbers against the recorded baseline, allowing 1% plus
-# the noise floor measured from a second back-to-back run.
-micro="$build/bench/abl_microtask"
-if [[ -s "$prev_micro" && -x "$micro" && $failed -eq 0 ]]; then
-  echo "== injector disabled-path cost (abl_microtask vs recorded baseline) =="
-  out2="$("$micro" "$@" 2>&1)" || { echo "$out2"; exit 1; }
-  rerun="$(printf '%s\n' "$out2" | grep -E '^BENCH_abl_microtask\.json ' | tail -1)"
-  python3 - "$prev_micro" "$repo/BENCH_abl_microtask.json" <<PY || failed=1
-import json, math, sys
-prev = json.load(open(sys.argv[1]))["metrics"]
-run1 = json.load(open(sys.argv[2]))["metrics"]
-run2 = json.loads("""${rerun#BENCH_abl_microtask.json }""")["metrics"]
-keys = sorted(set(prev) & set(run1) & set(run2))
-if not keys:
-    sys.exit("no shared metrics between baseline and fresh runs")
-def geomean(vals):
-    return math.exp(sum(math.log(v) for v in vals) / len(vals))
-noise = geomean([max(run1[k], run2[k]) / min(run1[k], run2[k]) for k in keys]) - 1
-cost = geomean([run1[k] / prev[k] for k in keys]) - 1
-allowed = 0.01 + noise
-print(f"  geomean vs baseline: {cost:+.2%}  (noise floor {noise:.2%}, allowed {allowed:.2%})")
-if cost > allowed:
-    sys.exit(f"injector disabled-path cost {cost:.2%} exceeds {allowed:.2%}")
-print("  injector disabled-path cost within noise")
-PY
-fi
-
-# ---- Lockdep disabled-path cost gate ----------------------------------------
-# The lock-order detector (src/debug/lockdep) hooks every mutex/rwlock/sema/
-# condvar acquire; with SUNMT_DEBUG unset each hook must cost one relaxed load.
-# Same construction as the injector gate: fresh abl_mutex_variants vs the
-# recorded baseline, allowing 1% plus the measured run-to-run noise floor.
-mutexb="$build/bench/abl_mutex_variants"
-if [[ -s "$prev_mutex" && -x "$mutexb" && $failed -eq 0 ]]; then
-  echo "== lockdep disabled-path cost (abl_mutex_variants vs recorded baseline) =="
-  out2="$("$mutexb" "$@" 2>&1)" || { echo "$out2"; exit 1; }
-  rerun="$(printf '%s\n' "$out2" | grep -E '^BENCH_abl_mutex_variants\.json ' | tail -1)"
-  python3 - "$prev_mutex" "$repo/BENCH_abl_mutex_variants.json" <<PY || failed=1
-import json, math, sys
-prev = json.load(open(sys.argv[1]))["metrics"]
-run1 = json.load(open(sys.argv[2]))["metrics"]
-run2 = json.loads("""${rerun#BENCH_abl_mutex_variants.json }""")["metrics"]
-keys = sorted(set(prev) & set(run1) & set(run2))
-if not keys:
-    sys.exit("no shared metrics between baseline and fresh runs")
-def geomean(vals):
-    return math.exp(sum(math.log(v) for v in vals) / len(vals))
-noise = geomean([max(run1[k], run2[k]) / min(run1[k], run2[k]) for k in keys]) - 1
-cost = geomean([run1[k] / prev[k] for k in keys]) - 1
-allowed = 0.01 + noise
-print(f"  geomean vs baseline: {cost:+.2%}  (noise floor {noise:.2%}, allowed {allowed:.2%})")
-if cost > allowed:
-    sys.exit(f"lockdep disabled-path cost {cost:.2%} exceeds {allowed:.2%}")
-print("  lockdep disabled-path cost within noise")
-PY
-fi
-
-# ---- HTTP throughput regression gate ----------------------------------------
-# The HTTP server is the end-to-end consumer of the netpoller + unbound-thread
-# stack; fail if keep-alive requests/s at either connection scale regresses
-# more than 10% + the measured noise floor against the recorded baseline.
-# Throughput on the shared 1-CPU box swings ~±25% run to run, so the gate
-# takes the best of two runs (the baseline records a median-of-runs figure,
-# not a best-of, for the same reason).
-httpb="$build/bench/abl_http_load"
-if [[ -s "$prev_http" && -s "$repo/BENCH_abl_http_load.json" && -x "$httpb" && $failed -eq 0 ]]; then
-  echo "== http throughput (best-of-2 reqs/s vs recorded baseline) =="
-  out2="$("$httpb" "$@" 2>&1)" || { echo "$out2"; exit 1; }
-  rerun="$(printf '%s\n' "$out2" | grep -E '^BENCH_abl_http_load\.json ' | tail -1)"
-  python3 - "$prev_http" "$repo/BENCH_abl_http_load.json" <<PY || failed=1
-import json, sys
-prev = json.load(open(sys.argv[1]))["metrics"]
-run1 = json.load(open(sys.argv[2]))["metrics"]
-run2 = json.loads("""${rerun#BENCH_abl_http_load.json }""")["metrics"]
-bad = False
-for key in ("c1k_reqs_per_s", "c10k_reqs_per_s"):
-    if key not in prev or key not in run1 or key not in run2:
-        print(f"  {key} missing from baseline or fresh runs; skipping")
-        continue
-    best = max(run1[key], run2[key])
-    noise = best / min(run1[key], run2[key]) - 1
-    allowed = 0.10 + noise
-    delta = best / prev[key] - 1
-    print(f"  {key}: {prev[key]:.0f} -> {best:.0f} best-of-2 "
-          f"({delta:+.2%}, noise floor {noise:.2%}, allowed -{allowed:.2%})")
-    if delta < -allowed:
-        bad = True
-if bad:
-    sys.exit("http reqs/s regressed beyond 10% + noise floor")
-print("  http throughput within bounds")
-PY
-fi
-
-# ---- Net echo throughput gate ------------------------------------------------
-# The echo ablation carries the netpoller's raw numbers; fail if its reqs/s
-# regresses more than 10% + the measured noise floor against the recorded
-# baseline. Best-of-2, same construction as the http gate.
-echob="$build/bench/abl_net_echo"
-if [[ -s "$prev_echo" && -s "$repo/BENCH_abl_net_echo.json" && -x "$echob" && $failed -eq 0 ]]; then
-  echo "== net echo throughput (best-of-2 reqs/s vs recorded baseline) =="
-  out2="$("$echob" "$@" 2>&1)" || { echo "$out2"; exit 1; }
-  rerun="$(printf '%s\n' "$out2" | grep -E '^BENCH_abl_net_echo\.json ' | tail -1)"
-  python3 - "$prev_echo" "$repo/BENCH_abl_net_echo.json" <<PY || failed=1
-import json, sys
-prev = json.load(open(sys.argv[1]))["metrics"]
-run1 = json.load(open(sys.argv[2]))["metrics"]
-run2 = json.loads("""${rerun#BENCH_abl_net_echo.json }""")["metrics"]
-key = "poller_reqs_per_s"
-if key not in prev or key not in run1 or key not in run2:
-    print(f"  {key} missing from baseline or fresh runs; skipping gate")
-    sys.exit(0)
-best = max(run1[key], run2[key])
-noise = best / min(run1[key], run2[key]) - 1
-allowed = 0.10 + noise
-delta = best / prev[key] - 1
-print(f"  {key}: {prev[key]:.0f} -> {best:.0f} best-of-2 "
-      f"({delta:+.2%}, noise floor {noise:.2%}, allowed -{allowed:.2%})")
-if delta < -allowed:
-    sys.exit("net echo reqs/s regressed beyond 10% + noise floor")
-print("  net echo throughput within bounds")
-PY
-fi
-
-# ---- Timer-wheel speedup gate ------------------------------------------------
-# The sharded timing wheel exists to beat the heap engine on cancel/re-arm
-# churn against a standing deadline population; abl_timer_churn measures both
-# engines from the same binary and must show at least 2x. (The margin is huge
-# — the heap cancel is O(n) — so this gate is noise-proof even on the shared
-# 1-CPU box; a failure means the ablation plumbing broke or the wheel's fast
-# path regressed catastrophically.)
-if [[ -s "$repo/BENCH_abl_timer_churn.json" && $failed -eq 0 ]]; then
-  echo "== timer-wheel churn speedup (abl_timer_churn, wheel vs heap) =="
-  python3 - "$repo/BENCH_abl_timer_churn.json" <<'PY' || failed=1
-import json, sys
-m = json.load(open(sys.argv[1]))["metrics"]
-speedup = m.get("churn_speedup_vs_heap", 0)
-print(f"  churn: wheel {m.get('churn_pairs_per_s', 0):.0f} pairs/s, "
-      f"heap {m.get('churn_pairs_per_s_heap', 0):.0f} pairs/s "
-      f"({speedup:.1f}x, required >= 2x)")
-if speedup < 2.0:
-    sys.exit(f"timer wheel churn speedup {speedup:.2f}x below the 2x floor")
-print("  timer-wheel speedup within bounds")
-PY
-fi
-
-# ---- Timer-churn regression gate ---------------------------------------------
-# The timed-wait hot path (arm/cancel plus the per-wait ctx now coming from the
-# object cache) feeds abl_timer_churn's wheel-engine numbers; fail if the
-# cancel/re-arm churn rate regresses more than 10% + the measured noise floor
-# against the recorded baseline. Same best-of-2 construction as the http gate
-# (the shared 1-CPU box swings ~±25% run to run).
-timerb="$build/bench/abl_timer_churn"
-if [[ -s "$prev_timer" && -s "$repo/BENCH_abl_timer_churn.json" && -x "$timerb" && $failed -eq 0 ]]; then
-  echo "== timer churn rate (best-of-2 pairs/s vs recorded baseline) =="
-  out2="$("$timerb" "$@" 2>&1)" || { echo "$out2"; exit 1; }
-  rerun="$(printf '%s\n' "$out2" | grep -E '^BENCH_abl_timer_churn\.json ' | tail -1)"
-  python3 - "$prev_timer" "$repo/BENCH_abl_timer_churn.json" <<PY || failed=1
-import json, sys
-prev = json.load(open(sys.argv[1]))["metrics"]
-run1 = json.load(open(sys.argv[2]))["metrics"]
-run2 = json.loads("""${rerun#BENCH_abl_timer_churn.json }""")["metrics"]
-key = "churn_pairs_per_s"
-if key not in prev or key not in run1 or key not in run2:
-    print(f"  {key} missing from baseline or fresh runs; skipping gate")
-    sys.exit(0)
-best = max(run1[key], run2[key])
-noise = best / min(run1[key], run2[key]) - 1
-allowed = 0.10 + noise
-delta = best / prev[key] - 1
-print(f"  {key}: {prev[key]:.0f} -> {best:.0f} best-of-2 "
-      f"({delta:+.2%}, noise floor {noise:.2%}, allowed -{allowed:.2%})")
-if delta < -allowed:
-    sys.exit(f"timer churn rate regressed beyond 10% + noise floor")
-print("  timer churn rate within bounds")
-PY
-fi
-
-# ---- Thread-lifecycle regression gate ---------------------------------------
-# The magazine caches + sharded registry carry the thread-scale numbers; fail
-# if the per-thread cost of the 16k batch regresses more than 10% against the
-# recorded baseline.
-if [[ -s "$prev_scale" && -s "$repo/BENCH_abl_thread_scale.json" && $failed -eq 0 ]]; then
-  echo "== thread-lifecycle cost (BM_UnboundThreadBatch/16000 vs recorded baseline) =="
-  python3 - "$prev_scale" "$repo/BENCH_abl_thread_scale.json" <<'PY' || failed=1
-import json, sys
-key = "BM_UnboundThreadBatch/16000_real_ns"
-prev = json.load(open(sys.argv[1]))["metrics"]
-cur = json.load(open(sys.argv[2]))["metrics"]
-if key not in prev or key not in cur:
-    print(f"  {key} missing from baseline or fresh run; skipping gate")
-    sys.exit(0)
-n = 16000
-prev_per, cur_per = prev[key] / n, cur[key] / n
-delta = cur_per / prev_per - 1
-print(f"  per-thread: {prev_per:.0f}ns -> {cur_per:.0f}ns ({delta:+.2%}, allowed +10%)")
-if delta > 0.10:
-    sys.exit(f"thread-lifecycle per-thread cost regressed {delta:.2%} (>10%)")
-print("  thread-lifecycle cost within bounds")
-PY
-fi
+for row in "${gates[@]}"; do
+  [[ $failed -eq 0 ]] || break
+  read -r name keys better tol runs <<<"$row"
+  gate "$name" "$keys" "$better" "$tol" "$runs" "$@" || failed=1
+done
 
 exit $failed

@@ -8,21 +8,25 @@
 #      stats seqlock, the sharded run queue's steal/box migration, the
 #      magazine stack cache + sharded registry, and the timing wheel's
 #      lock-free cancel/claim protocol are the places a data race would live.
-#   3. Lockdep lane: the `lockdep` label (order-inversion + deadlock detector,
+#   3. SUNMT_SANITIZE=address build, running the `lifecycle` and `timer`
+#      labels plus thread_test — thread stacks recycled through the magazine
+#      cache or handed back to the application, and the timer wheel's pooled
+#      entries, are where a use-after-free or stale redzone would show.
+#   4. Lockdep lane: the `lockdep` label (order-inversion + deadlock detector,
 #      see src/debug) plain and under TSan, plus a full-suite pass with
 #      SUNMT_DEBUG=lockorder to prove the detector stays false-positive-free
 #      on every locking pattern the tests exercise.
-#   4. Zero-alloc lane: the object-cache steady-state assertion run on its
+#   5. Zero-alloc lane: the object-cache steady-state assertion run on its
 #      own for visibility — warm caches, churn sema/cv/net deadline waits and
 #      HTTP connections, and require the process-wide cache-fallback counter
 #      (hot-path `new` calls that missed every magazine/depot) to stay flat.
-#   5. Shakedown lane: the `inject` label (seeded perturbation sweep, see
+#   6. Shakedown lane: the `inject` label (seeded perturbation sweep, see
 #      src/inject) in both builds, plus an env-injected run of the net/http/
 #      stats/sched/lifecycle/timer labels (schedule ops only — fault/short would
 #      violate those tests' exact-timing expectations; the http test layers its
 #      own fault/short sweep internally). A failing sweep prints the seed that
 #      reproduces it; the env lane's banner records its seed in the log.
-#   6. Benchmark lane: builds perfbench/ (a separate CMake project over the
+#   7. Benchmark lane: builds perfbench/ (a separate CMake project over the
 #      same src/) and runs each workload briefly, untraced, so a change that
 #      breaks the benchmark's build or its health checks fails here.
 #
@@ -46,6 +50,13 @@ cmake --build "$repo/build-tsan" -j "$jobs"
 # keeps it inside the per-test timeout (same trade as the inject lane below).
 SUNMT_SHAKEDOWN_SEEDS=16 \
   ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" -L "net|http|stats|sched|lifecycle|timer"
+
+echo
+echo "== asan: lifecycle + timer labels, thread_test =="
+cmake -S "$repo" -B "$repo/build-asan" -DSUNMT_SANITIZE=address >/dev/null
+cmake --build "$repo/build-asan" -j "$jobs"
+ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs" -L "lifecycle|timer"
+ctest --test-dir "$repo/build-asan" --output-on-failure -R thread_test
 
 echo
 echo "== lockdep: lockdep label (plain + tsan) =="

@@ -7,6 +7,10 @@
 #include <algorithm>
 #include <thread>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 #include "src/core/scheduler.h"
 #include "src/core/tls_arena.h"
 #include "src/core/trace.h"
@@ -372,6 +376,12 @@ size_t Runtime::ThreadCount() { return registry_.Count(); }
 void Runtime::ReclaimTcb(Tcb* tcb) {
   Stack stack = static_cast<Stack&&>(tcb->stack);
   tcb->~Tcb();
+#if defined(__SANITIZE_ADDRESS__)
+  // An exited thread never unwinds its frames, so ASan's shadow still marks
+  // their redzones poisoned; the stack's next user (a recycled thread, or the
+  // application that supplied it) would trip over them.
+  __asan_unpoison_memory_region(stack.base(), stack.size());
+#endif
   if (stack.owned()) {
     StackCache::Recycle(static_cast<Stack&&>(stack));
   }

@@ -222,10 +222,9 @@ std::string FormatProcessState() {
   }
   TimerEngineStats ts = timer_engine_stats();
   snprintf(line, sizeof(line),
-           "TIMER engine=%s shards=%d live=%" PRIu64 " tombstones=%" PRIu64
+           "TIMER shards=%d live=%" PRIu64 " tombstones=%" PRIu64
            " pool_free=%" PRIu64 " pool_alloc=%" PRIu64 "\n",
-           ts.wheel_engine ? "wheel" : "heap", ts.shards, ts.live,
-           ts.tombstones, ts.pool_free, ts.pool_allocated);
+           ts.shards, ts.live, ts.tombstones, ts.pool_free, ts.pool_allocated);
   out += line;
   snprintf(line, sizeof(line),
            "      arms=%" PRIu64 " cancels=%" PRIu64 " fires=%" PRIu64

@@ -17,10 +17,10 @@
 #include "src/net/net.h"
 #include "src/stats/stats.h"
 #include "src/sync/waitq.h"
+#include "src/timer/timed_wait.h"
 #include "src/timer/timer.h"
 #include "src/util/check.h"
 #include "src/util/clock.h"
-#include "src/util/object_cache.h"
 
 namespace sunmt {
 namespace {
@@ -50,22 +50,15 @@ enum : uint8_t {
   kWakeCancelled = 1,
 };
 
-// Deadline support, same shape as cv_timedwait: whichever of readiness and the
-// timer dequeues the waiter first wins; Tcb::block_generation invalidates
-// stale timers.
-struct NetTimeoutCtx {
-  NetPoller::FdEntry* entry;
-  Tcb* tcb;
-  bool writer;
-};
-
-// One ctx per _deadline wait: a 10k-connection server with idle timeouts arms
-// one of these per request, so the blocks come from a per-LWP magazine
+// Deadline support, same shape as cv_timedwait (timed_wait.h): whichever of
+// readiness and the timer dequeues the waiter first wins. One ctx per
+// _deadline wait: a 10k-connection server with idle timeouts arms one of these
+// per request, so the blocks come from a per-LWP magazine
 // (src/util/object_cache.h) and steady state never touches the heap.
 struct NetCtxTag {
   static constexpr const char* kName = "net.timeout_ctx";
 };
-using NetCtxAlloc = CachedAlloc<NetTimeoutCtx, NetCtxTag>;
+using NetTimedWait = TimedWait<NetCtxTag, &sched::WakeFdWaiter>;
 
 // fork1() child repair: the poller thread (and every parked waiter) does not
 // exist in the child; abandon the parent's poller so the child lazily builds a
@@ -308,43 +301,6 @@ void NetPoller::Kick() {
 
 // ---- Parking ----------------------------------------------------------------
 
-namespace {
-
-// Timer-engine callback when a deadline expires before readiness.
-void NetTimeoutFire(void* cookie, uint64_t generation) {
-  auto* ctx = static_cast<NetTimeoutCtx*>(cookie);
-  NetPoller::FdEntry* entry = ctx->entry;
-  Tcb* tcb = ctx->tcb;
-  bool writer = ctx->writer;
-  NetCtxAlloc::Delete(ctx);
-  Tcb* to_wake = nullptr;
-  {
-    SpinLockGuard guard(entry->lock);
-    NetPoller::WaitQueue& q = writer ? entry->writers : entry->readers;
-    // Only touch the TCB if it is still parked here (queued => alive) and this
-    // is still the same wait (generation match). Validate before removing: a
-    // stale timer must leave the queue untouched — remove-then-restore would
-    // re-push the current waiter at the tail (losing its FIFO position) and,
-    // worse, the restore's push would advance its block-generation so its own
-    // live timer could never match again.
-    if (WaitqContains(q.head, tcb) && tcb->block_generation == generation) {
-      WaitqRemove(&q.head, &q.tail, tcb);
-      tcb->timed_out = true;
-      to_wake = tcb;
-    }
-  }
-  // Ack BEFORE the wake: the fire is done with the fd entry (lock released),
-  // and the TCB is alive in both cases — a matched waiter is still parked until
-  // the wake below; a stale fire's waiter is spinning in WaitqAwaitTimeoutFire
-  // for exactly this ack, so the entry cannot be unregistered under us either.
-  tcb->timeout_fire_seq.fetch_add(1, std::memory_order_release);
-  if (to_wake != nullptr) {
-    sched::WakeFdWaiter(to_wake);
-  }
-}
-
-}  // namespace
-
 int NetPoller::WaitReady(int fd, uint32_t events, int64_t timeout_ns) {
   SUNMT_DCHECK(events == NET_READABLE || events == NET_WRITABLE);
   // Schedule perturbation only: a *spurious* ready here would be illegal for
@@ -377,20 +333,12 @@ int NetPoller::WaitReady(int fd, uint32_t events, int64_t timeout_ns) {
     entry->lock.Unlock();
     return ETIME;
   }
-  bool writer = (events == NET_WRITABLE);
-  WaitQueue& q = writer ? entry->writers : entry->readers;
-  self->timed_out = false;
+  WaitQueue& q = events == NET_WRITABLE ? entry->writers : entry->readers;
   WaitqPush(&q.head, &q.tail, self);  // advances block_generation
-  uint64_t generation = self->block_generation;
   parked_count_.fetch_add(1, std::memory_order_release);
-  // Arm the deadline while still holding the entry lock: the fire path needs
-  // the lock too, so it cannot touch a half-enqueued waiter.
-  timer_id_t timer = kInvalidTimerId;
-  NetTimeoutCtx* ctx = nullptr;
-  uint64_t fire_seq = self->timeout_fire_seq.load(std::memory_order_relaxed);
+  NetTimedWait deadline;
   if (timeout_ns > 0) {
-    ctx = NetCtxAlloc::New(entry, self, writer);
-    timer = timer_arm_callback(timeout_ns, &NetTimeoutFire, ctx, generation);
+    deadline.Arm(&entry->lock, &q.head, &q.tail, self, timeout_ns);
   }
   if (g_mode.load(std::memory_order_acquire) == Mode::kInline) {
     ArmInlineTick();
@@ -399,19 +347,8 @@ int NetPoller::WaitReady(int fd, uint32_t events, int64_t timeout_ns) {
   parked_count_.fetch_sub(1, std::memory_order_release);
   SyncWaitEndNs(LatencyStat::kNetReadinessWait, TraceEvent::kNetWake, self->id,
                 wait_start);
-  if (self->timed_out) {
-    return ETIME;  // the fire path owns and already freed ctx
-  }
-  if (timer != kInvalidTimerId) {
-    if (timer_cancel(timer) == 0) {
-      NetCtxAlloc::Delete(ctx);  // cancelled before firing: the fire never ran
-    } else {
-      // The cancel lost the race: the in-flight callback owns and frees ctx,
-      // sees us gone from the queue — or a mismatched generation — and does
-      // not wake us. But it still locks the fd entry to find that out, so wait
-      // for its ack before returning (after which the fd may be unregistered).
-      WaitqAwaitTimeoutFire(self, fire_seq);
-    }
+  if (timeout_ns > 0 && deadline.Finish()) {
+    return ETIME;
   }
   return self->park_result == kWakeCancelled ? ECANCELED : 0;
 }

@@ -38,7 +38,7 @@ extern std::atomic<uint32_t> g_next_shard;
 // Raw round-robin shard token, assigned once per kernel thread. LWPs are
 // kernel threads, so this is per-LWP on every path the runtime owns. Sharded
 // subsystems reduce it by their own shard count (stats masks by kStatsShards
-// below; the timer wheel mods by its SUNMT_TIMER_SHARDS count).
+// below; the timer wheel mods by its fixed shard count).
 inline uint32_t ShardToken() {
   thread_local uint32_t token =
       g_next_shard.fetch_add(1, std::memory_order_relaxed);

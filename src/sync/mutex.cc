@@ -9,8 +9,6 @@
 
 #include "src/sync/sync.h"
 
-#include <stdlib.h>
-
 #include "src/core/scheduler.h"
 #include "src/core/tcb.h"
 #include "src/lwp/kernel_wait.h"
@@ -27,36 +25,8 @@ constexpr uint32_t kFree = 0;
 constexpr uint32_t kHeld = 1;
 constexpr uint32_t kContended = 2;
 
-// Default adaptive spin budget before blocking (tuned small: blocking is
-// cheap here). Overridable via SUNMT_SPIN below.
+// Adaptive spin budget before blocking (tuned small: blocking is cheap here).
 constexpr int kAdaptiveSpins = 128;
-
-// Tunable spin budget: SUNMT_SPIN=<n> caps the owner-aware spin phase at n
-// iterations (0 = never spin, always block on contention). Parsed once on the
-// first contended acquisition; every later read is one relaxed load, the same
-// disabled-path discipline as SUNMT_INJECT.
-std::atomic<int> g_spin_budget{-1};
-
-int LoadSpinBudgetSlow() {
-  int budget = kAdaptiveSpins;
-  const char* env = getenv("SUNMT_SPIN");
-  if (env != nullptr && env[0] != '\0') {
-    int parsed = atoi(env);
-    if (parsed >= 0) {
-      budget = parsed;
-    }
-  }
-  g_spin_budget.store(budget, std::memory_order_relaxed);
-  return budget;
-}
-
-inline int SpinBudget() {
-  int budget = g_spin_budget.load(std::memory_order_relaxed);
-  if (__builtin_expect(budget >= 0, 1)) {
-    return budget;
-  }
-  return LoadSpinBudgetSlow();
-}
 
 bool IsShared(const mutex_t* mp) { return (mp->type & THREAD_SYNC_SHARED) != 0; }
 bool IsSpin(const mutex_t* mp) { return (mp->type & SYNC_SPIN) != 0; }
@@ -211,9 +181,8 @@ void LocalEnter(mutex_t* mp) {
   // reads off-proc we queue and block the thread (the LWP goes on to run
   // other threads). An unknown owner (token 0: acquire/release in progress,
   // or a holder with no slot) is treated as running.
-  int budget = SpinBudget();
   int pause = 1;  // exponential, but capped low: long pauses straddle hand-offs
-  for (int i = 0; i < budget; ++i) {
+  for (int i = 0; i < kAdaptiveSpins; ++i) {
     cur = kFree;
     if (mp->word.compare_exchange_weak(cur, kHeld, std::memory_order_acquire,
                                        std::memory_order_relaxed)) {

@@ -7,8 +7,6 @@
 #ifndef SUNMT_SRC_SYNC_WAITQ_H_
 #define SUNMT_SRC_SYNC_WAITQ_H_
 
-#include <sched.h>
-
 #include "src/core/tcb.h"
 #include "src/core/trace.h"
 #include "src/stats/stats.h"
@@ -83,28 +81,6 @@ inline bool WaitqRemove(Tcb** head, Tcb** tail, Tcb* tcb) {
     return true;
   }
   return false;
-}
-
-// Waits until the in-flight timeout fire identified by `seq_before` (the value
-// of self->timeout_fire_seq captured before arming the timer) has finished
-// touching the sync variable. Called on the timed-wait return path when
-// timer_cancel fails and the waiter was woken normally: the fire WILL run (or
-// is running) against this waiter's ctx, and it dereferences the sync variable
-// to take its qlock even though it then no-ops — so the waiter must not return
-// (after which the caller may destroy the variable) until the fire acks.
-// At most one fire per wait can be outstanding, because every cancel-failed
-// wait passes through here before the thread can arm another timer.
-// The spin is lock-free on the fire side and bounded by the timer engine's
-// callback backlog; the waiter holds no locks here.
-inline void WaitqAwaitTimeoutFire(Tcb* self, uint64_t seq_before) {
-  int spins = 0;
-  while (self->timeout_fire_seq.load(std::memory_order_acquire) == seq_before) {
-    if (++spins < 64) {
-      CpuRelax();
-    } else {
-      sched_yield();  // fire runs on the timer engine's kernel thread
-    }
-  }
 }
 
 // ---- Contention-wait timing -------------------------------------------------

@@ -3,11 +3,10 @@
 // multiple per-thread timers using the per-address space timer").
 //
 // Local variant: the waiter enqueues on the condvar as usual and arms a one-shot
-// callback timer. Whichever of cv_signal and the timer dequeues the waiter first
-// wins; the loser finds the thread gone from the queue and does nothing. A
-// block-generation counter in the TCB keeps a stale timer from touching a later
-// wait by the same thread. Shared variant: the futex wait itself takes the
-// timeout (address-free, may wake spuriously — the mandated re-test absorbs it).
+// callback timer (timed_wait.h). Whichever of cv_signal and the timer dequeues
+// the waiter first wins; the loser finds the thread gone from the queue and
+// does nothing. Shared variant: the futex wait itself takes the timeout
+// (address-free, may wake spuriously — the mandated re-test absorbs it).
 
 #include <errno.h>
 
@@ -16,55 +15,19 @@
 #include "src/lwp/kernel_wait.h"
 #include "src/sync/sync.h"
 #include "src/sync/waitq.h"
+#include "src/timer/timed_wait.h"
 #include "src/timer/timer.h"
 #include "src/util/futex.h"
-#include "src/util/object_cache.h"
 
 namespace sunmt {
 namespace {
-
-struct TimeoutCtx {
-  condvar_t* cvp;
-  Tcb* tcb;
-};
 
 // One ctx per timed wait; steady state must not touch the heap (the paper's
 // no-malloc-on-hot-paths rule), so the blocks come from a per-LWP magazine.
 struct CvCtxTag {
   static constexpr const char* kName = "cv.timeout_ctx";
 };
-using CtxAlloc = CachedAlloc<TimeoutCtx, CvCtxTag>;
-
-// Runs on the timer engine thread when the timeout expires first.
-void CvTimeoutFire(void* cookie, uint64_t generation) {
-  auto* ctx = static_cast<TimeoutCtx*>(cookie);
-  condvar_t* cvp = ctx->cvp;
-  Tcb* tcb = ctx->tcb;
-  CtxAlloc::Delete(ctx);
-  Tcb* to_wake = nullptr;
-  {
-    SpinLockGuard guard(cvp->qlock);
-    // Only touch the TCB if it is still queued here (queued => alive) and this
-    // is still the same wait (generation match). Both checks come before the
-    // remove: a stale timer for an earlier wait must leave the queue intact —
-    // remove-then-restore would re-push the current waiter at the tail and
-    // silently cost it its FIFO signal position.
-    if (WaitqContains(cvp->wait_head, tcb) &&
-        tcb->block_generation == generation) {
-      WaitqRemove(&cvp->wait_head, &cvp->wait_tail, tcb);
-      tcb->timed_out = true;
-      to_wake = tcb;
-    }
-  }
-  // Ack BEFORE the wake: the fire is done with the condvar (qlock released),
-  // and a matched waiter cannot run — let alone exit — until the Wake below,
-  // so the TCB is still alive here in both the matched and the stale case
-  // (a stale fire's waiter is spinning in WaitqAwaitTimeoutFire for this ack).
-  tcb->timeout_fire_seq.fetch_add(1, std::memory_order_release);
-  if (to_wake != nullptr) {
-    sched::Wake(to_wake);
-  }
-}
+using CvTimedWait = TimedWait<CvCtxTag, &sched::Wake>;
 
 }  // namespace
 
@@ -86,14 +49,9 @@ int cv_timedwait(condvar_t* cvp, mutex_t* mutexp, int64_t timeout_ns) {
 
   Tcb* self = sched::CurrentTcbOrAdopt();
   cvp->qlock.Lock();
-  self->timed_out = false;
   WaitqPush(&cvp->wait_head, &cvp->wait_tail, self);  // advances block_generation
-  uint64_t generation = self->block_generation;
-  // Arm the timeout while still holding the qlock: the timer cannot fire on a
-  // half-enqueued waiter because the fire path needs the qlock too.
-  uint64_t fire_seq = self->timeout_fire_seq.load(std::memory_order_relaxed);
-  auto* ctx = CtxAlloc::New(cvp, self);
-  timer_id_t timer = timer_arm_callback(timeout_ns, &CvTimeoutFire, ctx, generation);
+  CvTimedWait timeout;
+  timeout.Arm(&cvp->qlock, &cvp->wait_head, &cvp->wait_tail, self, timeout_ns);
   mutex_exit(mutexp);
   if (lockdep::Enabled()) {
     // Condvars have no owner, so this records "waiting" for introspection
@@ -104,18 +62,7 @@ int cv_timedwait(condvar_t* cvp, mutex_t* mutexp, int64_t timeout_ns) {
   if (lockdep::Enabled()) {
     lockdep::OnUnblock();
   }
-  bool timed_out = self->timed_out;
-  if (!timed_out) {
-    if (timer_cancel(timer) == 0) {
-      CtxAlloc::Delete(ctx);  // cancelled before firing: the fire never ran
-    } else {
-      // The cancel lost the race: the fire owns ctx and will still lock our
-      // qlock (finding us gone from the queue, it does not wake us). The caller
-      // may destroy the condvar the moment we return, so wait for the fire to
-      // ack that it is done touching it.
-      WaitqAwaitTimeoutFire(self, fire_seq);
-    }
-  }
+  bool timed_out = timeout.Finish();
   mutex_enter(mutexp);
   return timed_out ? ETIME : 0;
 }

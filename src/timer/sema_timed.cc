@@ -1,6 +1,6 @@
 // sema_p_timed(): bounded semaphore waits, same construction as cv_timedwait —
-// a per-thread timer races the normal hand-off; whoever dequeues the waiter
-// first wins.
+// a per-thread timer races the normal hand-off (timed_wait.h); whoever
+// dequeues the waiter first wins.
 
 #include <errno.h>
 
@@ -9,54 +9,20 @@
 #include "src/lwp/kernel_wait.h"
 #include "src/sync/sync.h"
 #include "src/sync/waitq.h"
+#include "src/timer/timed_wait.h"
 #include "src/timer/timer.h"
 #include "src/util/clock.h"
 #include "src/util/futex.h"
-#include "src/util/object_cache.h"
 
 namespace sunmt {
 namespace {
-
-struct SemaTimeoutCtx {
-  sema_t* sp;
-  Tcb* tcb;
-};
 
 // One ctx per timed wait; steady state must not touch the heap (the paper's
 // no-malloc-on-hot-paths rule), so the blocks come from a per-LWP magazine.
 struct SemaCtxTag {
   static constexpr const char* kName = "sema.timeout_ctx";
 };
-using CtxAlloc = CachedAlloc<SemaTimeoutCtx, SemaCtxTag>;
-
-void SemaTimeoutFire(void* cookie, uint64_t generation) {
-  auto* ctx = static_cast<SemaTimeoutCtx*>(cookie);
-  sema_t* sp = ctx->sp;
-  Tcb* tcb = ctx->tcb;
-  CtxAlloc::Delete(ctx);
-  Tcb* to_wake = nullptr;
-  {
-    SpinLockGuard guard(sp->qlock);
-    // Validate before removing: queued => alive (so block_generation is
-    // readable), and a stale timer for an earlier wait must not touch the
-    // queue at all — remove-then-restore would re-push the current waiter at
-    // the tail, silently costing it its FIFO hand-off position.
-    if (WaitqContains(sp->wait_head, tcb) &&
-        tcb->block_generation == generation) {
-      WaitqRemove(&sp->wait_head, &sp->wait_tail, tcb);
-      tcb->timed_out = true;
-      to_wake = tcb;
-    }
-  }
-  // Ack BEFORE the wake: the fire is done with the semaphore (qlock released),
-  // and the TCB is alive in both cases — a matched waiter is still blocked
-  // until the Wake below; a stale fire's waiter is spinning in
-  // WaitqAwaitTimeoutFire for exactly this ack.
-  tcb->timeout_fire_seq.fetch_add(1, std::memory_order_release);
-  if (to_wake != nullptr) {
-    sched::Wake(to_wake);
-  }
-}
+using SemaTimedWait = TimedWait<SemaCtxTag, &sched::Wake>;
 
 int SharedPTimed(sema_t* sp, int64_t timeout_ns) {
   int64_t deadline = MonotonicNowNs() + timeout_ns;
@@ -107,23 +73,11 @@ int sema_p_timed(sema_t* sp, int64_t timeout_ns) {
     }
     return 1;
   }
-  self->timed_out = false;
   WaitqPush(&sp->wait_head, &sp->wait_tail, self);  // advances block_generation
-  uint64_t generation = self->block_generation;
-  uint64_t fire_seq = self->timeout_fire_seq.load(std::memory_order_relaxed);
-  auto* ctx = CtxAlloc::New(sp, self);
-  timer_id_t timer = timer_arm_callback(timeout_ns, &SemaTimeoutFire, ctx, generation);
+  SemaTimedWait timeout;
+  timeout.Arm(&sp->qlock, &sp->wait_head, &sp->wait_tail, self, timeout_ns);
   sched::Block(&sp->qlock);  // releases qlock after the context save
-  bool timed_out = self->timed_out;
-  if (!timed_out) {
-    if (timer_cancel(timer) == 0) {
-      CtxAlloc::Delete(ctx);
-    } else {
-      // The fire owns ctx and will still lock our qlock before discovering it
-      // is stale; don't let the caller destroy the semaphore under it.
-      WaitqAwaitTimeoutFire(self, fire_seq);
-    }
-  }
+  bool timed_out = timeout.Finish();
   // Timed out: no credit consumed. Woken: sema_v handed the credit directly.
   if (!timed_out && lockdep::Enabled()) {
     lockdep::OnAcquired(&sp->lockdep_dbg, lockdep::kSema, caller, ld_flags);

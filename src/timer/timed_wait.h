@@ -1,0 +1,139 @@
+// The timed-wait protocol behind sema_p_timed(), cv_timedwait() and the
+// netpoller's deadline waits: a per-thread timer races the normal hand-off of
+// a queued waiter, and whichever dequeues the waiter first wins — the paper's
+// recipe for richer timing facilities ("library routines may implement
+// multiple per-thread timers using the per-address space timer").
+//
+// The rules every timed wait needs, kept in one place:
+//   * The fire validates before it removes: the waiter must still be queued
+//     (queued => alive, so its TCB is readable) and still in the same wait
+//     (Tcb::block_generation matches). A stale timer for an earlier wait must
+//     leave the queue untouched — remove-then-restore would re-push the
+//     current waiter at the tail, costing it its FIFO position, and the
+//     re-push would advance its generation so its own live timer could never
+//     match again.
+//   * The fire acks through Tcb::timeout_fire_seq once it is done with the
+//     queue, BEFORE it wakes the waiter.
+//   * A waiter whose timer_cancel loses the race waits for that ack before
+//     returning: the fire still takes the queue's lock to find the waiter
+//     gone, and the caller may destroy the object holding that lock the
+//     moment the wait returns.
+
+#ifndef SUNMT_SRC_TIMER_TIMED_WAIT_H_
+#define SUNMT_SRC_TIMER_TIMED_WAIT_H_
+
+#include <sched.h>
+
+#include <atomic>
+#include <cstdint>
+
+#include "src/core/tcb.h"
+#include "src/sync/waitq.h"
+#include "src/timer/timer.h"
+#include "src/util/object_cache.h"
+#include "src/util/spinlock.h"
+
+namespace sunmt {
+
+// Bounds one wait of a thread on a Tcb chain (head, tail) guarded by `lock`:
+// a semaphore's or condvar's wait queue, or one direction of a netpoller fd
+// entry. Usage:
+//
+//   lock held; WaitqPush(head, tail, self);
+//   TimedWait<Tag, Wake> timeout;
+//   timeout.Arm(lock, head, tail, self, timeout_ns);
+//   block, releasing lock;
+//   if (timeout.Finish()) { the timer dequeued us }
+//
+// Tag names the object cache the per-wait context comes from (steady state
+// must not touch the heap). Wake is the wake-up the normal path uses for this
+// queue (sched::Wake, or sched::WakeFdWaiter for the netpoller). Both are
+// template arguments so the fire path calls them directly.
+template <typename Tag, void (*Wake)(Tcb*)>
+class TimedWait {
+ public:
+  // Arms the timeout. Call with `lock` held, right after WaitqPush queued
+  // `self`: the fire takes `lock` too, so it cannot see a half-enqueued
+  // waiter, and self->block_generation now names this wait.
+  void Arm(SpinLock* lock, Tcb** head, Tcb** tail, Tcb* self,
+           int64_t timeout_ns) {
+    self_ = self;
+    self->timed_out = false;
+    fire_seq_ = self->timeout_fire_seq.load(std::memory_order_relaxed);
+    ctx_ = CtxAlloc::New(lock, head, tail, self);
+    timer_ = timer_arm_callback(timeout_ns, &Fire, ctx_, self->block_generation);
+  }
+
+  // Call once the waiter runs again. Returns true if the timer dequeued it
+  // (the fire owned and freed the context). Otherwise disarms the timer, and
+  // if the cancel lost the race waits for the in-flight fire's ack.
+  bool Finish() const {
+    if (self_->timed_out) {
+      return true;
+    }
+    if (timer_cancel(timer_) == 0) {
+      CtxAlloc::Delete(ctx_);  // cancelled before firing: the fire never ran
+    } else {
+      AwaitFire();
+    }
+    return false;
+  }
+
+ private:
+  struct Ctx {
+    SpinLock* lock;
+    Tcb** head;
+    Tcb** tail;
+    Tcb* tcb;
+  };
+  using CtxAlloc = CachedAlloc<Ctx, Tag>;
+
+  // Runs on the timer engine thread when the timeout expires first.
+  static void Fire(void* cookie, uint64_t generation) {
+    Ctx ctx = *static_cast<Ctx*>(cookie);
+    CtxAlloc::Delete(static_cast<Ctx*>(cookie));
+    bool matched = false;
+    {
+      SpinLockGuard guard(*ctx.lock);
+      if (WaitqContains(*ctx.head, ctx.tcb) &&
+          ctx.tcb->block_generation == generation) {
+        WaitqRemove(ctx.head, ctx.tail, ctx.tcb);
+        ctx.tcb->timed_out = true;
+        matched = true;
+      }
+    }
+    // Ack BEFORE the wake: the fire is done with the queue (lock released),
+    // and the TCB is alive in both cases — a matched waiter stays blocked
+    // until the wake below; a stale fire's waiter is spinning in AwaitFire
+    // for exactly this ack.
+    ctx.tcb->timeout_fire_seq.fetch_add(1, std::memory_order_release);
+    if (matched) {
+      Wake(ctx.tcb);
+    }
+  }
+
+  // At most one fire per wait can be outstanding, because every cancel-failed
+  // wait passes through here before the thread can arm another timer. The
+  // spin is lock-free on the fire side and bounded by the timer engine's
+  // callback backlog; the waiter holds no locks here.
+  void AwaitFire() const {
+    int spins = 0;
+    while (self_->timeout_fire_seq.load(std::memory_order_acquire) ==
+           fire_seq_) {
+      if (++spins < 64) {
+        CpuRelax();
+      } else {
+        sched_yield();  // the fire runs on the timer engine's kernel thread
+      }
+    }
+  }
+
+  Tcb* self_ = nullptr;
+  uint64_t fire_seq_ = 0;
+  Ctx* ctx_ = nullptr;
+  timer_id_t timer_ = kInvalidTimerId;
+};
+
+}  // namespace sunmt
+
+#endif  // SUNMT_SRC_TIMER_TIMED_WAIT_H_

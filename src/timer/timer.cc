@@ -1,17 +1,14 @@
 // The timer engine: per-LWP-sharded hierarchical timing wheels (wheel.h) with
-// pooled entries and lock-free lazy cancellation, plus the legacy single-lock
-// binary-heap engine kept alive behind SUNMT_TIMER_ENGINE=heap as the
-// abl_timer_churn ablation baseline.
+// pooled entries and lock-free lazy cancellation.
 //
-// Wheel engine shape:
+// Engine shape:
 //
 //   * Arm is O(1) and touches only per-shard state: the calling kernel thread
 //     (i.e. LWP — shards are keyed by the same round-robin token as the stats
 //     shards) takes its shard's spinlock once, pops a pooled entry, buckets it
 //     in the shard's wheel, and publishes the Armed tag. No malloc, and a
 //     futex kick only when the new deadline beats the ticker's published
-//     sleep horizon — the old engine paid one unconditional FutexWake syscall
-//     per arm.
+//     sleep horizon.
 //   * Cancel is lock-free: decode the id, CAS the entry's tag word from
 //     Armed to Tombstone. The wheel is never touched — the tombstone is
 //     reaped when its slot turns over (or by a wholesale sweep once enough
@@ -20,12 +17,11 @@
 //     into the same tag word makes the CAS immune to entry reuse (ABA).
 //   * The ticker thread sweeps each shard: advance the wheel, splice the due
 //     batch, claim each entry Armed->Firing (a batch claim BEFORE any
-//     callback runs, so a racing cancel fails exactly as it did when the heap
-//     engine popped entries — the PR 4 timeout_fire_seq ack protocol in
-//     SemaTimeoutFire/CvTimeoutFire/NetTimeoutFire depends on that), then
-//     fire outside all locks. A claimed fire always runs even if a cancel
-//     lands mid-flight (the -1 return told the caller the fire owns the
-//     context); the mid-flight cancel only suppresses a periodic re-arm.
+//     callback runs, so a cancel racing the fire fails — the timed-wait ack
+//     protocol in timed_wait.h depends on that), then fire outside all
+//     locks. A claimed fire always runs even if a cancel lands mid-flight
+//     (the -1 return told the caller the fire owns the context); the
+//     mid-flight cancel only suppresses a periodic re-arm.
 //
 // Tag word protocol (one atomic uint64 per entry):
 //
@@ -43,14 +39,9 @@
 
 #include "src/timer/timer.h"
 
-#include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <new>
 #include <thread>
-#include <unordered_map>
-#include <vector>
 
 #include "src/core/runtime.h"
 #include "src/inject/inject.h"
@@ -90,7 +81,6 @@ struct TimerEntry {
   std::atomic<uint64_t> tag{(1ull << kGenShift) | kStFree};
   uint32_t index = 0;                // pool index within the owning shard
   TimerEntry* free_next = nullptr;   // shard free list / local reap batches
-  timer_id_t id = kInvalidTimerId;   // heap engine only
   int64_t deadline_ns = 0;
   std::atomic<int64_t> period_ns{0};  // 0 = one-shot (atomic: engine vs cancel)
   FireKind kind = FireKind::kCallback;
@@ -106,53 +96,6 @@ inline TimerEntry* EntryFromNode(WheelNode* node) {
   return reinterpret_cast<TimerEntry*>(node);  // node is the first member
 }
 
-// ---- Shared state (both engines) --------------------------------------------
-
-struct SharedState {
-  std::atomic<uint64_t> fires{0};
-  SpinLock interval_lock;
-  timer_id_t process_interval_timer = kInvalidTimerId;
-  int64_t process_interval_ns = 0;
-};
-
-SharedState& Shared() {
-  static SharedState* state = new SharedState;  // leaked, outlives everything
-  return *state;
-}
-
-bool UseHeapEngine() {
-  static const bool heap = [] {
-    const char* env = getenv("SUNMT_TIMER_ENGINE");
-    return env != nullptr && strcmp(env, "heap") == 0;
-  }();
-  return heap;
-}
-
-void FireEntry(TimerEntry* entry) {
-  // Delays here race timer delivery against concurrent waker/cancel paths —
-  // the timeout-vs-wake window of the timed sync waits.
-  inject::Perturb(inject::kTimerCallback);
-  Shared().fires.fetch_add(1, std::memory_order_relaxed);
-  switch (entry->kind) {
-    case FireKind::kSignalThread:
-      if (thread_kill(entry->target, entry->sig) != 0) {
-        entry->period_ns.store(0, std::memory_order_relaxed);  // target gone
-      }
-      break;
-    case FireKind::kSignalProcess:
-      signal_raise_process(entry->sig);
-      break;
-    case FireKind::kWakeSema:
-      sema_v(entry->sema);
-      break;
-    case FireKind::kCallback:
-      entry->callback(entry->cookie, entry->callback_arg);
-      break;
-  }
-}
-
-// ---- Wheel engine ------------------------------------------------------------
-
 // One tick = 2^20 ns ≈ 1.05 ms; the wheel spans 64^4 ticks ≈ 5.1 hours before
 // the beyond-horizon parking slot kicks in.
 constexpr int kTickShift = 20;
@@ -164,8 +107,7 @@ inline uint64_t TickForDeadline(int64_t deadline_ns) {
          kTickShift;
 }
 
-constexpr int kDefaultShards = 8;
-constexpr int kMaxShards = 16;
+constexpr int kShards = 8;
 constexpr uint32_t kChunkSize = 1024;   // entries per lazily allocated chunk
 constexpr uint32_t kMaxChunks = 1024;   // 1M pooled entries per shard
 constexpr uint32_t kReapThreshold = 1024;  // tombstones that trigger a sweep
@@ -179,16 +121,7 @@ constexpr uint64_t kIdIndexMask = (1ull << kIdIndexBits) - 1;
 constexpr int kIdGenShift = kIdShardBits + kIdIndexBits;
 static_assert(kChunkSize * kMaxChunks == (1u << kIdIndexBits),
               "pool capacity must match the id's index field");
-static_assert(kMaxShards <= (1 << kIdShardBits), "shard field too small");
-
-int ShardCountFromEnv() {
-  const char* env = getenv("SUNMT_TIMER_SHARDS");
-  int v = env != nullptr ? atoi(env) : 0;
-  if (v < 1) {
-    return kDefaultShards;
-  }
-  return v > kMaxShards ? kMaxShards : v;
-}
+static_assert(kShards <= (1 << kIdShardBits), "shard field too small");
 
 struct alignas(64) TimerShard {
   SpinLock lock;
@@ -213,7 +146,6 @@ struct alignas(64) TimerShard {
 };
 
 struct WheelState {
-  int nshards;
   std::atomic<uint32_t> wakeup{0};
   // The ticker's published sleep horizon: an arm kicks the futex only when
   // its deadline beats this. INT64_MAX while the ticker is mid-sweep, so any
@@ -221,9 +153,15 @@ struct WheelState {
   // being missed.
   std::atomic<int64_t> sleep_until_ns{INT64_MAX};
   std::atomic<bool> ticker_started{false};
-  TimerShard shards[kMaxShards];
+  TimerShard shards[kShards];
+  // After the shards: the fire counter must not share the cache line that
+  // every arm reads (sleep_until_ns, ticker_started).
+  std::atomic<uint64_t> fires{0};
+  SpinLock interval_lock;
+  timer_id_t process_interval_timer = kInvalidTimerId;
+  int64_t process_interval_ns = 0;
 
-  WheelState() : nshards(ShardCountFromEnv()) {
+  WheelState() {
     uint64_t tick = static_cast<uint64_t>(MonotonicNowNs()) >> kTickShift;
     for (TimerShard& sh : shards) {
       sh.wheel.InitCurTick(tick);
@@ -236,42 +174,11 @@ WheelState& Wheel() {
   return *state;
 }
 
-// ---- Legacy heap engine (SUNMT_TIMER_ENGINE=heap) ---------------------------
-//
-// The pre-wheel engine, preserved verbatim as the same-binary ablation
-// baseline: one global spinlock over a binary heap + id map, malloc per arm,
-// and an unconditional futex kick per insert.
-
-struct HeapCmp {
-  bool operator()(const TimerEntry* a, const TimerEntry* b) const {
-    return a->deadline_ns > b->deadline_ns;  // min-heap by deadline
-  }
-};
-
-struct HeapState {
-  SpinLock lock;
-  std::vector<TimerEntry*> heap;  // std::push_heap/pop_heap with HeapCmp
-  std::unordered_map<timer_id_t, TimerEntry*> live;
-  std::atomic<uint64_t> next_id{1};
-  std::atomic<uint64_t> cancels{0};
-  std::atomic<uint32_t> wakeup{0};
-  bool thread_started = false;
-};
-
-HeapState& Heap() {
-  static HeapState* state = new HeapState;  // leaked, outlives everything
-  return *state;
-}
-
-// fork1() child repair: the engine threads do not exist in the child and any
+// fork1() child repair: the ticker thread does not exist in the child and any
 // engine structure may have been copied mid-mutation; rebuild everything in
 // place (parent entries and pool chunks leak in the child — the safe
 // direction) and let the first arm lazily restart the ticker.
-void TimerForkChildRepair() {
-  new (&Shared()) SharedState();
-  new (&Heap()) HeapState();
-  new (&Wheel()) WheelState();
-}
+void TimerForkChildRepair() { new (&Wheel()) WheelState(); }
 
 void EnsureForkHandler() {
   static std::atomic<bool> once{false};
@@ -280,103 +187,30 @@ void EnsureForkHandler() {
   }
 }
 
-void HeapEngineMain() {
-  HeapState& engine = Heap();
-  for (;;) {
-    int64_t now = MonotonicNowNs();
-    int64_t next_deadline = -1;
-    std::vector<TimerEntry*> due;
-    {
-      SpinLockGuard guard(engine.lock);
-      while (!engine.heap.empty() && engine.heap.front()->deadline_ns <= now) {
-        std::pop_heap(engine.heap.begin(), engine.heap.end(), HeapCmp());
-        due.push_back(engine.heap.back());
-        engine.heap.pop_back();
+void FireEntry(TimerEntry* entry) {
+  // Delays here race timer delivery against concurrent waker/cancel paths —
+  // the timeout-vs-wake window of the timed sync waits.
+  inject::Perturb(inject::kTimerCallback);
+  Wheel().fires.fetch_add(1, std::memory_order_relaxed);
+  switch (entry->kind) {
+    case FireKind::kSignalThread:
+      if (thread_kill(entry->target, entry->sig) != 0) {
+        entry->period_ns.store(0, std::memory_order_relaxed);  // target gone
       }
-    }
-    // Fire outside the lock: delivery takes package locks of its own.
-    for (TimerEntry* entry : due) {
-      FireEntry(entry);
-    }
-    {
-      SpinLockGuard guard(engine.lock);
-      for (TimerEntry* entry : due) {
-        int64_t period = entry->period_ns.load(std::memory_order_relaxed);
-        if (period > 0) {
-          entry->deadline_ns += period;
-          engine.heap.push_back(entry);
-          std::push_heap(engine.heap.begin(), engine.heap.end(), HeapCmp());
-        } else {
-          engine.live.erase(entry->id);
-          delete entry;
-        }
-      }
-      if (!engine.heap.empty()) {
-        next_deadline = engine.heap.front()->deadline_ns;
-      }
-    }
-    uint32_t version = engine.wakeup.load(std::memory_order_acquire);
-    int64_t timeout = next_deadline < 0 ? kIdleSleepNs
-                                        : next_deadline - MonotonicNowNs();
-    if (timeout > 0) {
-      FutexWait(&engine.wakeup, version, /*shared=*/false, timeout);
-    }
+      break;
+    case FireKind::kSignalProcess:
+      signal_raise_process(entry->sig);
+      break;
+    case FireKind::kWakeSema:
+      sema_v(entry->sema);
+      break;
+    case FireKind::kCallback:
+      entry->callback(entry->cookie, entry->callback_arg);
+      break;
   }
 }
 
-// Inserts an armed entry and kicks the engine thread. Returns the id.
-timer_id_t HeapInsert(TimerEntry* entry) {
-  EnsureForkHandler();
-  HeapState& engine = Heap();
-  timer_id_t id;
-  {
-    SpinLockGuard guard(engine.lock);
-    if (!engine.thread_started) {
-      engine.thread_started = true;
-      std::thread(&HeapEngineMain).detach();
-    }
-    id = engine.next_id.fetch_add(1, std::memory_order_relaxed);
-    entry->id = id;
-    engine.live[id] = entry;
-    engine.heap.push_back(entry);
-    std::push_heap(engine.heap.begin(), engine.heap.end(), HeapCmp());
-  }
-  engine.wakeup.fetch_add(1, std::memory_order_release);
-  FutexWake(&engine.wakeup, 1);
-  // Return the local copy: once the lock is dropped the engine thread may pop,
-  // fire, and free a one-shot entry before we get here — `entry` is already
-  // dangling in that window. (Flushed out by the shakedown sweep under TSan.)
-  return id;
-}
-
-int HeapCancel(timer_id_t id) {
-  HeapState& engine = Heap();
-  TimerEntry* entry;
-  {
-    SpinLockGuard guard(engine.lock);
-    auto it = engine.live.find(id);
-    if (it == engine.live.end()) {
-      return -1;
-    }
-    entry = it->second;
-    engine.live.erase(it);
-    auto pos = std::find(engine.heap.begin(), engine.heap.end(), entry);
-    if (pos == engine.heap.end()) {
-      // Currently firing on the engine thread: let it complete; mark one-shot
-      // so the engine frees it instead of re-arming.
-      entry->period_ns.store(0, std::memory_order_relaxed);
-      engine.live[id] = entry;  // engine's re-arm path will erase + delete
-      return -1;
-    }
-    engine.heap.erase(pos);
-    std::make_heap(engine.heap.begin(), engine.heap.end(), HeapCmp());
-  }
-  engine.cancels.fetch_add(1, std::memory_order_relaxed);
-  delete entry;
-  return 0;
-}
-
-// ---- Wheel engine: arm / cancel / ticker ------------------------------------
+// ---- Arm / cancel / ticker ---------------------------------------------------
 
 inline timer_id_t MakeId(uint64_t gen, uint32_t index, int shard) {
   return (gen << kIdGenShift) | (static_cast<uint64_t>(index) << kIdShardBits) |
@@ -432,8 +266,8 @@ void TickerMain() {
     int64_t now = MonotonicNowNs();
     uint64_t now_tick = static_cast<uint64_t>(now) >> kTickShift;
     int64_t next_ns = now + kIdleSleepNs;
-    for (int i = 0; i < st.nshards; ++i) {
-      uint64_t next_tick = ProcessShard(st.shards[i], now_tick);
+    for (TimerShard& sh : st.shards) {
+      uint64_t next_tick = ProcessShard(sh, now_tick);
       if (next_tick != TimingWheel::kNoEvent) {
         int64_t ns = static_cast<int64_t>(next_tick << kTickShift);
         if (ns < next_ns) {
@@ -475,10 +309,9 @@ uint64_t ProcessShard(TimerShard& sh, uint64_t now_tick) {
   sh.lock.Unlock();
 
   // Claim pass — BEFORE any callback runs. From the moment an entry leaves
-  // the wheel a cancel must fail (return -1) exactly as it did when the heap
-  // engine popped it, because the timed-wait ack protocol keys off that: a
-  // failed cancel sends the waiter into WaitqAwaitTimeoutFire to spin for
-  // the fire's timeout_fire_seq ack.
+  // the wheel a cancel must fail (return -1), because the timed-wait ack
+  // protocol keys off that: a failed cancel sends the waiter into
+  // TimedWait::AwaitFire to spin for the fire's timeout_fire_seq ack.
   TimerEntry* reap_head = nullptr;
   uint32_t reaped = 0;
   uint32_t reaped_tombstones = 0;
@@ -509,7 +342,7 @@ uint64_t ProcessShard(TimerShard& sh, uint64_t now_tick) {
   // Fire pass — outside every lock; delivery takes package locks of its own.
   // A cancel landing now flips Firing->FiringCancelled and returns -1; a
   // claimed wake/callback fire still runs (the timed-wait ack protocol: the
-  // cancelling waiter is already spinning in WaitqAwaitTimeoutFire for the
+  // cancelling waiter is already spinning in TimedWait::AwaitFire for the
   // fire's timeout_fire_seq bump, and the fire owns the callback context).
   // Signal fires carry no ack and ARE suppressed on a mid-flight cancel: the
   // claim-to-fire window can stretch across a descheduled ticker, and a
@@ -584,22 +417,21 @@ void EnsureTicker(WheelState& st) {
   }
 }
 
-timer_id_t WheelArm(int64_t delay_ns, int64_t period_ns, FireKind kind, int sig,
+timer_id_t ArmEntry(int64_t delay_ns, int64_t period_ns, FireKind kind, int sig,
                     thread_id_t target, sema_t* sema,
                     void (*fn)(void*, uint64_t), void* cookie, uint64_t arg) {
   EnsureForkHandler();
   WheelState& st = Wheel();
   EnsureTicker(st);
   int64_t deadline = MonotonicNowNs() + delay_ns;
-  int home = static_cast<int>(stats_internal::ShardToken() %
-                              static_cast<uint32_t>(st.nshards));
+  int home = static_cast<int>(stats_internal::ShardToken() % kShards);
   timer_id_t id = kInvalidTimerId;
   // Probe past a full shard instead of failing: no timed-wait caller checks
   // for kInvalidTimerId (an arm that "fails" would strand its waiter spinning
   // for a fire that never comes), so arming is infallible up to the absurd
-  // 16M-live-timer design capacity.
-  for (int probe = 0; probe < st.nshards; ++probe) {
-    int shard_idx = (home + probe) % st.nshards;
+  // 8M-live-timer design capacity.
+  for (int probe = 0; probe < kShards; ++probe) {
+    int shard_idx = (home + probe) % kShards;
     TimerShard& sh = st.shards[shard_idx];
     sh.lock.Lock();
     TimerEntry* e = PopFreeLocked(sh);
@@ -632,12 +464,24 @@ timer_id_t WheelArm(int64_t delay_ns, int64_t period_ns, FireKind kind, int sig,
   return id;
 }
 
-int WheelCancel(timer_id_t id) {
+}  // namespace
+
+timer_id_t timer_arm(int64_t first_delay_ns, int64_t period_ns, int sig,
+                     thread_id_t target) {
+  if (first_delay_ns < 0 || period_ns < 0 || sig < 1 || sig > SIG_MAX) {
+    return kInvalidTimerId;
+  }
+  return ArmEntry(first_delay_ns, period_ns, FireKind::kSignalThread, sig,
+                  target != 0 ? target : thread_get_id(), nullptr, nullptr,
+                  nullptr, 0);
+}
+
+int timer_cancel(timer_id_t id) {
   WheelState& st = Wheel();
   uint64_t shard_idx = id & kIdShardMask;
   uint32_t index = static_cast<uint32_t>((id >> kIdShardBits) & kIdIndexMask);
   uint64_t gen = id >> kIdGenShift;
-  if (gen == 0 || shard_idx >= static_cast<uint64_t>(st.nshards)) {
+  if (gen == 0 || shard_idx >= static_cast<uint64_t>(kShards)) {
     return -1;
   }
   TimerShard& sh = st.shards[shard_idx];
@@ -683,54 +527,16 @@ int WheelCancel(timer_id_t id) {
   }
 }
 
-// ---- Engine dispatch ---------------------------------------------------------
-
-timer_id_t ArmEntry(int64_t delay_ns, int64_t period_ns, FireKind kind, int sig,
-                    thread_id_t target, sema_t* sema,
-                    void (*fn)(void*, uint64_t), void* cookie, uint64_t arg) {
-  if (!UseHeapEngine()) {
-    return WheelArm(delay_ns, period_ns, kind, sig, target, sema, fn, cookie,
-                    arg);
-  }
-  auto* entry = new TimerEntry;
-  entry->deadline_ns = MonotonicNowNs() + delay_ns;
-  entry->period_ns.store(period_ns, std::memory_order_relaxed);
-  entry->kind = kind;
-  entry->sig = sig;
-  entry->target = target;
-  entry->sema = sema;
-  entry->callback = fn;
-  entry->cookie = cookie;
-  entry->callback_arg = arg;
-  return HeapInsert(entry);
-}
-
-}  // namespace
-
-timer_id_t timer_arm(int64_t first_delay_ns, int64_t period_ns, int sig,
-                     thread_id_t target) {
-  if (first_delay_ns < 0 || period_ns < 0 || sig < 1 || sig > SIG_MAX) {
-    return kInvalidTimerId;
-  }
-  return ArmEntry(first_delay_ns, period_ns, FireKind::kSignalThread, sig,
-                  target != 0 ? target : thread_get_id(), nullptr, nullptr,
-                  nullptr, 0);
-}
-
-int timer_cancel(timer_id_t id) {
-  return UseHeapEngine() ? HeapCancel(id) : WheelCancel(id);
-}
-
 int64_t timer_set_process_interval(int64_t period_ns, int sig) {
-  SharedState& shared = Shared();
+  WheelState& st = Wheel();
   int64_t previous;
   timer_id_t old_id;
   {
-    SpinLockGuard guard(shared.interval_lock);
-    previous = shared.process_interval_ns;
-    old_id = shared.process_interval_timer;
-    shared.process_interval_ns = period_ns;
-    shared.process_interval_timer = kInvalidTimerId;
+    SpinLockGuard guard(st.interval_lock);
+    previous = st.process_interval_ns;
+    old_id = st.process_interval_timer;
+    st.process_interval_ns = period_ns;
+    st.process_interval_timer = kInvalidTimerId;
   }
   if (old_id != kInvalidTimerId) {
     timer_cancel(old_id);
@@ -739,8 +545,8 @@ int64_t timer_set_process_interval(int64_t period_ns, int sig) {
     timer_id_t id =
         ArmEntry(period_ns, period_ns, FireKind::kSignalProcess,
                  sig > 0 ? sig : SIG_ALRM, 0, nullptr, nullptr, nullptr, 0);
-    SpinLockGuard guard(shared.interval_lock);
-    shared.process_interval_timer = id;
+    SpinLockGuard guard(st.interval_lock);
+    st.process_interval_timer = id;
   }
   return previous;
 }
@@ -776,27 +582,15 @@ void thread_sleep_ns(int64_t ns) {
 }
 
 uint64_t timer_fire_count() {
-  return Shared().fires.load(std::memory_order_relaxed);
+  return Wheel().fires.load(std::memory_order_relaxed);
 }
 
 TimerEngineStats timer_engine_stats() {
   TimerEngineStats s = {};
-  s.fires = Shared().fires.load(std::memory_order_relaxed);
-  if (UseHeapEngine()) {
-    HeapState& engine = Heap();
-    s.wheel_engine = false;
-    s.shards = 1;
-    s.arms = engine.next_id.load(std::memory_order_relaxed) - 1;
-    s.cancels = engine.cancels.load(std::memory_order_relaxed);
-    SpinLockGuard guard(engine.lock);
-    s.live = engine.heap.size();
-    return s;
-  }
   WheelState& st = Wheel();
-  s.wheel_engine = true;
-  s.shards = st.nshards;
-  for (int i = 0; i < st.nshards; ++i) {
-    TimerShard& sh = st.shards[i];
+  s.fires = st.fires.load(std::memory_order_relaxed);
+  s.shards = kShards;
+  for (TimerShard& sh : st.shards) {
     s.tombstones += sh.tombstones.load(std::memory_order_relaxed);
     s.pool_free += sh.pool_free.load(std::memory_order_relaxed);
     s.pool_allocated += sh.pool_alloc.load(std::memory_order_relaxed);

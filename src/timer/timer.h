@@ -83,18 +83,17 @@ uint64_t timer_fire_count();
 // cumulative since process start (reset in a fork1() child along with the
 // engine itself).
 struct TimerEngineStats {
-  bool wheel_engine;         // false = legacy heap engine (SUNMT_TIMER_ENGINE=heap)
-  int shards;                // wheel shard count (1 for the heap engine)
-  uint64_t live;             // nodes resident in the wheels/heap, incl. tombstones
-  uint64_t tombstones;       // lazily cancelled entries awaiting reap (wheel only)
-  uint64_t pool_free;        // pooled entries on shard free lists (wheel only)
-  uint64_t pool_allocated;   // entries ever carved from shard chunks (wheel only)
+  int shards;                // wheel shard count
+  uint64_t live;             // nodes resident in the wheels, incl. tombstones
+  uint64_t tombstones;       // lazily cancelled entries awaiting reap
+  uint64_t pool_free;        // pooled entries on shard free lists
+  uint64_t pool_allocated;   // entries ever carved from shard chunks
   uint64_t arms;             // successful arm operations
   uint64_t cancels;          // cancels that returned 0
   uint64_t fires;            // expirations delivered (== timer_fire_count())
-  uint64_t reaps;            // entries recycled onto free lists (wheel only)
-  uint64_t sweeps;           // wholesale tombstone sweeps (wheel only)
-  uint64_t cascades;         // wheel slot cascades (wheel only)
+  uint64_t reaps;            // entries recycled onto free lists
+  uint64_t sweeps;           // wholesale tombstone sweeps
+  uint64_t cascades;         // wheel slot cascades
 };
 TimerEngineStats timer_engine_stats();
 

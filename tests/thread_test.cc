@@ -287,6 +287,14 @@ TEST(ThreadPriority, HigherPriorityDispatchedFirst) {
   // Pin the pool to one LWP and occupy it with a blocker while both workers are
   // made runnable, so the dispatch order is decided purely by priority.
   thread_setconcurrency(1);
+  // Retiring LWPs drain asynchronously: wait until the pool really is one LWP,
+  // for this test's premise and so later tests sample a settled pool size.
+  for (int i = 0; i < 200 && Runtime::Get().pool_size() > 1; ++i) {
+    thread_yield();
+    struct timespec ts = {0, 5 * 1000 * 1000};
+    nanosleep(&ts, nullptr);
+  }
+  ASSERT_EQ(Runtime::Get().pool_size(), 1);
   static std::atomic<bool> blocker_running;
   static std::atomic<bool> release;
   blocker_running.store(false);

@@ -322,8 +322,11 @@ TEST(WheelEngine, CancelFromInsideCallbackStopsPeriodic) {
                                               &ctx, 0);
   ASSERT_NE(id, kInvalidTimerId);
   ctx.id.store(id);
+  // The callback bumps count before it cancels and stores cancel_rc, so wait
+  // for both.
   int64_t deadline = MonotonicNowNs() + 2'000 * kMs;
-  while (ctx.count.load() < 2 && MonotonicNowNs() < deadline) {
+  while ((ctx.count.load() < 2 || ctx.cancel_rc.load() == 123) &&
+         MonotonicNowNs() < deadline) {
     thread_yield();
   }
   ASSERT_EQ(ctx.count.load(), 2);
@@ -348,9 +351,6 @@ TEST(WheelEngine, PeriodicRejectsBadArguments) {
 // the reap threshold triggers a wholesale sweep that recycles entries onto the
 // shard free lists, and a second burst reuses them instead of carving fresh.
 TEST(WheelEngine, TombstoneReapRecyclesPool) {
-  if (!timer_engine_stats().wheel_engine) {
-    GTEST_SKIP() << "heap engine selected via SUNMT_TIMER_ENGINE";
-  }
   constexpr int kBurst = 5000;
   TimerEngineStats before = timer_engine_stats();
   std::vector<timer_id_t> ids;
@@ -390,8 +390,8 @@ TEST(WheelEngine, TombstoneReapRecyclesPool) {
 
 TEST(WheelEngine, StatsLineInProcessState) {
   std::string s = FormatProcessState();
-  TimerEngineStats ts = timer_engine_stats();
-  EXPECT_NE(s.find(ts.wheel_engine ? "TIMER engine=wheel" : "TIMER engine=heap"),
+  EXPECT_NE(s.find("TIMER shards=" +
+                   std::to_string(timer_engine_stats().shards)),
             std::string::npos)
       << s;
   EXPECT_NE(s.find("tombstones="), std::string::npos);
