@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate plus the sanitizer pass on the concurrency-heavy subsystems.
 #
-#   1. Regular build + full ctest (the ROADMAP tier-1 command).
+#   1. Regular build + full ctest (the ROADMAP tier-1 command), then the `net`
+#      and `http` labels again pinned to one CPU (taskset -c 0), where the
+#      netpoll owner, the threads it wakes and the watchdog share one core.
 #   2. SUNMT_SANITIZE=thread build, running the `net`, `http`, `stats`,
 #      `sched`, `lifecycle`, and `timer` labels — the netpoller's park/wake
 #      path, the HTTP server's connection/cache/logger fan-out, the trace/
@@ -41,6 +43,10 @@ echo "== tier-1: build + ctest =="
 cmake -S "$repo" -B "$repo/build" >/dev/null
 cmake --build "$repo/build" -j "$jobs"
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
+
+echo
+echo "== pinned: net + http labels on one CPU =="
+taskset -c 0 ctest --test-dir "$repo/build" --output-on-failure -L "net|http"
 
 echo
 echo "== tsan: net + http + stats + sched + lifecycle + timer labels =="

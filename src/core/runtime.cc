@@ -23,6 +23,7 @@ namespace sunmt {
 namespace {
 
 RuntimeConfig g_pending_config;
+std::atomic<const NetPollOps*> g_net_poll{nullptr};
 std::atomic<bool> g_initialized{false};
 std::atomic<Runtime*> g_runtime{nullptr};
 SpinLock g_runtime_create_lock;
@@ -226,6 +227,14 @@ void Runtime::ShrinkPoolLocked(int target) {
     if (!lwp->retire.load(std::memory_order_acquire)) {
       lwp->retire.store(true, std::memory_order_release);
       lwp->Unpark();
+      {
+        // The retiring LWP may be the poll owner, parked in epoll_wait rather
+        // than on its futex.
+        SpinLockGuard idle_guard(idle_lock_);
+        if (poll_owner_.load(std::memory_order_relaxed) == lwp) {
+          KickPollOwnerLocked();
+        }
+      }
       --excess;
     }
   }
@@ -245,22 +254,40 @@ void Runtime::NotifyWork() {
     GlobalSchedStats().notify_throttled.Inc();
     return;
   }
-  Lwp* idle = nullptr;
+  bool woke = false;
   {
     SpinLockGuard guard(idle_lock_);
-    idle = idle_lwps_.PopFront();
+    Lwp* idle = idle_lwps_.PopFront();
     if (idle != nullptr) {
       idle_count_.fetch_sub(1, std::memory_order_release);
+      // Unpark under the lock: the popped LWP cannot get through ExitIdle,
+      // and so cannot retire and be reaped, until this call has returned.
+      idle->Unpark();
+      woke = true;
+    } else {
+      // No futex-parked LWP left: the poll owner is the last idle one.
+      woke = KickPollOwnerLocked();
     }
   }
-  if (idle != nullptr) {
+  if (woke) {
     GlobalSchedStats().notify_wakes.Inc();
-    idle->Unpark();
   } else {
     // The idle LWP left on its own between our check and the pop; nothing to
     // wake, so clear the flag instead of leaving a phantom wake in flight.
     wake_pending_.store(false, std::memory_order_release);
   }
+}
+
+bool Runtime::KickPollOwnerLocked() {
+  // The owner itself runs NotifyWork while it delivers its own poll's wakes;
+  // it is about to look for work anyway.
+  Lwp* owner = poll_owner_.load(std::memory_order_relaxed);
+  if (owner == nullptr || owner == Lwp::Current() || poll_kicked_) {
+    return false;
+  }
+  poll_kicked_ = true;
+  g_net_poll.load(std::memory_order_acquire)->kick();
+  return true;
 }
 
 void Runtime::MaybeWakeMore() {
@@ -275,22 +302,70 @@ void Runtime::MaybeWakeMore() {
   }
 }
 
-void Runtime::EnterIdle(Lwp* lwp) {
+bool Runtime::EnterIdle(Lwp* lwp) {
+  const NetPollOps* net = g_net_poll.load(std::memory_order_acquire);
   SpinLockGuard guard(idle_lock_);
+  // seq_cst pairs with a bound parker (parked count up, then HandOffPoll reads
+  // idle_count_): either it sees this LWP idle, or this LWP sees the park.
+  idle_count_.fetch_add(1, std::memory_order_seq_cst);
+  if (net != nullptr && poll_owner_.load(std::memory_order_relaxed) == nullptr &&
+      net->parked() > 0) {
+    poll_owner_.store(lwp, std::memory_order_seq_cst);
+    return true;
+  }
   idle_lwps_.PushBack(lwp);
-  idle_count_.fetch_add(1, std::memory_order_release);
+  return false;
 }
 
 void Runtime::ExitIdle(Lwp* lwp) {
   {
     SpinLockGuard guard(idle_lock_);
-    if (idle_lwps_.TryRemove(lwp)) {
+    if (poll_owner_.load(std::memory_order_relaxed) == lwp) {
+      poll_owner_.store(nullptr, std::memory_order_release);
+      poll_kicked_ = false;
+      idle_count_.fetch_sub(1, std::memory_order_release);
+    } else if (idle_lwps_.TryRemove(lwp)) {
       idle_count_.fetch_sub(1, std::memory_order_release);
     }
   }
   // This LWP is awake and about to look for work: it absorbs any wake that
   // was in flight to it, so further NotifyWork calls may wake someone else.
   wake_pending_.store(false, std::memory_order_release);
+}
+
+void Runtime::InstallNetPoll(const NetPollOps* ops) {
+  g_net_poll.store(ops, std::memory_order_release);
+}
+
+void Runtime::PollAsOwner() {
+  g_net_poll.load(std::memory_order_acquire)->poll(/*timeout_ms=*/-1);
+}
+
+bool Runtime::PollIfUnowned() {
+  const NetPollOps* net = g_net_poll.load(std::memory_order_acquire);
+  if (net == nullptr || poll_owner_.load(std::memory_order_acquire) != nullptr ||
+      net->parked() == 0) {
+    return false;
+  }
+  return net->poll(/*timeout_ms=*/0) > 0;
+}
+
+void Runtime::HandOffPoll() {
+  const NetPollOps* net = g_net_poll.load(std::memory_order_acquire);
+  if (net == nullptr || poll_owner_.load(std::memory_order_seq_cst) != nullptr ||
+      idle_count_.load(std::memory_order_seq_cst) == 0 || net->parked() == 0) {
+    return;  // owned, every LWP is busy (and sees the park when idle), or moot
+  }
+  SpinLockGuard guard(idle_lock_);
+  if (poll_owner_.load(std::memory_order_relaxed) != nullptr) {
+    return;
+  }
+  Lwp* idle = idle_lwps_.PopFront();
+  if (idle != nullptr) {
+    idle_count_.fetch_sub(1, std::memory_order_release);
+    GlobalSchedStats().notify_wakes.Inc();
+    idle->Unpark();  // under the lock, as in NotifyWork
+  }
 }
 
 void Runtime::EnqueueRunnable(Tcb* tcb, bool wake_affinity) {
@@ -335,10 +410,13 @@ void Runtime::RetireLwp(Lwp* lwp, bool was_pool) {
       queues_.DetachLwp(lwp->sched_shard);
       lwp->sched_shard = -1;
     }
-    // If work remains queued, make sure someone else picks it up.
+    // If work remains queued, make sure someone else picks it up; if threads
+    // are parked on fds and nobody polls (this LWP may have been the owner),
+    // hand the poll to an idle LWP.
     if (!queues_.Empty()) {
       NotifyWork();
     }
+    HandOffPoll();
   }
   SpinLockGuard guard(dead_lock_);
   dead_lwps_.push_back(lwp);
@@ -487,6 +565,9 @@ bool Runtime::AllPoolLwpsIndefinitelyBlocked() {
 
 void Runtime::WatchdogTick() {
   ReapDeadLwps();
+  // Netpoll backstop: while no LWP owns the blocking poll and every LWP keeps
+  // running threads, no dispatch loop reaches its timeout-0 poll.
+  PollIfUnowned();
   if (queues_.Empty()) {
     return;
   }
@@ -531,6 +612,7 @@ void Runtime::SnapshotLwps(std::vector<LwpInfo>* out) {
     info.pool = true;
     info.in_kernel_wait = lwp->InKernelWait();
     info.indefinite_wait = lwp->InIndefiniteWait();
+    info.poll_owner = poll_owner_.load(std::memory_order_acquire) == lwp;
     uint64_t tid = lwp->current_tid.load(std::memory_order_relaxed);
     info.running_thread = tid != 0 ? tid : kInvalidThreadId;
     out->push_back(info);

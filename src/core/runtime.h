@@ -42,6 +42,19 @@ struct SchedStats {
 
 SchedStats& GlobalSchedStats();
 
+// The netpoller as the pool sees it. src/net sits above src/core, so it hands
+// these entry points to the Runtime when the poller is created; see the
+// poll-owner protocol at Runtime::EnterIdle and docs/internals.md §7.
+struct NetPollOps {
+  // Threads parked on fd readiness; the pool polls only while this is > 0.
+  int (*parked)();
+  // One epoll_wait with `timeout_ms` (-1 blocks) plus the wakes it delivers.
+  // Returns the number of threads woken.
+  int (*poll)(int timeout_ms);
+  // Makes a blocking poll return.
+  void (*kick)();
+};
+
 struct RuntimeConfig {
   // Pool LWPs created at initialization. 0 = one per online CPU.
   int initial_pool_lwps = 0;
@@ -114,8 +127,9 @@ class Runtime {
   // Unparks at most one idle pool LWP per work->idle state transition: a
   // burst of N enqueues wakes one LWP (the rest are suppressed by the
   // wake-pending flag); the woken LWP chains further wakes if it finds more
-  // work than it can run (see MaybeWakeMore). Cheap when nobody is idle — one
-  // relaxed load, no lock.
+  // work than it can run (see MaybeWakeMore). A futex-parked LWP is preferred;
+  // only when none is left is the poll owner kicked out of epoll_wait. Cheap
+  // when nobody is idle — one relaxed load, no lock.
   void NotifyWork();
 
   // Called by a dispatcher that just took work while more remains queued:
@@ -123,9 +137,34 @@ class Runtime {
   // instead of one wake per enqueue.
   void MaybeWakeMore();
 
-  // Idle protocol for pool LWPs (see PoolLwpMain).
-  void EnterIdle(Lwp* lwp);
+  // Idle protocol for pool LWPs (see PoolLwpMain). EnterIdle returns true if
+  // the LWP took the poll-owner slot instead of joining the futex-parked idle
+  // list: threads are parked on fds and no other LWP owns the poll. The owner
+  // then waits in PollAsOwner instead of Park. Either way ExitIdle undoes it.
+  bool EnterIdle(Lwp* lwp);
   void ExitIdle(Lwp* lwp);
+
+  // ---- Netpoll ownership ----------------------------------------------------
+  // Called once by src/net when the poller is created. Static: the poller may
+  // exist before the runtime does.
+  static void InstallNetPoll(const NetPollOps* ops);
+
+  // The owner's wait: epoll_wait with no timeout. The threads it wakes land in
+  // the owner's own next box (wake affinity), so it runs them itself. This is
+  // an idle LWP, not a thread in a kernel call: it is not an indefinite wait
+  // for SIGWAITING.
+  void PollAsOwner();
+
+  // One timeout-0 poll, if threads are parked on fds and no LWP owns the
+  // blocking poll. A pool LWP out of local work calls it before stealing; the
+  // watchdog calls it as the backstop when every LWP is busy. Returns true if
+  // it woke threads.
+  bool PollIfUnowned();
+
+  // For a bound thread about to park on an fd (its LWP never reaches the
+  // pool's idle path) and a retiring LWP: if threads are parked on fds and
+  // nobody owns the poll, an idle pool LWP is woken to take it.
+  void HandOffPoll();
 
   // ---- LWP lifecycle -------------------------------------------------------
   // Spawns a dedicated LWP bound to `tcb` (publishes tcb->bound_lwp first).
@@ -188,6 +227,7 @@ class Runtime {
     bool pool;
     bool in_kernel_wait;
     bool indefinite_wait;
+    bool poll_owner;  // holds the blocking netpoll (see EnterIdle)
     ThreadId running_thread;
   };
   void SnapshotLwps(std::vector<LwpInfo>* out);
@@ -199,6 +239,7 @@ class Runtime {
   void ShrinkPoolLocked(int target);
   int ActivePoolCountLocked() const;
   bool AllPoolLwpsIndefinitelyBlocked();
+  bool KickPollOwnerLocked();
   void ReclaimTcb(Tcb* tcb);
   void WakeOneWaiterLocked(ThreadId exited_id);
 
@@ -213,10 +254,15 @@ class Runtime {
 
   SpinLock idle_lock_;
   IntrusiveList<Lwp, &Lwp::pool_node> idle_lwps_;
-  // Fast-path gate for NotifyWork: number of LWPs on idle_lwps_ (maintained
-  // under idle_lock_, read lock-free) and the single-waker throttle flag.
+  // Fast-path gate for NotifyWork: number of idle LWPs, the ones on
+  // idle_lwps_ plus the poll owner (maintained under idle_lock_, read
+  // lock-free), and the single-waker throttle flag.
   std::atomic<int> idle_count_{0};
   std::atomic<bool> wake_pending_{false};
+  // The idle LWP blocked (or about to block) in the netpoller's epoll_wait.
+  // Written under idle_lock_; read lock-free by PollIfUnowned/HandOffPoll.
+  std::atomic<Lwp*> poll_owner_{nullptr};
+  bool poll_kicked_ = false;  // a kick is in flight to poll_owner_ (idle_lock_)
 
   ThreadRegistry registry_;
   std::atomic<ThreadId> next_thread_id_{1};  // the initial (adopted) thread gets 1

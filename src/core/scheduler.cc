@@ -39,8 +39,6 @@ struct SwitchCommit {
 
 std::atomic<SignalDeliveryHook> g_signal_hook{nullptr};
 std::atomic<ThreadExitHook> g_exit_hook{nullptr};
-std::atomic<IdlePollHook> g_idle_poll_hook{nullptr};
-std::atomic<int64_t> g_idle_repoll_ns{kDefaultIdleRepollNs};
 
 // Lockdep node provider: user threads carry their lockdep state in the TCB so
 // reports name them by thread id. Raw kernel threads (the timer engine,
@@ -296,11 +294,6 @@ void SetThreadExitHook(ThreadExitHook hook) {
   g_exit_hook.store(hook, std::memory_order_release);
 }
 
-void SetIdlePollHook(IdlePollHook hook, int64_t repoll_ns) {
-  g_idle_repoll_ns.store(repoll_ns, std::memory_order_relaxed);
-  g_idle_poll_hook.store(hook, std::memory_order_release);
-}
-
 void ExitCurrent() {
   Tcb* self = CurrentTcb();
   SUNMT_CHECK(self != nullptr);
@@ -407,9 +400,13 @@ void PoolLwpMain(Lwp* self, void* arg) {
     if (self->retire.load(std::memory_order_acquire)) {
       break;
     }
-    // Dispatch order: own next box / shard queue / overflow, then steal from
-    // the other shards. Only a dispatcher with no local work pays for a scan.
+    // Dispatch order: own next box / shard queue / overflow, then one
+    // nonblocking netpoll (its wakes land in this LWP's box), then steal from
+    // the other shards. Only a dispatcher with no local work pays for either.
     Tcb* next = rt->queues().PopLocal(shard);
+    if (next == nullptr && rt->PollIfUnowned()) {
+      next = rt->queues().PopLocal(shard);
+    }
     if (next == nullptr) {
       next = rt->queues().Steal(shard);
     }
@@ -420,29 +417,20 @@ void PoolLwpMain(Lwp* self, void* arg) {
       RunThread(self, next);
       continue;
     }
-    // Idle protocol: register, re-check for work that raced in, then park.
+    // Idle protocol: register, re-check for work that raced in, then wait.
     // The recheck deliberately ignores other shards' next boxes: their owner
     // LWPs drain them (the watchdog backstops a non-dispatching owner), and
-    // bouncing here to raid a box would just migrate an affine wake.
-    rt->EnterIdle(self);
+    // bouncing here to raid a box would just migrate an affine wake. While
+    // threads are parked on fds, one idle LWP waits in epoll_wait instead of
+    // on its futex: the poll owner, woken by readiness or a NotifyWork kick.
+    bool poll_owner = rt->EnterIdle(self);
     if (rt->queues().HasLocalWork(shard) || rt->queues().HasStealableWork() ||
         self->retire.load(std::memory_order_acquire)) {
       rt->ExitIdle(self);
       continue;
     }
-    // Give the netpoller's inline fallback a chance before parking: while
-    // threads are parked on fd readiness with no dedicated poller, an idle
-    // LWP is the natural place to run epoll. A hook result > 0 means threads
-    // were woken (go fetch them); 0 means keep polling on a shallow-park
-    // cadence; -1 means no polling is needed and a deep park is safe.
-    IdlePollHook poll_hook = g_idle_poll_hook.load(std::memory_order_acquire);
-    int polled = poll_hook != nullptr ? poll_hook() : -1;
-    if (polled > 0) {
-      rt->ExitIdle(self);
-      continue;
-    }
-    if (polled == 0) {
-      self->ParkFor(g_idle_repoll_ns.load(std::memory_order_relaxed));
+    if (poll_owner) {
+      rt->PollAsOwner();
     } else {
       self->Park();
     }

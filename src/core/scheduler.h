@@ -105,14 +105,6 @@ void SetSignalDeliveryHook(SignalDeliveryHook hook);
 using ThreadExitHook = void (*)(Tcb* self);
 void SetThreadExitHook(ThreadExitHook hook);
 
-// Installed by src/net: called from a pool LWP's idle path before parking.
-// Returns >0 if the poll woke threads (the LWP should go back for work), 0 if
-// polling is active but produced nothing (the LWP should shallow-park for
-// `repoll_ns` and poll again), or -1 if polling is not needed (deep park).
-using IdlePollHook = int (*)();
-inline constexpr int64_t kDefaultIdleRepollNs = 1 * 1000 * 1000;
-void SetIdlePollHook(IdlePollHook hook, int64_t repoll_ns = kDefaultIdleRepollNs);
-
 }  // namespace sched
 }  // namespace sunmt
 

@@ -74,32 +74,88 @@ std::shared_ptr<const HttpCache::Entry> HttpCache::Lookup(std::string_view key) 
   return entry;
 }
 
+void HttpCache::Retire(Shard* shard, std::shared_ptr<Entry>* slot) {
+  // Under the writer lock no Lookup can copy the pointer, so a use count of 1
+  // means no responder still holds these bytes. The probe copy is an acquire
+  // read-modify-write of the count: it orders the last responder's reads of
+  // the body (before it released its reference) before this reuse.
+  if (shard->spare.size() < kMaxSpareBodies && slot->use_count() == 1) {
+    std::shared_ptr<Entry> probe = *slot;
+    probe.reset();
+    std::string& body = (*slot)->body;
+    shard->spare_bytes += body.capacity();
+    shard->spare.push_back(std::move(body));
+  }
+  slot->reset();
+}
+
+void HttpCache::TakeSpare(Shard* shard, std::string* body, std::string* discard) {
+  // The budget counts body sizes, so a reused buffer may be at most twice the
+  // body: live entries then never hold more than twice their counted bytes.
+  size_t best = shard->spare.size();
+  for (size_t i = 0; i < shard->spare.size(); ++i) {
+    size_t cap = shard->spare[i].capacity();
+    if (cap >= body->size() && cap / 2 <= body->size() &&
+        (best == shard->spare.size() || cap < shard->spare[best].capacity())) {
+      best = i;
+    }
+  }
+  if (best == shard->spare.size()) {
+    return;
+  }
+  std::string buffer = std::move(shard->spare[best]);
+  shard->spare[best] = std::move(shard->spare.back());
+  shard->spare.pop_back();
+  shard->spare_bytes -= buffer.capacity();
+  buffer.assign(*body);  // fits: no allocation
+  discard->swap(*body);
+  body->swap(buffer);
+}
+
 void HttpCache::Insert(std::string_view key, Entry entry) {
   size_t cost = entry.body.size() + key.size();
   if (cost > max_bytes_per_shard_) {
     return;  // larger than a shard's whole budget: not cacheable
   }
-  auto shared = std::make_shared<const Entry>(std::move(entry));
   Shard* shard = ShardFor(key);
+  std::string name(key);
+  std::string discard;  // the caller's body buffer, freed after the lock
   uint64_t evicted = 0;
   rw_enter(&shard->lock, RW_WRITER);
-  auto [it, inserted] = shard->map.try_emplace(std::string(key), shared);
-  if (!inserted) {
-    shard->bytes -= it->second->body.size() + it->first.size();
-    it->second = std::move(shared);
-  } else {
-    shard->fifo.push_back(it->first);
+  // A replaced entry keeps its FIFO position, unless eviction reaches it.
+  auto old = shard->map.find(name);
+  bool needs_fifo_name = old == shard->map.end();
+  if (!needs_fifo_name) {
+    shard->bytes -= old->second->body.size() + old->first.size();
+    Retire(shard, &old->second);
+    shard->map.erase(old);
   }
-  shard->bytes += cost;
-  while (shard->bytes > max_bytes_per_shard_ && !shard->fifo.empty()) {
+  // Evict before allocating: the victims' buffers can carry the new body.
+  while (shard->bytes + cost > max_bytes_per_shard_ && !shard->fifo.empty()) {
     const std::string& victim_key = shard->fifo.front();
     auto victim = shard->map.find(victim_key);
     if (victim != shard->map.end()) {
       shard->bytes -= victim->second->body.size() + victim->first.size();
+      Retire(shard, &victim->second);
       shard->map.erase(victim);
       ++evicted;
+    } else if (victim_key == name) {
+      needs_fifo_name = true;  // the replaced entry's position is gone
     }
     shard->fifo.pop_front();
+  }
+  TakeSpare(shard, &entry.body, &discard);
+  auto it = shard->map.emplace(std::move(name),
+                               std::make_shared<Entry>(std::move(entry))).first;
+  if (needs_fifo_name) {
+    shard->fifo.push_back(it->first);
+  }
+  shard->bytes += cost;
+  // Spares live on only within the budget the live entries leave.
+  while (!shard->spare.empty() &&
+         shard->bytes + shard->spare_bytes > max_bytes_per_shard_) {
+    shard->spare_bytes -= shard->spare.back().capacity();
+    shard->spare.pop_back();
   }
   // Intended hierarchy, annotated for lockdep: shard lock (level 1) held
   // while climbing to the cross-process stats mutex (level 2).
@@ -129,6 +185,8 @@ void HttpCache::Clear() {
     shard.map.clear();
     shard.fifo.clear();
     shard.bytes = 0;
+    shard.spare.clear();
+    shard.spare_bytes = 0;
     rw_exit(&shard.lock);
   }
 }

@@ -69,6 +69,8 @@ class HttpCache {
 
   // `shards` is rounded up to a power of two; `max_bytes` is the whole-cache
   // body-byte budget, split evenly across shards (FIFO eviction per shard).
+  // A shard's budget also covers the few evicted body buffers it keeps for
+  // reuse (see Insert).
   explicit HttpCache(int shards = 16, size_t max_bytes = 64 * 1024 * 1024);
   ~HttpCache();
 
@@ -80,6 +82,10 @@ class HttpCache {
 
   // Inserts (or replaces) under `key`, evicting FIFO if the shard is over
   // budget. Entries larger than a shard's whole budget are not cached.
+  // Eviction runs first, and the new body is copied into the buffer of an
+  // evicted body that nothing else held, so churn through a full cache
+  // recycles the same buffers instead of freeing and allocating on whichever
+  // LWP (and malloc arena) happens to insert.
   void Insert(std::string_view key, Entry entry);
 
   bool Remove(std::string_view key);
@@ -96,12 +102,25 @@ class HttpCache {
  private:
   struct Shard {
     mutable rwlock_t lock;  // zero-init is the valid default variant
-    std::unordered_map<std::string, std::shared_ptr<const Entry>> map;
+    std::unordered_map<std::string, std::shared_ptr<Entry>> map;
     std::deque<std::string> fifo;  // insertion order, for eviction
-    size_t bytes = 0;
+    size_t bytes = 0;              // live entries: body + key bytes
+    // Buffers of evicted bodies awaiting reuse (at most kMaxSpareBodies);
+    // their capacity counts against the budget together with `bytes`.
+    std::vector<std::string> spare;
+    size_t spare_bytes = 0;
   };
 
+  static constexpr size_t kMaxSpareBodies = 4;
+
   Shard* ShardFor(std::string_view key);
+  // Drops a shard's reference to an evicted or replaced entry, keeping its
+  // body buffer as a spare if nothing else holds the entry. Writer lock held.
+  static void Retire(Shard* shard, std::shared_ptr<Entry>* slot);
+  // Moves `body` into the smallest spare buffer that fits and is at most
+  // twice its size, if any; the caller's old buffer is left in *discard.
+  // Writer lock held.
+  static void TakeSpare(Shard* shard, std::string* body, std::string* discard);
   void NoteShared(uint64_t hit, uint64_t miss, uint64_t insert);
 
   std::vector<Shard> shards_;

@@ -111,7 +111,7 @@ ssize_t WritevNoSigpipe(int fd, const struct iovec* iov, int iovcnt) {
 // ---- Lifecycle / registration ----------------------------------------------
 
 int net_poller_start() {
-  int rc = NetPoller::Get().StartDedicated();
+  int rc = NetPoller::Get().Start();
   return NetResult(rc, rc == 0 ? 0 : errno);
 }
 

@@ -10,13 +10,15 @@
 // readiness, then retries the syscall itself. The LWP pool stays at the
 // configured concurrency no matter how many connections are idle.
 //
-// Modes:
-//  * Dedicated (net_poller_start()): a bound thread — owning its own LWP, so
-//    pool LWPs are never consumed — blocks in epoll_wait and wakes parked
-//    threads as events arrive. This is the serving configuration.
-//  * Inline fallback (no start call): registering an fd arms the scheduler's
-//    idle path and a periodic timer tick to poll with a zero timeout, so the
-//    API still works (with ~ms wake latency) before the poller is configured.
+// Who polls: the LWP pool itself, with no thread of its own. While threads
+// are parked on fds, one idle pool LWP (the poll owner) blocks in epoll_wait
+// and runs the threads it wakes itself, from its own next box. A pool LWP that
+// runs out of local work polls once with timeout 0 before stealing, work
+// queued while no futex-parked LWP is left kicks the owner out of epoll_wait,
+// a bound thread that parks with nobody polling hands the poll to an idle
+// pool LWP, and the SIGWAITING watchdog polls every 500 us while nobody owns
+// it. The owner's wait is idle time, not an indefinite kernel wait, so it
+// never triggers SIGWAITING growth. See docs/internals.md §7.
 //
 // Registered fds are also honored by the src/io wrappers (io_read/io_write/
 // io_accept route to the parking path), so blocking-style code gets the
@@ -38,17 +40,19 @@
 
 namespace sunmt {
 
-// Starts the dedicated poller: a THREAD_BIND_LWP thread blocking in epoll_wait.
-// Idempotent; returns 0, or -1 (thread_errno set) if the poller thread cannot
-// be created. Safe to call before or after net_register.
+// Creates the poller if needed and resumes readiness delivery after
+// net_poller_stop(). Starts no thread and adds no LWP: the pool does the
+// polling. Optional (net_register creates the poller too); idempotent;
+// returns 0. Safe to call before or after net_register.
 int net_poller_start();
 
 // Stops the poller and wakes every parked thread with ECANCELED. In-flight
 // net_* calls return -1; fds stay registered and nonblocking, and a later
-// net_poller_start() (or the inline fallback) resumes service. Returns 0.
+// net_poller_start() resumes service. Returns 0.
 int net_poller_stop();
 
-// True if readiness events are being delivered (dedicated or inline mode).
+// True if the poller exists and readiness events are being delivered (it has
+// not been stopped).
 bool net_poller_running();
 
 // Registers `fd` with the poller: makes it nonblocking (O_NONBLOCK is a

@@ -5,29 +5,27 @@
 #include <string.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <new>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/lsan_interface.h>
+#endif
 
 #include "src/core/runtime.h"
 #include "src/core/scheduler.h"
 #include "src/core/trace.h"
 #include "src/inject/inject.h"
-#include "src/lwp/kernel_wait.h"
 #include "src/net/net.h"
 #include "src/stats/stats.h"
 #include "src/sync/waitq.h"
 #include "src/timer/timed_wait.h"
-#include "src/timer/timer.h"
 #include "src/util/check.h"
-#include "src/util/clock.h"
 
 namespace sunmt {
 namespace {
-
-// Period of the fallback polls (scheduler idle path and timer tick) when no
-// dedicated LWP is configured: the worst-case wake latency of inline mode.
-constexpr int64_t kInlinePollPeriodNs = 1 * 1000 * 1000;
 
 // epoll_wait batch size for one drain.
 constexpr int kEventBatch = 128;
@@ -35,14 +33,33 @@ constexpr int kEventBatch = 128;
 std::atomic<NetPoller*> g_poller{nullptr};
 SpinLock g_poller_create_lock;
 
-// Mode is process-global so the fork handler and Exists() can consult it
-// without touching a half-built singleton.
-enum class Mode : uint8_t {
-  kInline,     // no dedicated LWP: idle LWPs + a timer tick poll with timeout 0
-  kDedicated,  // bound poller thread blocks in epoll_wait
-  kStopped,    // net_poller_stop(): parked waiters fail with ECANCELED
-};
-std::atomic<Mode> g_mode{Mode::kInline};
+// net_poller_stop(): parked waiters fail with ECANCELED. Process-global so the
+// fork handler can reset it without touching a half-built singleton.
+std::atomic<bool> g_stopped{false};
+
+// The pool's view of the poller (Runtime::InstallNetPoll). Each entry point
+// goes through g_poller, so a fork1() child that abandons the parent's poller
+// sees "nothing parked" until it builds its own.
+int PoolParked() {
+  NetPoller* poller = g_poller.load(std::memory_order_acquire);
+  return poller != nullptr && !g_stopped.load(std::memory_order_acquire)
+             ? poller->ParkedCount()
+             : 0;
+}
+
+int PoolPoll(int timeout_ms) {
+  NetPoller* poller = g_poller.load(std::memory_order_acquire);
+  return poller != nullptr ? poller->Poll(timeout_ms) : 0;
+}
+
+void PoolKick() {
+  NetPoller* poller = g_poller.load(std::memory_order_acquire);
+  if (poller != nullptr) {
+    poller->Kick();
+  }
+}
+
+constexpr NetPollOps kPoolOps = {&PoolParked, &PoolPoll, &PoolKick};
 
 // Wake reasons delivered through Tcb::park_result.
 enum : uint8_t {
@@ -60,12 +77,12 @@ struct NetCtxTag {
 };
 using NetTimedWait = TimedWait<NetCtxTag, &sched::WakeFdWaiter>;
 
-// fork1() child repair: the poller thread (and every parked waiter) does not
-// exist in the child; abandon the parent's poller so the child lazily builds a
-// fresh one. The inherited epoll fd leaks, which is the safe direction.
+// fork1() child repair: the parked waiters do not exist in the child; abandon
+// the parent's poller so the child lazily builds a fresh one. The inherited
+// epoll fd leaks, which is the safe direction.
 void NetForkChildRepair() {
   g_poller.store(nullptr, std::memory_order_release);
-  g_mode.store(Mode::kInline, std::memory_order_release);
+  g_stopped.store(false, std::memory_order_release);
   new (&g_poller_create_lock) SpinLock();
 }
 
@@ -98,7 +115,18 @@ bool NetPoller::Exists() {
 
 NetPoller::NetPoller() {
   EnsureForkHandler();
-  table_ = new std::atomic<FdEntry*>[kMaxFds]();
+  // Not `new ...[kMaxFds]()`: value-initializing would touch every page. A
+  // zero-filled mapping is already an array of null atomic pointers.
+  size_t table_bytes = kMaxFds * sizeof(std::atomic<FdEntry*>);
+  void* table = mmap(nullptr, table_bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  SUNMT_CHECK(table != MAP_FAILED);
+#if defined(__SANITIZE_ADDRESS__)
+  // The entries are reachable only through this mapping, which the leak
+  // checker does not scan unless told to.
+  __lsan_register_root_region(table, table_bytes);
+#endif
+  table_ = static_cast<std::atomic<FdEntry*>*>(table);
   epfd_ = epoll_create1(EPOLL_CLOEXEC);
   SUNMT_CHECK(epfd_ >= 0);
   wakeup_fd_ = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
@@ -107,7 +135,7 @@ NetPoller::NetPoller() {
   ev.events = EPOLLIN;
   ev.data.fd = wakeup_fd_;
   SUNMT_CHECK(epoll_ctl(epfd_, EPOLL_CTL_ADD, wakeup_fd_, &ev) == 0);
-  sched::SetIdlePollHook(&NetPoller::IdlePollHook, kInlinePollPeriodNs);
+  Runtime::InstallNetPoll(&kPoolOps);
 }
 
 NetPoller::FdEntry* NetPoller::GetEntry(int fd) const {
@@ -262,7 +290,7 @@ void NetPoller::DispatchEvent(int fd, uint32_t epoll_events, Tcb** wake_head,
   }
 }
 
-int NetPoller::PollOnce(int timeout_ms) {
+int NetPoller::Poll(int timeout_ms) {
   struct epoll_event events[kEventBatch];
   int n;
   do {
@@ -280,8 +308,12 @@ int NetPoller::PollOnce(int timeout_ms) {
   for (int i = 0; i < n; ++i) {
     int fd = events[i].data.fd;
     if (fd == wakeup_fd_) {
-      uint64_t token;
-      while (read(wakeup_fd_, &token, sizeof(token)) > 0) {
+      // Only the blocking poll drains a kick (the eventfd is level-triggered):
+      // a timeout-0 poll racing with a fresh owner must not swallow its kick.
+      if (timeout_ms != 0) {
+        uint64_t token;
+        while (read(wakeup_fd_, &token, sizeof(token)) > 0) {
+        }
       }
       continue;
     }
@@ -318,7 +350,7 @@ int NetPoller::WaitReady(int fd, uint32_t events, int64_t timeout_ns) {
     entry->lock.Unlock();
     return EBADF;
   }
-  if (g_mode.load(std::memory_order_acquire) == Mode::kStopped) {
+  if (g_stopped.load(std::memory_order_acquire)) {
     entry->lock.Unlock();
     return ECANCELED;
   }
@@ -335,13 +367,15 @@ int NetPoller::WaitReady(int fd, uint32_t events, int64_t timeout_ns) {
   }
   WaitQueue& q = events == NET_WRITABLE ? entry->writers : entry->readers;
   WaitqPush(&q.head, &q.tail, self);  // advances block_generation
-  parked_count_.fetch_add(1, std::memory_order_release);
+  // seq_cst: pairs with Runtime::EnterIdle, which reads it to decide whether
+  // an idle LWP takes the poll.
+  parked_count_.fetch_add(1, std::memory_order_seq_cst);
   NetTimedWait deadline;
   if (timeout_ns > 0) {
     deadline.Arm(&entry->lock, &q.head, &q.tail, self, timeout_ns);
   }
-  if (g_mode.load(std::memory_order_acquire) == Mode::kInline) {
-    ArmInlineTick();
+  if (self->IsBound()) {
+    Runtime::Get().HandOffPoll();
   }
   sched::ParkOnFd(&entry->lock, fd, static_cast<uint8_t>(events));
   parked_count_.fetch_sub(1, std::memory_order_release);
@@ -353,52 +387,15 @@ int NetPoller::WaitReady(int fd, uint32_t events, int64_t timeout_ns) {
   return self->park_result == kWakeCancelled ? ECANCELED : 0;
 }
 
-// ---- Dedicated mode ---------------------------------------------------------
+// ---- Lifecycle --------------------------------------------------------------
 
-void NetPoller::DedicatedLoop(void* arg) {
-  auto* poller = static_cast<NetPoller*>(arg);
-  thread_setname(0, "netpoller");
-  while (!poller->stopping_.load(std::memory_order_acquire)) {
-    // The poller thread is bound, so this indefinite kernel wait parks its own
-    // LWP only — the pool keeps running application threads, and the
-    // SIGWAITING watchdog (which inspects pool LWPs) is unaffected.
-    KernelWaitScope wait(/*indefinite=*/true);
-    int woken = poller->PollOnce(/*timeout_ms=*/-1);
-    if (woken < 0) {
-      break;  // epoll fd destroyed under us (should not happen)
-    }
-  }
-}
-
-int NetPoller::StartDedicated() {
-  SpinLockGuard guard(lifecycle_lock_);
-  if (dedicated_running_.load(std::memory_order_acquire)) {
-    return 0;
-  }
-  stopping_.store(false, std::memory_order_release);
-  g_mode.store(Mode::kDedicated, std::memory_order_release);
-  thread_id_t id = thread_create(nullptr, 0, &NetPoller::DedicatedLoop, this,
-                                 THREAD_BIND_LWP | THREAD_WAIT);
-  if (id == kInvalidThreadId) {
-    g_mode.store(Mode::kInline, std::memory_order_release);
-    errno = EAGAIN;
-    return -1;
-  }
-  dedicated_thread_ = id;
-  dedicated_running_.store(true, std::memory_order_release);
+int NetPoller::Start() {
+  g_stopped.store(false, std::memory_order_release);
   return 0;
 }
 
 int NetPoller::Stop() {
-  SpinLockGuard guard(lifecycle_lock_);
-  g_mode.store(Mode::kStopped, std::memory_order_release);
-  if (dedicated_running_.load(std::memory_order_acquire)) {
-    stopping_.store(true, std::memory_order_release);
-    Kick();
-    thread_wait(dedicated_thread_);
-    dedicated_running_.store(false, std::memory_order_release);
-    dedicated_thread_ = 0;
-  }
+  g_stopped.store(true, std::memory_order_release);
   // Wake everyone still parked; their WaitReady returns ECANCELED.
   int highwater = fd_highwater_.load(std::memory_order_acquire);
   for (int fd = 0; fd < highwater; ++fd) {
@@ -418,80 +415,7 @@ int NetPoller::Stop() {
 }
 
 bool NetPoller::Running() const {
-  Mode mode = g_mode.load(std::memory_order_acquire);
-  if (mode == Mode::kStopped) {
-    return false;
-  }
-  if (mode == Mode::kDedicated) {
-    return dedicated_running_.load(std::memory_order_acquire);
-  }
-  return registered_count_.load(std::memory_order_relaxed) > 0;
-}
-
-// ---- Inline fallback --------------------------------------------------------
-
-int NetPoller::PollInline() {
-  if (g_mode.load(std::memory_order_acquire) != Mode::kInline ||
-      parked_count_.load(std::memory_order_acquire) == 0) {
-    return -1;  // nothing to do: deep-park is fine
-  }
-  // One inline poller at a time; contenders report "polled nothing" so their
-  // LWP stays in the shallow ParkFor loop and can take over next period.
-  if (inline_poll_busy_.exchange(1, std::memory_order_acquire) != 0) {
-    return 0;
-  }
-  int woken = PollOnce(/*timeout_ms=*/0);
-  inline_poll_busy_.store(0, std::memory_order_release);
-  return woken < 0 ? 0 : woken;
-}
-
-int NetPoller::IdlePollHook() {
-  NetPoller* poller = g_poller.load(std::memory_order_acquire);
-  if (poller == nullptr) {
-    return -1;
-  }
-  return poller->PollInline();
-}
-
-// Timer-engine backstop for inline mode: idle LWPs poll opportunistically, but
-// if every LWP is busy running compute threads nobody reaches the idle path —
-// this tick keeps parked net waiters from starving. Armed ONCE as a periodic
-// timer while waiters exist: the old shape re-armed a fresh one-shot per
-// millisecond, which is exactly the arm/cancel churn the sharded timer wheel
-// exists to avoid paying for.
-void NetPoller::InlineTick(void* cookie, uint64_t) {
-  auto* poller = static_cast<NetPoller*>(cookie);
-  poller->PollInline();
-  if (g_mode.load(std::memory_order_acquire) == Mode::kInline &&
-      poller->parked_count_.load(std::memory_order_acquire) > 0) {
-    return;  // still needed: the periodic re-fires on its own
-  }
-  // Nothing left to back-stop: disarm from inside our own fire. The exchange
-  // closes the window where ArmInlineTick has armed the timer but not yet
-  // published its id — in that case skip the disarm and let the next fire
-  // retry with the id visible.
-  uint64_t id = poller->inline_tick_timer_.exchange(0, std::memory_order_acq_rel);
-  if (id == 0) {
-    return;
-  }
-  timer_cancel(id);  // our own in-flight fire: -1, suppresses the re-arm
-  poller->inline_tick_armed_.store(false, std::memory_order_release);
-  // A waiter may have parked between the check above and the disarm; re-check
-  // so it cannot be stranded with no backstop armed.
-  if (g_mode.load(std::memory_order_acquire) == Mode::kInline &&
-      poller->parked_count_.load(std::memory_order_acquire) > 0) {
-    poller->ArmInlineTick();
-  }
-}
-
-void NetPoller::ArmInlineTick() {
-  if (inline_tick_armed_.exchange(true, std::memory_order_acq_rel)) {
-    return;
-  }
-  inline_tick_timer_.store(
-      timer_arm_callback_periodic(kInlinePollPeriodNs, kInlinePollPeriodNs,
-                                  &NetPoller::InlineTick, this, 0),
-      std::memory_order_release);
+  return !g_stopped.load(std::memory_order_acquire);
 }
 
 }  // namespace sunmt

@@ -1,6 +1,6 @@
 // The NetPoller: one epoll(7) instance, a per-fd registration table mapping
-// readiness to parked TCBs, and the dispatch machinery shared by the dedicated
-// bound-LWP loop and the inline (scheduler idle path) fallback.
+// readiness to parked TCBs, and the poll/dispatch step that the LWP pool runs
+// (src/core's poll-owner protocol: Runtime::EnterIdle and PollIfUnowned).
 //
 // Internal to src/net; applications use net.h.
 
@@ -11,7 +11,6 @@
 #include <cstdint>
 
 #include "src/core/tcb.h"
-#include "src/core/thread.h"
 #include "src/util/spinlock.h"
 
 namespace sunmt {
@@ -47,13 +46,12 @@ class NetPoller {
   static bool Exists();
 
   // ---- Lifecycle ------------------------------------------------------------
-  // Launches the dedicated bound poller thread. Idempotent. -1 on failure.
-  int StartDedicated();
-  // Stops the dedicated thread (if any), wakes every parked waiter with
-  // ECANCELED, and suspends readiness delivery until restarted.
+  // Resumes readiness delivery after Stop(); starts no thread. Idempotent.
+  int Start();
+  // Wakes every parked waiter with ECANCELED and suspends readiness delivery
+  // (new waits fail with ECANCELED) until Start().
   int Stop();
-  // Events are being delivered: dedicated loop running, or inline fallback
-  // armed by at least one registration.
+  // Events are being delivered: not stopped.
   bool Running() const;
 
   // ---- Registration ---------------------------------------------------------
@@ -68,25 +66,23 @@ class NetPoller {
   // registered). timeout_ns < 0 waits forever; 0 returns without parking.
   int WaitReady(int fd, uint32_t events, int64_t timeout_ns);
 
-  // Threads currently parked on readiness (tests/introspection).
-  int ParkedCount() const { return parked_count_.load(std::memory_order_relaxed); }
+  // Threads currently parked on readiness (the pool's "poll needed" test,
+  // tests and introspection).
+  int ParkedCount() const { return parked_count_.load(std::memory_order_seq_cst); }
 
   // Fds currently registered (introspection via net_backend_snapshot).
   int RegisteredCount() const {
     return registered_count_.load(std::memory_order_relaxed);
   }
 
-  // ---- Inline fallback ------------------------------------------------------
-  // One nonblocking epoll_wait + dispatch, used by the scheduler's idle path
-  // and the anti-starvation timer tick when no dedicated LWP is configured.
-  // Returns the number of threads woken (0 also when another caller holds the
-  // inline-poll claim), or -1 if inline polling is not needed at all
-  // (dedicated loop running, or nobody parked) and deep-parking the LWP is fine.
-  int PollInline();
+  // ---- Polling (run by pool LWPs and the watchdog, see NetPollOps) ----------
+  // One epoll_wait with `timeout_ms` (-1 blocks: the poll owner only) and the
+  // wakes it delivers. Returns the number of threads woken, or -1 on an
+  // epoll_wait error other than EINTR.
+  int Poll(int timeout_ms);
 
-  // Scheduler idle-path adapter: PollInline() on the singleton, -1 if it was
-  // never created. Installed via sched::SetIdlePollHook.
-  static int IdlePollHook();
+  // Makes a blocking Poll return, via the wakeup eventfd.
+  void Kick();
 
  private:
   NetPoller();
@@ -104,36 +100,19 @@ class NetPoller {
   // Applies one epoll event: latches readiness, collects waiters.
   void DispatchEvent(int fd, uint32_t epoll_events, Tcb** wake_head, Tcb** wake_tail);
 
-  // Drains the epoll instance once with `timeout_ms`; wakes waiters. Returns
-  // the number of threads woken, or -1 on epoll_wait error (EINTR excluded).
-  int PollOnce(int timeout_ms);
-
-  // Kicks a blocking epoll_wait (dedicated loop) via the wakeup eventfd.
-  void Kick();
-
-  static void DedicatedLoop(void* arg);
-  static void InlineTick(void* cookie, uint64_t arg);
-  void ArmInlineTick();
-
   int epfd_ = -1;
   int wakeup_fd_ = -1;
 
   // fd -> entry, lock-free for readers. Sized for RLIMIT_NOFILE-scale servers;
-  // fds beyond the table fall back to the blocking path (Register fails).
+  // fds beyond the table fall back to the blocking path (Register fails). The
+  // 512 KiB table is an anonymous mapping: its pages start zero and become
+  // resident only where fds are used.
   static constexpr int kMaxFds = 65536;
   std::atomic<FdEntry*>* table_;
   std::atomic<int> fd_highwater_{0};  // one past the largest fd ever registered
 
-  mutable SpinLock lifecycle_lock_;
-  std::atomic<bool> dedicated_running_{false};
-  std::atomic<bool> stopping_{false};
-  thread_id_t dedicated_thread_ = 0;
-
   std::atomic<int> registered_count_{0};
   std::atomic<int> parked_count_{0};
-  std::atomic<bool> inline_tick_armed_{false};
-  std::atomic<uint64_t> inline_tick_timer_{0};  // periodic backstop timer id
-  std::atomic<uint32_t> inline_poll_busy_{0};  // single inline poller at a time
 };
 
 }  // namespace sunmt

@@ -15,6 +15,10 @@ namespace {
 
 using sunmt_test::Join;
 using sunmt_test::Spawn;
+using sunmt_test::WaitForState;
+using sunmt_test::WaitUntil;
+
+constexpr int64_t kWaitNs = 5'000'000'000;
 
 TEST(Condvar, ZeroInitializedIsUsable) {
   static mutex_t mu;
@@ -49,9 +53,7 @@ TEST(Condvar, SignalWithNoWaitersIsLost) {
     woke.store(true);
     mutex_exit(&mu);
   });
-  for (int i = 0; i < 50; ++i) {
-    thread_yield();
-  }
+  ASSERT_TRUE(WaitForState(id, "BLOCKED", kWaitNs));  // parked in cv_wait
   EXPECT_FALSE(woke.load());
   mutex_enter(&mu);
   cv_signal(&cv);
@@ -70,9 +72,7 @@ TEST(Condvar, WaitReleasesMutexWhileBlocked) {
     cv_wait(&cv, &mu);
     mutex_exit(&mu);
   });
-  for (int i = 0; i < 20; ++i) {
-    thread_yield();
-  }
+  ASSERT_TRUE(WaitForState(waiter, "BLOCKED", kWaitNs));
   // The waiter is blocked in cv_wait; the mutex must be free.
   thread_id_t prober = Spawn([&] {
     got_lock.store(mutex_tryenter(&mu));
@@ -104,16 +104,13 @@ TEST(Condvar, SignalWakesExactlyOne) {
       mutex_exit(&mu);
     }));
   }
-  while (waiting.load() < kWaiters) {
-    thread_yield();
-  }
-  for (int i = 0; i < 20; ++i) {
-    thread_yield();
+  // Past mutex_enter, a waiter's only blocking point is cv_wait.
+  ASSERT_TRUE(WaitUntil([] { return waiting.load() == kWaiters; }, kWaitNs));
+  for (thread_id_t id : ids) {
+    ASSERT_TRUE(WaitForState(id, "BLOCKED", kWaitNs));
   }
   cv_signal(&cv);
-  for (int i = 0; i < 50; ++i) {
-    thread_yield();
-  }
+  EXPECT_TRUE(WaitUntil([] { return woke.load() >= 1; }, kWaitNs));
   EXPECT_EQ(woke.load(), 1);
   cv_broadcast(&cv);  // release the rest
   for (thread_id_t id : ids) {

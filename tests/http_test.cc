@@ -312,6 +312,71 @@ TEST(HttpCache, HitMissEvictRemove) {
   EXPECT_EQ(cache.Lookup("/huge"), nullptr);
 }
 
+// Eviction hands the body buffers of entries nobody holds to later inserts.
+// An entry still held from Lookup (a responder mid-send) keeps its bytes, and
+// `bytes` counts exactly the live entries throughout.
+TEST(HttpCache, EvictionRecyclesOnlyUnheldBodies) {
+  HttpCache cache(/*shards=*/1, /*max_bytes=*/256);  // two 100-byte bodies fit
+  const std::string held_body(100, 'h');
+  cache.Insert("/held", {200, "t/p", {}, held_body});
+  std::shared_ptr<const HttpCache::Entry> held = cache.Lookup("/held");
+  ASSERT_NE(held, nullptr);
+  const char* held_bytes = held->body.data();
+  cache.Insert("/free", {200, "t/p", {}, std::string(100, 'f')});
+  const char* free_bytes = cache.Lookup("/free")->body.data();
+  auto live_bytes = [&cache](std::initializer_list<const char*> keys) {
+    size_t sum = 0;
+    for (const char* key : keys) {
+      auto entry = cache.Lookup(key);
+      sum += entry != nullptr ? entry->body.size() + strlen(key) : 0;
+    }
+    return sum;
+  };
+  // Each insert evicts the oldest entry: /held first (still held, so its
+  // buffer stays with its holder), then /free (recycled into /n1), and so on.
+  cache.Insert("/n0", {200, "t/p", {}, std::string(100, '0')});
+  EXPECT_EQ(cache.Lookup("/held"), nullptr);
+  EXPECT_EQ(cache.SnapshotStats().bytes, live_bytes({"/free", "/n0"}));
+  cache.Insert("/n1", {200, "t/p", {}, std::string(100, '1')});
+  auto n1 = cache.Lookup("/n1");
+  ASSERT_NE(n1, nullptr);
+  EXPECT_EQ(n1->body.data(), free_bytes);
+  EXPECT_EQ(n1->body, std::string(100, '1'));
+  n1.reset();
+  EXPECT_EQ(cache.SnapshotStats().bytes, live_bytes({"/n0", "/n1"}));
+  for (char c = '2'; c <= '5'; ++c) {
+    std::string key = std::string("/n") + c;
+    cache.Insert(key, {200, "t/p", {}, std::string(100, c)});
+    auto entry = cache.Lookup(key);
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry->body, std::string(100, c));
+  }
+  HttpCache::Stats stats = cache.SnapshotStats();
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.bytes, live_bytes({"/n4", "/n5"}));
+  EXPECT_EQ(stats.bytes, 206u);
+  EXPECT_EQ(stats.evictions, 6u);
+  // A replaced entry keeps its FIFO position: /n4 is still the next victim.
+  cache.Insert("/n5", {200, "t/p", {}, std::string(50, 'r')});
+  EXPECT_EQ(cache.SnapshotStats().bytes, live_bytes({"/n4", "/n5"}));
+  cache.Insert("/n6", {200, "t/p", {}, std::string(100, '6')});
+  EXPECT_EQ(cache.Lookup("/n4"), nullptr);
+  ASSERT_NE(cache.Lookup("/n5"), nullptr);
+  EXPECT_EQ(cache.Lookup("/n5")->body, std::string(50, 'r'));
+  EXPECT_EQ(cache.SnapshotStats().bytes, live_bytes({"/n5", "/n6"}));
+  // A small body does not take a much larger evicted buffer: the budget
+  // counts sizes, so that would hide the difference from it.
+  cache.Insert("/x", {200, "t/p", {}, std::string(97, 'x')});  // fills to 255
+  cache.Insert("/y", {200, "t/p", {}, std::string(20, 'y')});  // evicts /n5
+  EXPECT_EQ(cache.Lookup("/n5"), nullptr);
+  ASSERT_NE(cache.Lookup("/y"), nullptr);
+  EXPECT_LT(cache.Lookup("/y")->body.capacity(), 100u);
+  EXPECT_EQ(cache.SnapshotStats().bytes, live_bytes({"/n6", "/x", "/y"}));
+  // The held entry never changed under its holder.
+  EXPECT_EQ(held->body.data(), held_bytes);
+  EXPECT_EQ(held->body, held_body);
+}
+
 TEST(HttpCache, SharedStatsClimbTheAnnotatedHierarchy) {
   HttpCache cache(/*shards=*/2, /*max_bytes=*/1 << 16);
   alignas(HttpCacheSharedStats) static char block[sizeof(HttpCacheSharedStats)];

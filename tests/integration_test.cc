@@ -131,6 +131,9 @@ TEST(Integration, DatabaseServerMixedBoundUnbound) {
   for (thread_id_t id : handlers) {
     EXPECT_TRUE(Join(id));
   }
+  // The handlers may all finish before the flusher's own LWP gets going.
+  EXPECT_TRUE(sunmt_test::WaitUntil([] { return flushes.load() > 0; },
+                                    5'000'000'000));
   stop_flusher.store(true);
   EXPECT_TRUE(Join(flusher));
 
@@ -224,8 +227,8 @@ TEST(Integration, IntrospectionDuringLoad) {
   for (int i = 0; i < 10; ++i) {
     ids.push_back(Spawn([&] { sema_p(&gate); }));
   }
-  for (int i = 0; i < 30; ++i) {
-    thread_yield();
+  for (thread_id_t id : ids) {
+    EXPECT_TRUE(sunmt_test::WaitForState(id, "BLOCKED", 5'000'000'000));
   }
   std::vector<ThreadSnapshot> threads;
   SnapshotThreads(&threads);

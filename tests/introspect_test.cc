@@ -15,6 +15,9 @@ namespace {
 
 using sunmt_test::Join;
 using sunmt_test::Spawn;
+using sunmt_test::WaitForState;
+
+constexpr int64_t kWaitNs = 5'000'000'000;
 
 TEST(Introspect, SeesMainThread) {
   thread_id_t self = thread_get_id();
@@ -35,9 +38,7 @@ TEST(Introspect, ShowsBlockedAndRunnableStates) {
   static sema_t gate;
   sema_init(&gate, 0, 0, nullptr);
   thread_id_t blocked = Spawn([&] { sema_p(&gate); });
-  for (int i = 0; i < 30; ++i) {
-    thread_yield();
-  }
+  ASSERT_TRUE(WaitForState(blocked, "BLOCKED", kWaitNs));
   std::vector<ThreadSnapshot> threads;
   SnapshotThreads(&threads);
   bool saw_blocked = false;
@@ -75,9 +76,7 @@ TEST(Introspect, LwpSnapshotIncludesPoolAndBound) {
   static sema_t gate;
   sema_init(&gate, 0, 0, nullptr);
   thread_id_t bound = Spawn([&] { sema_p(&gate); }, THREAD_WAIT | THREAD_BIND_LWP);
-  for (int i = 0; i < 30; ++i) {
-    thread_yield();
-  }
+  ASSERT_TRUE(WaitForState(bound, "BLOCKED", kWaitNs));
   std::vector<LwpSnapshot> lwps;
   SnapshotLwps(&lwps);
   size_t pool_count = 0;
@@ -99,9 +98,7 @@ TEST(Introspect, FormattedDumpMentionsEverything) {
   static sema_t gate;
   sema_init(&gate, 0, 0, nullptr);
   thread_id_t worker = Spawn([&] { sema_p(&gate); });
-  for (int i = 0; i < 30; ++i) {
-    thread_yield();
-  }
+  ASSERT_TRUE(WaitForState(worker, "BLOCKED", kWaitNs));
   std::string dump = FormatProcessState();
   EXPECT_NE(dump.find("THREADS"), std::string::npos);
   EXPECT_NE(dump.find("LWPS"), std::string::npos);

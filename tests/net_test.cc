@@ -1,11 +1,14 @@
 // Netpoller tests: park/wake on readiness, deadlines, concurrent waiters on
-// one fd, io_* routing, the SIGWAITING contrast (poller keeps the pool flat
-// where the blocking path must grow it), and shutdown under parked threads.
+// one fd, io_* routing, the pool's poll-owner protocol (watchdog backstop,
+// bound-thread hand-off, SIGWAITING and shrink with an owner in epoll_wait),
+// the SIGWAITING contrast (poller keeps the pool flat where the blocking path
+// must grow it), and shutdown under parked threads.
 //
 // Test order is load-bearing (gtest runs tests in declaration order within a
-// binary): inline-fallback tests run before net_poller_start() switches the
-// process to dedicated mode, and the pool-growth / shutdown tests run last
-// because the pool never shrinks and a stopped poller stays stopped.
+// binary): the first tests run before any net_poller_start() call, the
+// owner-protocol tests need the configured two-LWP pool, and the pool-growth /
+// shutdown tests run last because the pool never shrinks on its own and a
+// stopped poller stays stopped.
 
 #include <gtest/gtest.h>
 
@@ -35,6 +38,7 @@ namespace {
 
 using sunmt_test::Join;
 using sunmt_test::Spawn;
+using sunmt_test::WaitUntil;
 
 constexpr int64_t kMs = 1000 * 1000;
 constexpr int64_t kSec = 1000 * kMs;
@@ -43,16 +47,25 @@ void MakeSocketpair(int fds[2]) {
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
 }
 
-void WaitFor(const std::atomic<bool>& flag, int64_t timeout_ns = 5 * kSec) {
-  int64_t deadline = MonotonicNowNs() + timeout_ns;
-  while (!flag.load() && MonotonicNowNs() < deadline) {
-    usleep(1000);
-  }
+std::vector<Runtime::LwpInfo> PoolLwps() {
+  std::vector<Runtime::LwpInfo> lwps;
+  Runtime::Get().SnapshotLwps(&lwps);
+  return lwps;
 }
 
-// ---- Inline fallback (before any net_poller_start) --------------------------
+// Id of the pool LWP that owns the blocking poll, or -1.
+int PollOwnerId() {
+  for (const Runtime::LwpInfo& lwp : PoolLwps()) {
+    if (lwp.poll_owner) {
+      return lwp.id;
+    }
+  }
+  return -1;
+}
 
-TEST(NetInline, RegisterMakesNonblockingAndIsIdempotent) {
+// ---- Before any net_poller_start --------------------------------------------
+
+TEST(NetPoller, RegisterMakesNonblockingAndIsIdempotent) {
   int fds[2];
   MakeSocketpair(fds);
   EXPECT_FALSE(net_is_registered(fds[0]));
@@ -67,7 +80,7 @@ TEST(NetInline, RegisterMakesNonblockingAndIsIdempotent) {
   close(fds[1]);
 }
 
-TEST(NetInline, ParkAndWakeWithoutDedicatedPoller) {
+TEST(NetPoller, ParkAndWakeWithoutStart) {
   int fds[2];
   MakeSocketpair(fds);
   ASSERT_EQ(net_register(fds[0]), 0);
@@ -85,7 +98,7 @@ TEST(NetInline, ParkAndWakeWithoutDedicatedPoller) {
   EXPECT_FALSE(done.load());  // parked on readiness, not finished
   char msg = 'i';
   ASSERT_EQ(write(fds[1], &msg, 1), 1);
-  WaitFor(done);
+  WaitUntil([] { return done.load(); }, 5 * kSec);
   EXPECT_TRUE(Join(reader));
   EXPECT_EQ(got.load(), 'i');
   EXPECT_EQ(net_unregister(fds[0]), 0);
@@ -93,7 +106,7 @@ TEST(NetInline, ParkAndWakeWithoutDedicatedPoller) {
   close(fds[1]);
 }
 
-TEST(NetInline, DeadlineExpiresWithEtime) {
+TEST(NetPoller, DeadlineExpiresWithEtime) {
   int fds[2];
   MakeSocketpair(fds);
   ASSERT_EQ(net_register(fds[0]), 0);
@@ -107,24 +120,24 @@ TEST(NetInline, DeadlineExpiresWithEtime) {
   close(fds[1]);
 }
 
-// ---- Dedicated mode ---------------------------------------------------------
+// ---- After net_poller_start --------------------------------------------------
 
-TEST(NetDedicated, StartIsIdempotentAndKeepsPoolFree) {
+TEST(NetPoller, StartIsIdempotentAndKeepsPoolFree) {
   size_t lwps_before = LwpRegistry::Count();
+  int pool_before = Runtime::Get().pool_size();
   ASSERT_EQ(net_poller_start(), 0);
   EXPECT_EQ(net_poller_start(), 0);
   EXPECT_TRUE(net_poller_running());
-  // The poller runs on its own bound LWP: exactly one new LWP, pool unchanged.
-  // (The LWP registers itself from its own start routine, hence the poll.)
-  int64_t deadline = MonotonicNowNs() + 5 * kSec;
-  while (LwpRegistry::Count() < lwps_before + 1 && MonotonicNowNs() < deadline) {
-    usleep(1000);
-  }
-  EXPECT_EQ(LwpRegistry::Count(), lwps_before + 1);
+  // The pool polls: starting the poller adds no LWP and leaves the pool as is.
+  // (A new LWP would register itself from its own start routine; give one
+  // the time to show up.)
+  usleep(20 * 1000);
+  EXPECT_EQ(LwpRegistry::Count(), lwps_before);
+  EXPECT_EQ(Runtime::Get().pool_size(), pool_before);
   EXPECT_EQ(Runtime::Get().pool_size(), 2);
 }
 
-TEST(NetDedicated, ParkAndWake) {
+TEST(NetPoller, ParkAndWake) {
   int fds[2];
   MakeSocketpair(fds);
   ASSERT_EQ(net_register(fds[0]), 0);
@@ -146,7 +159,7 @@ TEST(NetDedicated, ParkAndWake) {
   EXPECT_EQ(net_read(fds[0], reply, sizeof(reply)), 4);
   EXPECT_EQ(memcmp(reply, "ping", 4), 0);
   EXPECT_EQ(thread_errno(), 0);
-  WaitFor(done);
+  WaitUntil([] { return done.load(); }, 5 * kSec);
   EXPECT_TRUE(Join(echo));
   EXPECT_GT(GlobalSchedStats().net_parks.Load(), parks_before);
   EXPECT_EQ(net_parked_count(), 0);
@@ -156,7 +169,7 @@ TEST(NetDedicated, ParkAndWake) {
   close(fds[1]);
 }
 
-TEST(NetDedicated, DeadlineAndNonblockingTry) {
+TEST(NetPoller, DeadlineAndNonblockingTry) {
   int fds[2];
   MakeSocketpair(fds);
   ASSERT_EQ(net_register(fds[0]), 0);
@@ -178,7 +191,7 @@ TEST(NetDedicated, DeadlineAndNonblockingTry) {
   close(fds[1]);
 }
 
-TEST(NetDedicated, ConcurrentReadersAndWritersOnOneFd) {
+TEST(NetPoller, ConcurrentReadersAndWritersOnOneFd) {
   constexpr int kReaders = 4;
   constexpr int kMessages = 64;  // per writer direction
   int fds[2];
@@ -231,7 +244,7 @@ TEST(NetDedicated, ConcurrentReadersAndWritersOnOneFd) {
   close(fds[1]);
 }
 
-TEST(NetDedicated, AcceptConnectLoopbackWithPeerAddress) {
+TEST(NetPoller, AcceptConnectLoopbackWithPeerAddress) {
   int listener = socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(listener, 0);
   int one = 1;
@@ -274,7 +287,7 @@ TEST(NetDedicated, AcceptConnectLoopbackWithPeerAddress) {
   char buf[8] = {};
   ASSERT_EQ(net_read(conn, buf, sizeof(buf)), 5);
   ASSERT_EQ(net_write(conn, buf, 5), 5);
-  WaitFor(client_ok);
+  WaitUntil([] { return client_ok.load(); }, 5 * kSec);
   EXPECT_TRUE(Join(client));
   EXPECT_TRUE(client_ok.load());
   net_unregister(conn);
@@ -283,7 +296,7 @@ TEST(NetDedicated, AcceptConnectLoopbackWithPeerAddress) {
   close(listener);
 }
 
-TEST(NetDedicated, IoWrappersRouteRegisteredFdsThroughPoller) {
+TEST(NetPoller, IoWrappersRouteRegisteredFdsThroughPoller) {
   int fds[2];
   MakeSocketpair(fds);
   ASSERT_EQ(net_register(fds[0]), 0);
@@ -310,7 +323,7 @@ TEST(NetDedicated, IoWrappersRouteRegisteredFdsThroughPoller) {
   close(fds[1]);
 }
 
-TEST(NetDedicated, WritevGathersAcrossEntries) {
+TEST(NetPoller, WritevGathersAcrossEntries) {
   int fds[2];
   MakeSocketpair(fds);
   ASSERT_EQ(net_register(fds[0]), 0);
@@ -338,7 +351,7 @@ TEST(NetDedicated, WritevGathersAcrossEntries) {
 
 // A payload much larger than the socket buffer forces partial writes; the
 // continuation must resume mid-entry and preserve byte order end to end.
-TEST(NetDedicated, WritevContinuesAcrossPartialWrites) {
+TEST(NetPoller, WritevContinuesAcrossPartialWrites) {
   int fds[2];
   MakeSocketpair(fds);
   ASSERT_EQ(net_register(fds[0]), 0);
@@ -373,7 +386,7 @@ TEST(NetDedicated, WritevContinuesAcrossPartialWrites) {
   close(fds[1]);
 }
 
-TEST(NetDedicated, WritevDeadlineExpiresWithEtime) {
+TEST(NetPoller, WritevDeadlineExpiresWithEtime) {
   int fds[2];
   MakeSocketpair(fds);
   ASSERT_EQ(net_register(fds[0]), 0);
@@ -398,7 +411,7 @@ TEST(NetDedicated, WritevDeadlineExpiresWithEtime) {
 
 // Under forced short transfers every writev degrades to partial sends; the
 // continuation loop must still deliver every byte exactly once.
-TEST(NetDedicated, WritevSurvivesInjectedShortTransfers) {
+TEST(NetPoller, WritevSurvivesInjectedShortTransfers) {
   int fds[2];
   MakeSocketpair(fds);
   ASSERT_EQ(net_register(fds[0]), 0);
@@ -437,7 +450,7 @@ TEST(NetDedicated, WritevSurvivesInjectedShortTransfers) {
 
 // HttpServer::Stop relies on this: unregistering an fd wakes the threads
 // parked on it with ECANCELED instead of leaving them parked.
-TEST(NetDedicated, UnregisterCancelsParkedWaiter) {
+TEST(NetPoller, UnregisterCancelsParkedWaiter) {
   int fds[2];
   MakeSocketpair(fds);
   ASSERT_EQ(net_register(fds[0]), 0);
@@ -461,11 +474,248 @@ TEST(NetDedicated, UnregisterCancelsParkedWaiter) {
   close(fds[1]);
 }
 
+// ---- The poll-owner protocol ---------------------------------------------------
+
+// Runs one compute thread per pool LWP until destroyed. thread_yield with
+// nothing else queued returns at once, so each keeps its LWP from reaching a
+// dispatch: no LWP polls before stealing or owns the poll meanwhile.
+class EveryLwpComputing {
+ public:
+  EveryLwpComputing() {
+    stop_.store(false);
+    for (int i = 0; i < Runtime::Get().pool_size(); ++i) {
+      ids_.push_back(Spawn([] {
+        while (!stop_.load()) {
+          thread_yield();
+        }
+      }));
+    }
+    running_ = WaitUntil(
+        [this] {
+          std::vector<Runtime::LwpInfo> lwps = PoolLwps();
+          for (const Runtime::LwpInfo& lwp : lwps) {
+            bool computing = false;
+            for (thread_id_t id : ids_) {
+              computing = computing || lwp.running_thread == id;
+            }
+            if (!computing || lwp.poll_owner) {
+              return false;
+            }
+          }
+          return !lwps.empty();
+        },
+        5 * kSec);
+  }
+  ~EveryLwpComputing() {
+    stop_.store(true);
+    for (thread_id_t id : ids_) {
+      EXPECT_TRUE(Join(id));
+    }
+  }
+  bool running() const { return running_; }
+
+ private:
+  static std::atomic<bool> stop_;
+  std::vector<thread_id_t> ids_;
+  bool running_ = false;
+};
+std::atomic<bool> EveryLwpComputing::stop_;
+
+// Watchdog backstop: with every pool LWP computing, nobody owns the poll or
+// polls before stealing. The watchdog's timeout-0 poll must still wake a
+// parked reader, which runs when a compute thread next yields.
+TEST(NetPoller, ReaderWakesWhileEveryLwpComputes) {
+  int fds[2];
+  MakeSocketpair(fds);
+  ASSERT_EQ(net_register(fds[0]), 0);
+  static std::atomic<bool> done;
+  done.store(false);
+  thread_id_t reader = Spawn([&] {
+    char ch;
+    done.store(net_read(fds[0], &ch, 1) == 1);
+  });
+  ASSERT_TRUE(WaitUntil([] { return net_parked_count() == 1; }, 5 * kSec));
+  {
+    EveryLwpComputing busy;
+    ASSERT_TRUE(busy.running());
+    ASSERT_EQ(write(fds[1], "w", 1), 1);
+    EXPECT_TRUE(WaitUntil([] { return done.load(); }, 5 * kSec));
+  }
+  EXPECT_TRUE(Join(reader));
+  EXPECT_TRUE(done.load());
+  net_unregister(fds[0]);
+  close(fds[0]);
+  close(fds[1]);
+}
+
+// A bound thread's LWP never reaches the pool's idle path. When it parks on an
+// fd while every pool LWP sleeps on its futex (nobody owns the poll), it hands
+// the poll to an idle pool LWP rather than wait for the watchdog.
+TEST(NetPoller, BoundParkerHandsThePollToAnIdleLwp) {
+  ASSERT_EQ(net_parked_count(), 0);
+  {
+    EveryLwpComputing busy;  // kicks out an owner left idle in epoll_wait
+    ASSERT_TRUE(busy.running());
+  }
+  ASSERT_TRUE(WaitUntil(
+      [] {
+        for (const Runtime::LwpInfo& lwp : PoolLwps()) {
+          if (lwp.running_thread != kInvalidThreadId || lwp.poll_owner) {
+            return false;
+          }
+        }
+        return true;
+      },
+      5 * kSec));
+  int fds[2];
+  MakeSocketpair(fds);
+  ASSERT_EQ(net_register(fds[0]), 0);
+  constexpr int kRounds = 20;
+  // Echoes kRounds bytes; each read parks the bound thread on the fd.
+  thread_id_t echo = Spawn(
+      [&] {
+        char ch;
+        for (int i = 0; i < kRounds; ++i) {
+          if (net_read(fds[0], &ch, 1) != 1 || net_write(fds[0], &ch, 1) != 1) {
+            return;
+          }
+        }
+      },
+      THREAD_WAIT | THREAD_BIND_LWP);
+  ASSERT_TRUE(WaitUntil([] { return net_parked_count() == 1; }, 5 * kSec));
+  EXPECT_TRUE(WaitUntil([] { return PollOwnerId() != -1; }, 5 * kSec))
+      << "no pool LWP took the poll for the parked bound thread";
+  for (int i = 0; i < kRounds; ++i) {
+    char ch = static_cast<char>('a' + i);
+    ASSERT_EQ(write(fds[1], &ch, 1), 1);
+    char back = 0;
+    ASSERT_EQ(read(fds[1], &back, 1), 1);  // plain blocking read
+    EXPECT_EQ(back, ch);
+  }
+  EXPECT_TRUE(Join(echo));
+  net_unregister(fds[0]);
+  close(fds[0]);
+  close(fds[1]);
+}
+
+// The poll owner's epoll_wait is idle time, not an indefinite kernel wait: with
+// one pool LWP owning the poll and the other pinned in a blocking io_read,
+// SIGWAITING must not grow the pool, and a newly runnable thread still runs
+// because NotifyWork kicks the owner out of epoll_wait.
+TEST(NetPoller, SigwaitingIgnoresThePollOwner) {
+  signal_enable_sigwaiting();
+  ASSERT_EQ(Runtime::Get().pool_size(), 2);
+  int sock[2];
+  MakeSocketpair(sock);
+  ASSERT_EQ(net_register(sock[0]), 0);
+  int pipefd[2];
+  ASSERT_EQ(pipe(pipefd), 0);
+  thread_id_t reader = Spawn([&] {
+    char ch;
+    net_read(sock[0], &ch, 1);
+  });
+  ASSERT_TRUE(WaitUntil([] { return net_parked_count() == 1; }, 5 * kSec));
+  thread_id_t blocker = Spawn([&] {
+    char ch;
+    io_read(pipefd[0], &ch, 1);  // unregistered: pins its LWP in the kernel
+  });
+  auto owner_and_pinned = [] {
+    int owners = 0;
+    int pinned = 0;
+    for (const Runtime::LwpInfo& lwp : PoolLwps()) {
+      owners += lwp.poll_owner ? 1 : 0;
+      pinned += !lwp.poll_owner && lwp.indefinite_wait ? 1 : 0;
+    }
+    return owners == 1 && pinned == 1;
+  };
+  ASSERT_TRUE(WaitUntil(owner_and_pinned, 5 * kSec));
+  for (const Runtime::LwpInfo& lwp : PoolLwps()) {
+    if (lwp.poll_owner) {
+      EXPECT_FALSE(lwp.indefinite_wait) << "the owner's epoll_wait counts for SIGWAITING";
+    }
+  }
+  int pool_before = Runtime::Get().pool_size();
+  uint64_t sigwaiting_before = Runtime::Get().sigwaiting_count();
+  static std::atomic<bool> ran;
+  ran.store(false);
+  thread_id_t runner = Spawn([] { ran.store(true); });
+  EXPECT_TRUE(WaitUntil([] { return ran.load(); }, 5 * kSec))
+      << "the runnable thread never ran: the poll owner was not kicked";
+  EXPECT_EQ(Runtime::Get().pool_size(), pool_before);
+  EXPECT_EQ(Runtime::Get().sigwaiting_count(), sigwaiting_before);
+  ASSERT_EQ(write(pipefd[1], "x", 1), 1);
+  ASSERT_EQ(write(sock[1], "y", 1), 1);
+  EXPECT_TRUE(Join(runner));
+  EXPECT_TRUE(Join(blocker));
+  EXPECT_TRUE(Join(reader));
+  net_unregister(sock[0]);
+  close(sock[0]);
+  close(sock[1]);
+  close(pipefd[0]);
+  close(pipefd[1]);
+}
+
+// thread_setconcurrency retires pool LWPs from the front of the pool; when
+// the poll owner is among them it sits in epoll_wait, not on its futex, and
+// must be kicked out for the shrink to complete. The poll then passes on.
+TEST(NetPoller, ShrinkRetiresThePollOwner) {
+  int fds[2];
+  MakeSocketpair(fds);
+  ASSERT_EQ(net_register(fds[0]), 0);
+  static std::atomic<bool> done;
+  done.store(false);
+  thread_id_t reader = Spawn([&] {
+    char ch;
+    done.store(net_read(fds[0], &ch, 1) == 1);
+  });
+  ASSERT_TRUE(WaitUntil([] { return PollOwnerId() != -1; }, 5 * kSec));
+  auto owner_index = [] {
+    std::vector<Runtime::LwpInfo> lwps = PoolLwps();
+    for (size_t i = 0; i < lwps.size(); ++i) {
+      if (lwps[i].poll_owner) {
+        return static_cast<int>(i);
+      }
+    }
+    return -1;
+  };
+  int n = static_cast<int>(PoolLwps().size());
+  int index = owner_index();
+  ASSERT_GE(index, 0);
+  if (index == n - 1) {
+    // The owner is last and would survive any shrink: add an LWP behind it.
+    // Nothing wakes the owner, so it keeps the poll.
+    ASSERT_EQ(thread_setconcurrency(n + 1), 0);
+    ++n;
+    ASSERT_TRUE(WaitUntil([&] { return static_cast<int>(PoolLwps().size()) == n; },
+                          5 * kSec));
+    index = owner_index();
+    ASSERT_GE(index, 0);
+    ASSERT_LT(index, n - 1);
+  }
+  int owner = PollOwnerId();
+  int target = n - index - 1;  // retires pool LWPs [0, index]
+  ASSERT_EQ(thread_setconcurrency(target), 0);
+  EXPECT_TRUE(WaitUntil([&] { return Runtime::Get().pool_size() == target; },
+                        5 * kSec))
+      << "shrink stalled: the poll owner was not kicked out of epoll_wait";
+  for (const Runtime::LwpInfo& lwp : PoolLwps()) {
+    EXPECT_NE(lwp.id, owner);
+  }
+  ASSERT_EQ(write(fds[1], "s", 1), 1);
+  EXPECT_TRUE(WaitUntil([] { return done.load(); }, 5 * kSec));
+  EXPECT_TRUE(Join(reader));
+  thread_setconcurrency(2);
+  thread_setconcurrency(0);  // back to automatic mode
+  net_unregister(fds[0]);
+  close(fds[0]);
+  close(fds[1]);
+}
+
 // The tentpole's economic claim, as a regression test: a storm of threads
 // blocked on socket I/O keeps the LWP pool flat when parked via the poller,
 // while the same storm on the blocking path must grow the pool (SIGWAITING)
 // to avoid deadlock.
-TEST(NetDedicated, SocketStormKeepsPoolFlatWhereBlockingPathGrowsIt) {
+TEST(NetPoller, SocketStormKeepsPoolFlatWhereBlockingPathGrowsIt) {
   signal_enable_sigwaiting();
   constexpr int kStorm = 12;
   int pool_before = Runtime::Get().pool_size();
@@ -524,8 +774,12 @@ TEST(NetDedicated, SocketStormKeepsPoolFlatWhereBlockingPathGrowsIt) {
   static std::atomic<bool> runner_done;
   runner_done.store(false);
   thread_id_t runner = Spawn([&] { runner_done.store(true); });
-  WaitFor(runner_done);
+  WaitUntil([] { return runner_done.load(); }, 5 * kSec);
   EXPECT_TRUE(runner_done.load()) << "SIGWAITING never grew the pool";
+  // The runner may get an LWP before every blocker has pinned one, but four
+  // blockers on the smaller pool leave some queued behind pinned LWPs, and
+  // only SIGWAITING growth can run those.
+  WaitUntil([&] { return Runtime::Get().pool_size() > pool_before; }, 5 * kSec);
   EXPECT_GT(Runtime::Get().pool_size(), pool_before);
   EXPECT_GT(Runtime::Get().sigwaiting_count(), sigwaiting_before);
   for (auto& p : pipes) {

@@ -16,6 +16,9 @@ namespace {
 
 using sunmt_test::Join;
 using sunmt_test::Spawn;
+using sunmt_test::WaitForState;
+
+constexpr int64_t kWaitNs = 5'000'000'000;
 
 TEST(Rwlock, ZeroInitializedIsUsable) {
   static rwlock_t rw;
@@ -127,18 +130,14 @@ TEST(Rwlock, NewReadersQueueBehindWaitingWriter) {
     writer_done.store(1);
     rw_exit(&rw);
   });
-  for (int i = 0; i < 20; ++i) {
-    thread_yield();
-  }
+  ASSERT_TRUE(WaitForState(writer, "BLOCKED", kWaitNs));
   thread_id_t late_reader = Spawn([&] {
     rw_enter(&rw, RW_READER);  // must queue behind the waiting writer
     late_reader_in.store(1);
     EXPECT_EQ(writer_done.load(), 1);  // writer went first
     rw_exit(&rw);
   });
-  for (int i = 0; i < 30; ++i) {
-    thread_yield();
-  }
+  ASSERT_TRUE(WaitForState(late_reader, "BLOCKED", kWaitNs));
   EXPECT_EQ(late_reader_in.load(), 0);  // reader kept out while writer waits
   rw_exit(&rw);                         // release: writer, then reader
   EXPECT_TRUE(Join(writer));
@@ -228,9 +227,7 @@ TEST(Rwlock, TryupgradeFailsWhenWriterWaits) {
     writer_got.store(1);
     rw_exit(&rw);
   });
-  for (int i = 0; i < 20; ++i) {
-    thread_yield();
-  }
+  ASSERT_TRUE(WaitForState(writer, "BLOCKED", kWaitNs));
   // "If there are any writers waiting, it returns a failure indication."
   EXPECT_EQ(rw_tryupgrade(&rw), 0);
   rw_exit(&rw);

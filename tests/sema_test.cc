@@ -14,6 +14,10 @@ namespace {
 
 using sunmt_test::Join;
 using sunmt_test::Spawn;
+using sunmt_test::WaitForState;
+using sunmt_test::WaitUntil;
+
+constexpr int64_t kWaitNs = 5'000'000'000;
 
 TEST(Sema, ZeroInitializedIsUsableAsZeroCount) {
   static sema_t sem;  // zero storage == count 0
@@ -74,15 +78,13 @@ TEST(Sema, EveryVReleasesExactlyOneP) {
       through.fetch_add(1);
     }));
   }
-  for (int i = 0; i < 30; ++i) {
-    thread_yield();
+  for (thread_id_t id : ids) {
+    ASSERT_TRUE(WaitForState(id, "BLOCKED", kWaitNs));  // all parked in sema_p
   }
   EXPECT_EQ(through.load(), 0);
   for (int expect = 1; expect <= kWaiters; ++expect) {
     sema_v(&sem);
-    for (int i = 0; i < 50 && through.load() < expect; ++i) {
-      thread_yield();
-    }
+    EXPECT_TRUE(WaitUntil([expect] { return through.load() >= expect; }, kWaitNs));
     EXPECT_EQ(through.load(), expect);
   }
   for (thread_id_t id : ids) {

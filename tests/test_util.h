@@ -3,10 +3,16 @@
 #ifndef SUNMT_TESTS_TEST_UTIL_H_
 #define SUNMT_TESTS_TEST_UTIL_H_
 
+#include <string.h>
+#include <unistd.h>
+
 #include <functional>
 #include <utility>
+#include <vector>
 
 #include "src/core/thread.h"
+#include "src/introspect/introspect.h"
+#include "src/util/clock.h"
 
 namespace sunmt_test {
 
@@ -29,6 +35,38 @@ inline sunmt::thread_id_t Spawn(std::function<void()> fn, int flags = sunmt::THR
 
 // Waits for `id` to exit; returns true if the join succeeded.
 inline bool Join(sunmt::thread_id_t id) { return sunmt::thread_wait(id) == id; }
+
+// Polls `pred` every 100 us until it holds or `timeout_ns` passes; returns its
+// last value. For waiting on another thread's state instead of counting yields.
+template <typename Pred>
+bool WaitUntil(Pred pred, int64_t timeout_ns) {
+  int64_t deadline = sunmt::MonotonicNowNs() + timeout_ns;
+  while (!pred()) {
+    if (sunmt::MonotonicNowNs() >= deadline) {
+      return pred();
+    }
+    usleep(100);
+  }
+  return true;
+}
+
+// Waits until thread `id` shows `state` ("BLOCKED", "RUNNABLE", ...) in the
+// introspection snapshot: e.g. the peer has really blocked, not merely had N
+// yields' worth of time to get there.
+inline bool WaitForState(sunmt::thread_id_t id, const char* state, int64_t timeout_ns) {
+  return WaitUntil(
+      [id, state] {
+        std::vector<sunmt::ThreadSnapshot> threads;
+        sunmt::SnapshotThreads(&threads);
+        for (const sunmt::ThreadSnapshot& t : threads) {
+          if (t.id == id) {
+            return strcmp(t.state, state) == 0;
+          }
+        }
+        return false;
+      },
+      timeout_ns);
+}
 
 }  // namespace sunmt_test
 

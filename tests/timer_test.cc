@@ -26,8 +26,9 @@ std::atomic<uint64_t> g_alarm_thread{0};
 
 void AlarmHandler(int sig) {
   EXPECT_EQ(sig, SIG_ALRM);
-  g_alarms.fetch_add(1);
+  // Thread first: a waiter that sees the count must also see who handled it.
   g_alarm_thread.store(thread_get_id());
+  g_alarms.fetch_add(1);
 }
 
 TEST(Timer, RejectsBadArguments) {

@@ -47,9 +47,7 @@ TEST(Trace, CapturesThreadLifecycle) {
     sema_p(&gate);     // BLOCK
     thread_yield();    // possibly YIELD (only if other work is queued)
   });
-  for (int i = 0; i < 30; ++i) {
-    thread_yield();
-  }
+  EXPECT_TRUE(sunmt_test::WaitForState(worker, "BLOCKED", 5'000'000'000));
   sema_v(&gate);  // WAKE
   EXPECT_TRUE(Join(worker));
   std::vector<TraceRecord> records;
