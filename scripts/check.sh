@@ -4,12 +4,17 @@
 #   1. Regular build + full ctest (the ROADMAP tier-1 command), then the `net`
 #      and `http` labels again pinned to one CPU (taskset -c 0), where the
 #      netpoll owner, the threads it wakes and the watchdog share one core.
+#      Tier-1 runs once more on the portable ucontext context backend
+#      (SUNMT_FORCE_UCONTEXT, build-uc/), so the backend the x86-64 build
+#      never selects stays correct.
 #   2. SUNMT_SANITIZE=thread build, running the `net`, `http`, `stats`,
-#      `sched`, `lifecycle`, and `timer` labels — the netpoller's park/wake
-#      path, the HTTP server's connection/cache/logger fan-out, the trace/
-#      stats seqlock, the sharded run queue's steal/box migration, the
-#      magazine stack cache + sharded registry, and the timing wheel's
-#      lock-free cancel/claim protocol are the places a data race would live.
+#      `sched`, `lifecycle`, `timer` and `sync` labels — the netpoller's
+#      park/wake path, the HTTP server's connection/cache/logger fan-out, the
+#      trace/stats seqlock, the sharded run queue's steal/box migration, the
+#      magazine stack cache + sharded registry, the timing wheel's lock-free
+#      cancel/claim protocol, and the sync variables' hand-offs and timed
+#      waits (plus the pthread and C++ layers over them) are the places a
+#      data race would live.
 #   3. SUNMT_SANITIZE=address build, running the `lifecycle` and `timer`
 #      labels plus thread_test — thread stacks recycled through the magazine
 #      cache or handed back to the application, and the timer wheel's pooled
@@ -30,7 +35,9 @@
 #      reproduces it; the env lane's banner records its seed in the log.
 #   7. Benchmark lane: builds perfbench/ (a separate CMake project over the
 #      same src/) and runs each workload briefly, untraced, so a change that
-#      breaks the benchmark's build or its health checks fails here.
+#      breaks the benchmark's build or its health checks fails here; then the
+#      benchmark's own smoke test (metric names and units, traced counts,
+#      trace export, the refusal to run without src/).
 #
 # Usage: scripts/check.sh [jobs]   (default: nproc)
 
@@ -49,13 +56,19 @@ echo "== pinned: net + http labels on one CPU =="
 taskset -c 0 ctest --test-dir "$repo/build" --output-on-failure -L "net|http"
 
 echo
-echo "== tsan: net + http + stats + sched + lifecycle + timer labels =="
+echo "== ucontext: tier-1 on the portable context backend =="
+cmake -S "$repo" -B "$repo/build-uc" -DSUNMT_FORCE_UCONTEXT=ON >/dev/null
+cmake --build "$repo/build-uc" -j "$jobs"
+ctest --test-dir "$repo/build-uc" --output-on-failure -j "$jobs"
+
+echo
+echo "== tsan: net + http + stats + sched + lifecycle + timer + sync labels =="
 cmake -S "$repo" -B "$repo/build-tsan" -DSUNMT_SANITIZE=thread >/dev/null
 cmake --build "$repo/build-tsan" -j "$jobs"
 # TSan multiplies the http sweep's hand-offs ~10x; the smaller seed count
 # keeps it inside the per-test timeout (same trade as the inject lane below).
 SUNMT_SHAKEDOWN_SEEDS=16 \
-  ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" -L "net|http|stats|sched|lifecycle|timer"
+  ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" -L "net|http|stats|sched|lifecycle|timer|sync"
 
 echo
 echo "== asan: lifecycle + timer labels, thread_test =="
@@ -109,6 +122,7 @@ echo "== benchmark: perfbench workloads (untraced, 2 s each) =="
 for workload in http_keepalive http_churn forkjoin; do
   python3 "$repo/perfbench/run.py" --workload "$workload" --seed 1 --seconds 2 --trace 0
 done
+python3 "$repo/perfbench/smoke_test.py"
 
 echo
 echo "check.sh: all green"

@@ -86,7 +86,9 @@ void Runtime::ResetAfterFork() {
   //
   // Package-internal locks may have been copied in a locked state (the paper's
   // fork1 hazard, applied to the library itself); every layer repairs its own
-  // state here.
+  // state here. The LWP registry goes first, so a service thread a repair
+  // restarts never sees the parent's LWPs.
+  Lwp::DropCurrentAfterFork();
   int count = g_fork_handler_count.load(std::memory_order_acquire);
   for (int i = 0; i < count && i < kMaxForkHandlers; ++i) {
     ForkChildHandler handler = g_fork_handlers[i].load(std::memory_order_acquire);
@@ -100,7 +102,7 @@ void Runtime::ResetAfterFork() {
   TlsArena::ResetLockAfterFork();
   g_initialized.store(false, std::memory_order_release);
   g_runtime.store(nullptr, std::memory_order_release);
-  Lwp::DropCurrentAfterFork();
+  LwpClock::RestartAfterFork();
 }
 
 bool Runtime::IsInitialized() { return g_initialized.load(std::memory_order_acquire); }
@@ -112,23 +114,13 @@ void Runtime::Configure(const RuntimeConfig& config) {
 
 namespace {
 
-// Environment overrides, consulted only where Configure() left the default —
-// explicit configuration always wins. Lets operators tune a deployed binary
-// (pool size, timeslice, growth) without a rebuild.
+// Environment override, consulted only where Configure() left the default —
+// explicit configuration always wins. Sizes the pool of a process that cannot
+// call Configure() first, such as a fork1() child's rebuilt runtime.
 void ApplyEnvOverrides(RuntimeConfig* config) {
   const char* env;
   if (config->initial_pool_lwps <= 0 && (env = getenv("SUNMT_POOL_LWPS")) != nullptr) {
     config->initial_pool_lwps = atoi(env);
-  }
-  if (config->max_pool_lwps <= 0 && (env = getenv("SUNMT_MAX_POOL_LWPS")) != nullptr) {
-    config->max_pool_lwps = atoi(env);
-  }
-  if (config->preempt_timeslice_ns == 0 &&
-      (env = getenv("SUNMT_TIMESLICE_MS")) != nullptr) {
-    config->preempt_timeslice_ns = static_cast<int64_t>(atoi(env)) * 1000 * 1000;
-  }
-  if ((env = getenv("SUNMT_NO_AUTO_GROW")) != nullptr && env[0] == '1') {
-    config->auto_grow = false;
   }
 }
 

@@ -330,16 +330,19 @@ void MakeRunnable(Tcb* tcb) {
     Tcb* waker = CurrentTcb();
     Trace::Record(TraceEvent::kWake, tcb->id, waker != nullptr ? waker->id : 0);
   }
-  {
-    SpinLockGuard guard(tcb->state_lock);
-    tcb->state.store(ThreadState::kRunnable, std::memory_order_release);
-  }
   if (Stats::Enabled()) {
     tcb->runnable_since_ns.store(MonotonicNowNs(), std::memory_order_relaxed);
   }
-  if (tcb->IsBound()) {
-    tcb->bound_lwp->Unpark();
-    return;
+  {
+    SpinLockGuard guard(tcb->state_lock);
+    tcb->state.store(ThreadState::kRunnable, std::memory_order_release);
+    if (tcb->IsBound()) {
+      // Kicked under state_lock: the bound thread may run and exit as soon as
+      // it reads kRunnable, and its exit takes state_lock before its LWP
+      // retires and is reaped, so the LWP outlives this kick.
+      tcb->bound_lwp->Unpark();
+      return;
+    }
   }
   // Genuine wake: prefer the waker's next box (wake affinity) — unless the
   // injector diverts it to the shared paths so stealing/overflow churn.

@@ -110,7 +110,7 @@ struct Tcb {
   // take the qlock to discover it is stale) — after the wait has returned, when
   // the caller may already have destroyed the variable. Each fire bumps this
   // counter once its last access to the sync variable is done; a waiter whose
-  // cancel failed spins until the bump (src/timer/timed_wait.h), so no internal
+  // cancel failed spins until the bump (src/sync/timed_wait.h), so no internal
   // reference outlives the wait. (Flushed out by the shakedown sweep under
   // TSan: a stale CvTimeoutFire locked the qlock of a stack-allocated condvar
   // after its frame had been reused.)

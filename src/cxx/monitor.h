@@ -11,7 +11,6 @@
 
 #include "src/cxx/guards.h"
 #include "src/sync/sync.h"
-#include "src/timer/timer.h"
 #include "src/util/clock.h"
 
 namespace sunmt {

@@ -3,7 +3,6 @@
 #include <time.h>
 
 #include <atomic>
-#include <mutex>
 #include <thread>
 
 #include "src/lwp/lwp.h"
@@ -40,11 +39,15 @@ void ClockMain() {
 }  // namespace
 
 void LwpClock::EnsureRunning() {
-  static std::once_flag once;
-  std::call_once(once, [] {
+  if (!g_running.exchange(true, std::memory_order_acq_rel)) {
     std::thread(ClockMain).detach();
-    g_running.store(true, std::memory_order_release);
-  });
+  }
+}
+
+void LwpClock::RestartAfterFork() {
+  if (Running()) {
+    std::thread(ClockMain).detach();
+  }
 }
 
 bool LwpClock::Running() { return g_running.load(std::memory_order_acquire); }

@@ -21,6 +21,11 @@ class LwpClock {
   // The thread runs for the life of the process.
   static void EnsureRunning();
 
+  // fork1() child repair: the parent's clock thread did not survive the fork.
+  // Starts a new one if the parent ran one (the child inherits its LWP timers
+  // and timeslice).
+  static void RestartAfterFork();
+
   // True once the clock thread has been started.
   static bool Running();
 

@@ -4,7 +4,6 @@
 
 #include <new>
 
-#include "src/timer/timer.h"
 #include "src/util/check.h"
 
 namespace sunmt {

@@ -20,8 +20,8 @@
 #include "src/inject/inject.h"
 #include "src/net/net.h"
 #include "src/stats/stats.h"
+#include "src/sync/timed_wait.h"
 #include "src/sync/waitq.h"
-#include "src/timer/timed_wait.h"
 #include "src/util/check.h"
 
 namespace sunmt {
@@ -371,9 +371,7 @@ int NetPoller::WaitReady(int fd, uint32_t events, int64_t timeout_ns) {
   // an idle LWP takes the poll.
   parked_count_.fetch_add(1, std::memory_order_seq_cst);
   NetTimedWait deadline;
-  if (timeout_ns > 0) {
-    deadline.Arm(&entry->lock, &q.head, &q.tail, self, timeout_ns);
-  }
+  deadline.Arm(&entry->lock, &q.head, &q.tail, self, timeout_ns);
   if (self->IsBound()) {
     Runtime::Get().HandOffPoll();
   }
@@ -381,7 +379,7 @@ int NetPoller::WaitReady(int fd, uint32_t events, int64_t timeout_ns) {
   parked_count_.fetch_sub(1, std::memory_order_release);
   SyncWaitEndNs(LatencyStat::kNetReadinessWait, TraceEvent::kNetWake, self->id,
                 wait_start);
-  if (timeout_ns > 0 && deadline.Finish()) {
+  if (deadline.Finish()) {
     return ETIME;
   }
   return self->park_result == kWakeCancelled ? ECANCELED : 0;

@@ -8,7 +8,6 @@
 
 #include "src/core/runtime.h"
 #include "src/core/thread.h"
-#include "src/timer/timer.h"
 #include "src/util/check.h"
 #include "src/util/spinlock.h"
 
@@ -47,11 +46,26 @@ void EnsureForkHandler() {
   }
 }
 
-PtRecord* LookupRecord(thread_id_t tid) {
+// Finds a joinable thread's record for pt_join (`detach` false) or pt_detach
+// (`detach` true, which marks it detached). Returns 0, ESRCH or EINVAL (already
+// detached). Decided under the registry lock: a detached record belongs to its
+// reaper, which may erase and delete it the moment the lock drops.
+int ClaimJoinable(thread_id_t tid, bool detach, PtRecord** out) {
   Registry& r = Recs();
   SpinLockGuard guard(r.lock);
   auto it = r.records.find(tid);
-  return it == r.records.end() ? nullptr : it->second;
+  if (it == r.records.end()) {
+    return ESRCH;
+  }
+  PtRecord* record = it->second;
+  if (record->detached.load(std::memory_order_relaxed)) {
+    return EINVAL;
+  }
+  if (detach) {
+    record->detached.store(true, std::memory_order_relaxed);
+  }
+  *out = record;
+  return 0;
 }
 
 void EraseRecord(thread_id_t tid) {
@@ -188,12 +202,9 @@ int pt_join(pt_t thread, void** retval) {
   if (thread == pt_self()) {
     return EDEADLK;
   }
-  PtRecord* record = LookupRecord(thread);
-  if (record == nullptr) {
-    return ESRCH;
-  }
-  if (record->detached.load(std::memory_order_acquire)) {
-    return EINVAL;  // cannot join a detached thread
+  PtRecord* record = nullptr;
+  if (int rc = ClaimJoinable(thread, /*detach=*/false, &record); rc != 0) {
+    return rc;  // EINVAL: cannot join a detached thread
   }
   if (thread_wait(thread) != thread) {
     return ESRCH;  // already joined or never waitable
@@ -207,12 +218,9 @@ int pt_join(pt_t thread, void** retval) {
 }
 
 int pt_detach(pt_t thread) {
-  PtRecord* record = LookupRecord(thread);
-  if (record == nullptr) {
-    return ESRCH;
-  }
-  if (record->detached.exchange(true, std::memory_order_acq_rel)) {
-    return EINVAL;  // already detached
+  PtRecord* record = nullptr;
+  if (int rc = ClaimJoinable(thread, /*detach=*/true, &record); rc != 0) {
+    return rc;  // EINVAL: already detached
   }
   ArmReaper(record);
   return 0;

@@ -91,6 +91,10 @@ void MonitorMain() {
   }
 }
 
+// fork1() child repair: the monitor thread did not survive the fork, but the
+// armed limit did.
+void RlimitForkChildRepair() { std::thread(&MonitorMain).detach(); }
+
 }  // namespace
 
 ProcessUsage process_rusage() { return Sum().usage; }
@@ -101,6 +105,7 @@ void process_set_cpu_limit(int64_t soft_ns, int sig) {
   limit.fired.store(false, std::memory_order_release);
   limit.soft_ns.store(soft_ns, std::memory_order_release);
   if (soft_ns > 0 && !limit.monitor_started.exchange(true, std::memory_order_acq_rel)) {
+    Runtime::RegisterForkChildHandler(&RlimitForkChildRepair);
     std::thread(&MonitorMain).detach();
   }
 }

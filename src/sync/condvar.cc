@@ -8,24 +8,69 @@
 // the mutex, so a signal between unlock and block cannot be lost. Shared variant:
 // futex sequence-word protocol (address-free; may wake spuriously — the mandated
 // re-test loop absorbs that).
+//
+// cv_wait() and cv_timedwait() are one wait. The bound is a per-thread timer —
+// the paper's recipe for richer timing facilities ("library routines may
+// implement multiple per-thread timers using the per-address space timer"):
+// whichever of cv_signal and the timer dequeues the waiter first wins
+// (timed_wait.h). The shared variant hands the bound to the futex wait.
 
 #include "src/sync/sync.h"
+
+#include <errno.h>
 
 #include <climits>
 
 #include "src/core/scheduler.h"
 #include "src/core/tcb.h"
-#include "src/lwp/kernel_wait.h"
+#include "src/sync/timed_wait.h"
 #include "src/sync/waitq.h"
 #include "src/util/futex.h"
 
 namespace sunmt {
 namespace {
 
+// One ctx per timed wait; steady state must not touch the heap (the paper's
+// no-malloc-on-hot-paths rule), so the blocks come from a per-LWP magazine.
+struct CvCtxTag {
+  static constexpr const char* kName = "cv.timeout_ctx";
+};
+using CvTimedWait = TimedWait<CvCtxTag, &sched::Wake>;
+
 bool IsShared(const condvar_t* cvp) { return (cvp->type & THREAD_SYNC_SHARED) != 0; }
 
 uint32_t LdFlags(const condvar_t* cvp) {
   return IsShared(cvp) ? static_cast<uint32_t>(lockdep::kFlagShared) : 0u;  // condvars have no owner
+}
+
+// The one wait: returns 0 if signaled, ETIME once `timeout_ns` (< 0: never)
+// elapsed. The mutex is reacquired before returning in either case.
+int CvWait(condvar_t* cvp, mutex_t* mutexp, int64_t timeout_ns) {
+  if (IsShared(cvp)) {
+    uint32_t seq = cvp->seq.load(std::memory_order_acquire);
+    mutex_exit(mutexp);
+    int64_t t0 = SyncWaitStartNs();
+    int rc = FutexBlock(&cvp->seq, seq, &cvp->lockdep_dbg, lockdep::kCondvar,
+                        LdFlags(cvp), timeout_ns);
+    Tcb* cur = sched::CurrentTcb();
+    SyncWaitEndNs(LatencyStat::kCondvarWaitShared, TraceEvent::kCvWait,
+                  cur != nullptr ? static_cast<uint64_t>(cur->id) : 0, t0);
+    mutex_enter(mutexp);
+    return rc == -ETIMEDOUT ? ETIME : 0;
+  }
+  Tcb* self = sched::CurrentTcbOrAdopt();
+  cvp->qlock.Lock();
+  WaitqPush(&cvp->wait_head, &cvp->wait_tail, self);  // advances block_generation
+  CvTimedWait timeout;
+  timeout.Arm(&cvp->qlock, &cvp->wait_head, &cvp->wait_tail, self, timeout_ns);
+  mutex_exit(mutexp);
+  // Condvars have no owner, so the waiting-on edge is for introspection and
+  // never closes a wait-for cycle, bounded or not.
+  WaitqBlock(&cvp->qlock, &cvp->lockdep_dbg, lockdep::kCondvar, LdFlags(cvp),
+             LatencyStat::kCondvarWaitLocal, TraceEvent::kCvWait, self);
+  bool timed_out = timeout.Finish();
+  mutex_enter(mutexp);
+  return timed_out ? ETIME : 0;
 }
 
 }  // namespace
@@ -41,42 +86,10 @@ void cv_init(condvar_t* cvp, int type, void* arg) {
                   reinterpret_cast<uintptr_t>(__builtin_return_address(0)));
 }
 
-void cv_wait(condvar_t* cvp, mutex_t* mutexp) {
-  if (IsShared(cvp)) {
-    uint32_t seq = cvp->seq.load(std::memory_order_acquire);
-    mutex_exit(mutexp);
-    int64_t t0 = SyncWaitStartNs();
-    {
-      KernelWaitScope wait(/*indefinite=*/true);
-      if (lockdep::Enabled()) {
-        lockdep::OnBlock(&cvp->lockdep_dbg, lockdep::kCondvar, LdFlags(cvp));
-      }
-      FutexWait(&cvp->seq, seq, /*shared=*/true);
-      if (lockdep::Enabled()) {
-        lockdep::OnUnblock();
-      }
-    }
-    Tcb* cur = sched::CurrentTcb();
-    SyncWaitEndNs(LatencyStat::kCondvarWaitShared, TraceEvent::kCvWait,
-                  cur != nullptr ? static_cast<uint64_t>(cur->id) : 0, t0);
-    mutex_enter(mutexp);
-    return;
-  }
-  Tcb* self = sched::CurrentTcbOrAdopt();
-  cvp->qlock.Lock();
-  WaitqPush(&cvp->wait_head, &cvp->wait_tail, self);
-  mutex_exit(mutexp);
-  int64_t t0 = SyncWaitStartNs();
-  if (lockdep::Enabled()) {
-    lockdep::OnBlock(&cvp->lockdep_dbg, lockdep::kCondvar, LdFlags(cvp));
-  }
-  sched::Block(&cvp->qlock);  // releases qlock after the context save
-  if (lockdep::Enabled()) {
-    lockdep::OnUnblock();
-  }
-  SyncWaitEndNs(LatencyStat::kCondvarWaitLocal, TraceEvent::kCvWait,
-                static_cast<uint64_t>(self->id), t0);
-  mutex_enter(mutexp);
+void cv_wait(condvar_t* cvp, mutex_t* mutexp) { CvWait(cvp, mutexp, -1); }
+
+int cv_timedwait(condvar_t* cvp, mutex_t* mutexp, int64_t timeout_ns) {
+  return CvWait(cvp, mutexp, timeout_ns < 0 ? 0 : timeout_ns);
 }
 
 void cv_signal(condvar_t* cvp) {

@@ -11,7 +11,6 @@
 
 #include "src/core/scheduler.h"
 #include "src/core/tcb.h"
-#include "src/lwp/kernel_wait.h"
 #include "src/lwp/onproc.h"
 #include "src/sync/waitq.h"
 #include "src/util/check.h"
@@ -101,7 +100,7 @@ void DebugCheckForDeadlock(mutex_t* mp, Tcb* self) {
   self->waiting_for_mutex.store(mp, std::memory_order_seq_cst);
   mutex_t* cursor = mp;
   for (int hops = 0; hops < 64 && cursor != nullptr; ++hops) {
-    Tcb* owner = cursor->owner;
+    Tcb* owner = cursor->owner.load(std::memory_order_relaxed);
     if (owner == nullptr) {
       return;  // lock free or handoff in progress: no stable cycle
     }
@@ -121,21 +120,12 @@ void SharedEnter(mutex_t* mp) {
   }
   // Contended: the calling thread stays bound to its LWP, which blocks in the
   // kernel (futex) until the holder — possibly in another process — releases.
+  // Each block walks the wait-for graph with seq_cst publish-then-walk, so
+  // whichever process closes a cross-process cycle sees it before sleeping.
   int64_t t0 = SyncWaitStartNs();
-  {
-    KernelWaitScope wait(/*indefinite=*/true);
-    while (mp->word.exchange(kContended, std::memory_order_acquire) != kFree) {
-      if (lockdep::Enabled()) {
-        // Publishes breadcrumbs into our held shared locks and walks the
-        // wait-for graph: with seq_cst publish-then-walk, whichever process
-        // closes a cross-process cycle sees it before sleeping forever.
-        lockdep::OnBlock(&mp->lockdep_dbg, lockdep::kMutex, LdFlags(mp));
-      }
-      FutexWait(&mp->word, kContended, /*shared=*/true);
-    }
-  }
-  if (lockdep::Enabled()) {
-    lockdep::OnUnblock();
+  while (mp->word.exchange(kContended, std::memory_order_acquire) != kFree) {
+    FutexBlock(&mp->word, kContended, &mp->lockdep_dbg, lockdep::kMutex,
+               LdFlags(mp));
   }
   SyncWaitEndNs(LatencyStat::kMutexWaitShared, TraceEvent::kMutexWait,
                 CurrentTid(), t0);
@@ -251,7 +241,7 @@ void mutex_init(mutex_t* mp, int type, void* arg) {
   mp->type = static_cast<uint32_t>(type);
   mp->wait_head = nullptr;
   mp->wait_tail = nullptr;
-  mp->owner = nullptr;
+  mp->owner.store(nullptr, std::memory_order_relaxed);
   mp->owner_token.store(0, std::memory_order_relaxed);
   mp->acquired_ns = 0;
   mp->qlock.Reset();  // storage may carry a stale locked image (see sema_init)
@@ -262,7 +252,8 @@ void mutex_init(mutex_t* mp, int type, void* arg) {
 void mutex_enter(mutex_t* mp) {
   if (IsDebug(mp)) {
     Tcb* self = sched::CurrentTcbOrAdopt();
-    SUNMT_CHECK(mp->owner != self);  // recursive enter is a bracketing error
+    // A recursive enter is a bracketing error.
+    SUNMT_CHECK(mp->owner.load(std::memory_order_relaxed) != self);
   }
   const uintptr_t caller =
       reinterpret_cast<uintptr_t>(__builtin_return_address(0));
@@ -283,7 +274,7 @@ void mutex_enter(mutex_t* mp) {
     PublishOwnerToken(mp);
   }
   if (IsDebug(mp)) {
-    mp->owner = sched::CurrentTcb();
+    mp->owner.store(sched::CurrentTcb(), std::memory_order_relaxed);
   }
   if (Stats::Enabled()) {
     mp->acquired_ns = MonotonicNowNs();
@@ -299,8 +290,8 @@ void mutex_exit(mutex_t* mp) {
   if (IsDebug(mp)) {
     // "It is an error for a thread to release a lock not held by the thread."
     Tcb* self = sched::CurrentTcbOrAdopt();
-    SUNMT_CHECK(mp->owner == self);
-    mp->owner = nullptr;
+    SUNMT_CHECK(mp->owner.load(std::memory_order_relaxed) == self);
+    mp->owner.store(nullptr, std::memory_order_relaxed);
   }
   if (mp->acquired_ns != 0) {
     // Stats may have been toggled mid-hold; the reset keeps stale timestamps
@@ -330,7 +321,7 @@ int mutex_tryenter(mutex_t* mp) {
     PublishOwnerToken(mp);
   }
   if (ok && IsDebug(mp)) {
-    mp->owner = sched::CurrentTcbOrAdopt();
+    mp->owner.store(sched::CurrentTcbOrAdopt(), std::memory_order_relaxed);
   }
   if (ok && Stats::Enabled()) {
     mp->acquired_ns = MonotonicNowNs();

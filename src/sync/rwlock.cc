@@ -18,7 +18,6 @@
 
 #include "src/core/scheduler.h"
 #include "src/core/tcb.h"
-#include "src/lwp/kernel_wait.h"
 #include "src/sync/waitq.h"
 #include "src/util/check.h"
 #include "src/util/futex.h"
@@ -102,18 +101,10 @@ void LocalEnter(rwlock_t* rwlp, rw_type_t type) {
     self->wait_mode = kModeWriter;
     ++rwlp->waiting_writers;
   }
-  if (lockdep::Enabled()) {
-    lockdep::OnBlock(&rwlp->lockdep_dbg, lockdep::kRwlock, 0);
-  }
   WaitqPush(&rwlp->wait_head, &rwlp->wait_tail, self);
-  int64_t t0 = SyncWaitStartNs();
-  sched::Block(&rwlp->qlock);
-  if (lockdep::Enabled()) {
-    lockdep::OnUnblock();
-  }
-  // Direct hand-off: the waker already transferred ownership to us.
-  SyncWaitEndNs(LatencyStat::kRwlockWaitLocal, TraceEvent::kRwWait,
-                static_cast<uint64_t>(self->id), t0);
+  // Direct hand-off: the waker transfers ownership to us before the wake.
+  WaitqBlock(&rwlp->qlock, &rwlp->lockdep_dbg, lockdep::kRwlock, 0,
+             LatencyStat::kRwlockWaitLocal, TraceEvent::kRwWait, self);
 }
 
 void LocalExit(rwlock_t* rwlp) {
@@ -200,73 +191,32 @@ int LocalTryUpgrade(rwlock_t* rwlp) {
   // Other readers hold the lock: wait for them to drain (new readers are kept
   // out while an upgrade is pending).
   rwlp->upgrader = self;
-  if (lockdep::Enabled()) {
-    lockdep::OnBlock(&rwlp->lockdep_dbg, lockdep::kRwlock, 0);
-  }
-  int64_t t0 = SyncWaitStartNs();
-  sched::Block(&rwlp->qlock);
-  if (lockdep::Enabled()) {
-    lockdep::OnUnblock();
-  }
-  // The last exiting reader converted our hold to a writer lock.
-  SyncWaitEndNs(LatencyStat::kRwlockWaitLocal, TraceEvent::kRwWait,
-                static_cast<uint64_t>(self->id), t0);
+  // The last exiting reader converts our hold to a writer lock.
+  WaitqBlock(&rwlp->qlock, &rwlp->lockdep_dbg, lockdep::kRwlock, 0,
+             LatencyStat::kRwlockWaitLocal, TraceEvent::kRwWait, self);
   return 1;
 }
 
 // ---- Shared (futex) variant ---------------------------------------------------
 
-// Wait-end bookkeeping for the shared variant's lazily started timer.
-void SharedWaitEnd(int64_t t0) {
-  if (t0 == 0) {
-    return;
-  }
-  Tcb* self = sched::CurrentTcb();
-  SyncWaitEndNs(LatencyStat::kRwlockWaitShared, TraceEvent::kRwWait,
-                self != nullptr ? static_cast<uint64_t>(self->id) : 0, t0);
-}
-
 void SharedEnter(rwlock_t* rwlp, rw_type_t type) {
   std::atomic<uint32_t>* word = &rwlp->state;
+  // A reader needs no writer and no waiting writer; a writer needs the word
+  // free apart from the waiting-writer bit, which it sets before it sleeps.
+  const uint32_t busy = type == RW_READER ? kWriterBit | kWriterWaitBit
+                                          : ~kWriterWaitBit;
   int64_t t0 = 0;  // started lazily on the first futex wait
-  if (type == RW_READER) {
-    for (;;) {
-      uint32_t s = word->load(std::memory_order_relaxed);
-      if ((s & (kWriterBit | kWriterWaitBit)) == 0) {
-        if (word->compare_exchange_weak(s, s + 1, std::memory_order_acquire,
-                                        std::memory_order_relaxed)) {
-          SharedWaitEnd(t0);
-          return;
-        }
-        continue;
-      }
-      if (t0 == 0) {
-        t0 = SyncWaitStartNs();
-      }
-      if (lockdep::Enabled()) {
-        lockdep::OnBlock(&rwlp->lockdep_dbg, lockdep::kRwlock,
-                         lockdep::kFlagShared);
-      }
-      {
-        KernelWaitScope wait(/*indefinite=*/true);
-        FutexWait(word, s, /*shared=*/true);
-      }
-      if (lockdep::Enabled()) {
-        lockdep::OnUnblock();
-      }
-    }
-  }
   for (;;) {
     uint32_t s = word->load(std::memory_order_relaxed);
-    if ((s & ~kWriterWaitBit) == 0) {
-      if (word->compare_exchange_weak(s, kWriterBit, std::memory_order_acquire,
+    if ((s & busy) == 0) {
+      uint32_t next = type == RW_READER ? s + 1 : kWriterBit;
+      if (word->compare_exchange_weak(s, next, std::memory_order_acquire,
                                       std::memory_order_relaxed)) {
-        SharedWaitEnd(t0);
-        return;
+        break;
       }
       continue;
     }
-    if ((s & kWriterWaitBit) == 0) {
+    if (type == RW_WRITER && (s & kWriterWaitBit) == 0) {
       if (!word->compare_exchange_weak(s, s | kWriterWaitBit, std::memory_order_relaxed,
                                        std::memory_order_relaxed)) {
         continue;
@@ -276,17 +226,13 @@ void SharedEnter(rwlock_t* rwlp, rw_type_t type) {
     if (t0 == 0) {
       t0 = SyncWaitStartNs();
     }
-    if (lockdep::Enabled()) {
-      lockdep::OnBlock(&rwlp->lockdep_dbg, lockdep::kRwlock,
-                       lockdep::kFlagShared);
-    }
-    {
-      KernelWaitScope wait(/*indefinite=*/true);
-      FutexWait(word, s, /*shared=*/true);
-    }
-    if (lockdep::Enabled()) {
-      lockdep::OnUnblock();
-    }
+    FutexBlock(word, s, &rwlp->lockdep_dbg, lockdep::kRwlock,
+               lockdep::kFlagShared);
+  }
+  if (t0 != 0) {
+    Tcb* self = sched::CurrentTcb();
+    SyncWaitEndNs(LatencyStat::kRwlockWaitShared, TraceEvent::kRwWait,
+                  self != nullptr ? static_cast<uint64_t>(self->id) : 0, t0);
   }
 }
 

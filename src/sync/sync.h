@@ -16,6 +16,10 @@
 //    — blocking a thread, never its LWP (unless the thread is bound).
 //  * While a thread waits on a process-shared variable it is temporarily bound to
 //    its LWP, which blocks in the kernel; such waits feed SIGWAITING.
+//  * Timed waits (sema_p_timed, cv_timedwait) are the ordinary wait plus a
+//    per-thread timer from src/timer — "library routines may implement multiple
+//    per-thread timers using the per-address space timer" — so the timer layer
+//    sits below this one.
 
 #ifndef SUNMT_SRC_SYNC_SYNC_H_
 #define SUNMT_SRC_SYNC_SYNC_H_
@@ -56,7 +60,9 @@ struct mutex_t {
   SpinLock qlock;
   Tcb* wait_head{nullptr};
   Tcb* wait_tail{nullptr};
-  Tcb* owner{nullptr};  // maintained by the SYNC_DEBUG variant
+  // Maintained by the SYNC_DEBUG variant. Atomic (relaxed) because a blocked
+  // enter's recursion check and deadlock walk read it while the holder writes.
+  std::atomic<Tcb*> owner{nullptr};
   // Owner-aware adaptive spinning (local blocking variants): an onproc token
   // (see src/lwp/onproc.h) published by the holder after acquire and cleared
   // before release. Spinners decode it to ask "is the holder still ON-PROC?"
@@ -115,6 +121,10 @@ int mutex_tryenter(mutex_t* mp);  // nonzero on success
 // guaranteed acquisition order, and the shared variant may wake spuriously).
 void cv_init(condvar_t* cvp, int type, void* arg);
 void cv_wait(condvar_t* cvp, mutex_t* mutexp);
+// Like cv_wait() but bounded: returns 0 if signaled, ETIME if `timeout_ns`
+// elapsed first (a negative timeout counts as 0). The mutex is reacquired
+// before returning in either case, and the re-test rule still applies.
+int cv_timedwait(condvar_t* cvp, mutex_t* mutexp, int64_t timeout_ns);
 void cv_signal(condvar_t* cvp);
 void cv_broadcast(condvar_t* cvp);
 
@@ -123,6 +133,9 @@ void cv_broadcast(condvar_t* cvp);
 // asynchronously without acquiring a mutex."
 void sema_init(sema_t* sp, unsigned int count, int type, void* arg);
 void sema_p(sema_t* sp);
+// Like sema_p() but bounded: returns 1 if a token was taken, 0 if `timeout_ns`
+// elapsed first (no token consumed; a negative timeout counts as 0).
+int sema_p_timed(sema_t* sp, int64_t timeout_ns);
 void sema_v(sema_t* sp);
 int sema_tryp(sema_t* sp);  // nonzero on success
 

@@ -1,16 +1,25 @@
-// Internal helpers for the wait queues embedded in synchronization variables.
+// Internal helpers for the wait queues embedded in synchronization variables,
+// and the one wait bracket every sync slow path blocks through.
 //
 // The queues are singly-linked Tcb chains through Tcb::wait_next so that an
 // all-zero sync variable is a valid empty queue (the zero-initialization
-// requirement). All operations assume the variable's qlock is held.
+// requirement). All queue operations assume the variable's qlock is held.
 
 #ifndef SUNMT_SRC_SYNC_WAITQ_H_
 #define SUNMT_SRC_SYNC_WAITQ_H_
 
+#include <atomic>
+#include <cstdint>
+
+#include "src/core/scheduler.h"
 #include "src/core/tcb.h"
 #include "src/core/trace.h"
+#include "src/debug/lockdep.h"
+#include "src/lwp/kernel_wait.h"
 #include "src/stats/stats.h"
 #include "src/util/clock.h"
+#include "src/util/futex.h"
+#include "src/util/spinlock.h"
 
 namespace sunmt {
 
@@ -103,6 +112,56 @@ inline void SyncWaitEndNs(LatencyStat stat, TraceEvent event, uint64_t tid,
   }
   Stats::RecordNs(stat, waited);
   Trace::Record(event, tid, static_cast<uint64_t>(waited));
+}
+
+// ---- The wait bracket ---------------------------------------------------------
+// Every blocking wait on a sync variable goes through one of these two, so a
+// wait records the same things whichever operation (timed or not) it serves.
+// The adaptive mutex's local path is the one exception: it times a whole
+// contention, spin included, as one sample.
+
+// Blocks the calling thread (never its LWP) on a process-local variable.
+// `self` is already published to its waker (queued, or named as the rwlock
+// upgrader) under `qlock`, which is held here and released after the context
+// save. Records the lockdep waiting-on edge, and one `stat` sample and
+// `event` trace record for the block.
+inline void WaitqBlock(SpinLock* qlock, lockdep::ObjDebug* dbg,
+                       lockdep::Kind kind, uint32_t ld_flags, LatencyStat stat,
+                       TraceEvent event, Tcb* self) {
+  int64_t t0 = SyncWaitStartNs();
+  if (lockdep::Enabled()) {
+    lockdep::OnBlock(dbg, kind, ld_flags);
+  }
+  sched::Block(qlock);
+  if (lockdep::Enabled()) {
+    lockdep::OnUnblock();
+  }
+  SyncWaitEndNs(stat, event, static_cast<uint64_t>(self->id), t0);
+}
+
+// Blocks the calling LWP in the kernel while a process-shared variable's
+// futex `word` still reads `expected`, for at most `timeout_ns` (< 0: no
+// bound). The thread stays bound to its LWP for the wait, which counts toward
+// SIGWAITING. Returns FutexWait's result (-ETIMEDOUT on timeout). The callers
+// loop and time their whole wait themselves: one contention may take several
+// futex waits.
+inline int FutexBlock(std::atomic<uint32_t>* word, uint32_t expected,
+                      lockdep::ObjDebug* dbg, lockdep::Kind kind,
+                      uint32_t ld_flags, int64_t timeout_ns = -1) {
+  if (lockdep::Enabled()) {
+    // For a shared object this also publishes breadcrumbs into the shared
+    // locks we hold, so a cross-process cycle is seen before we sleep.
+    lockdep::OnBlock(dbg, kind, ld_flags);
+  }
+  int rc;
+  {
+    KernelWaitScope wait(/*indefinite=*/true);
+    rc = FutexWait(word, expected, /*shared=*/true, timeout_ns);
+  }
+  if (lockdep::Enabled()) {
+    lockdep::OnUnblock();
+  }
+  return rc;
 }
 
 }  // namespace sunmt

@@ -44,10 +44,11 @@
 #include <thread>
 
 #include "src/core/runtime.h"
+#include "src/core/scheduler.h"
+#include "src/core/tcb.h"
 #include "src/inject/inject.h"
 #include "src/signal/signal.h"
 #include "src/stats/stats.h"
-#include "src/sync/sync.h"
 #include "src/timer/wheel.h"
 #include "src/util/check.h"
 #include "src/util/clock.h"
@@ -60,8 +61,7 @@ namespace {
 enum class FireKind : uint8_t {
   kSignalThread,   // thread_kill(target, sig)
   kSignalProcess,  // signal_raise_process(sig) — the per-process interval timer
-  kWakeSema,       // sema_v(sema) — thread_sleep_ns
-  kCallback,       // fn(cookie, arg) on the engine thread — cv_timedwait etc.
+  kCallback,       // fn(cookie, arg) on the engine thread — timed waits, sleeps
 };
 
 // ---- Entry & tag word --------------------------------------------------------
@@ -86,7 +86,6 @@ struct TimerEntry {
   FireKind kind = FireKind::kCallback;
   int sig = 0;
   thread_id_t target = 0;
-  sema_t* sema = nullptr;
   void (*callback)(void*, uint64_t) = nullptr;
   void* cookie = nullptr;
   uint64_t callback_arg = 0;
@@ -200,9 +199,6 @@ void FireEntry(TimerEntry* entry) {
       break;
     case FireKind::kSignalProcess:
       signal_raise_process(entry->sig);
-      break;
-    case FireKind::kWakeSema:
-      sema_v(entry->sema);
       break;
     case FireKind::kCallback:
       entry->callback(entry->cookie, entry->callback_arg);
@@ -418,8 +414,8 @@ void EnsureTicker(WheelState& st) {
 }
 
 timer_id_t ArmEntry(int64_t delay_ns, int64_t period_ns, FireKind kind, int sig,
-                    thread_id_t target, sema_t* sema,
-                    void (*fn)(void*, uint64_t), void* cookie, uint64_t arg) {
+                    thread_id_t target, void (*fn)(void*, uint64_t),
+                    void* cookie, uint64_t arg) {
   EnsureForkHandler();
   WheelState& st = Wheel();
   EnsureTicker(st);
@@ -445,7 +441,6 @@ timer_id_t ArmEntry(int64_t delay_ns, int64_t period_ns, FireKind kind, int sig,
     e->kind = kind;
     e->sig = sig;
     e->target = target;
-    e->sema = sema;
     e->callback = fn;
     e->cookie = cookie;
     e->callback_arg = arg;
@@ -464,6 +459,28 @@ timer_id_t ArmEntry(int64_t delay_ns, int64_t period_ns, FireKind kind, int sig,
   return id;
 }
 
+// thread_sleep_ns()'s one-entry wait, on the sleeper's stack. The fire's
+// last touch is the unlock: after it the sleeper may return and pop the frame.
+struct Sleep {
+  SpinLock lock;
+  Tcb* sleeper = nullptr;  // set under `lock` just before the sleeper blocks
+  bool fired = false;
+};
+
+void SleepFire(void* cookie, uint64_t) {
+  auto* sleep = static_cast<Sleep*>(cookie);
+  Tcb* sleeper;
+  {
+    SpinLockGuard guard(sleep->lock);
+    sleep->fired = true;
+    sleeper = sleep->sleeper;
+  }
+  // No sleeper yet: it has not blocked, and will see `fired` instead.
+  if (sleeper != nullptr) {
+    sched::Wake(sleeper);
+  }
+}
+
 }  // namespace
 
 timer_id_t timer_arm(int64_t first_delay_ns, int64_t period_ns, int sig,
@@ -472,8 +489,7 @@ timer_id_t timer_arm(int64_t first_delay_ns, int64_t period_ns, int sig,
     return kInvalidTimerId;
   }
   return ArmEntry(first_delay_ns, period_ns, FireKind::kSignalThread, sig,
-                  target != 0 ? target : thread_get_id(), nullptr, nullptr,
-                  nullptr, 0);
+                  target != 0 ? target : thread_get_id(), nullptr, nullptr, 0);
 }
 
 int timer_cancel(timer_id_t id) {
@@ -544,7 +560,7 @@ int64_t timer_set_process_interval(int64_t period_ns, int sig) {
   if (period_ns > 0) {
     timer_id_t id =
         ArmEntry(period_ns, period_ns, FireKind::kSignalProcess,
-                 sig > 0 ? sig : SIG_ALRM, 0, nullptr, nullptr, nullptr, 0);
+                 sig > 0 ? sig : SIG_ALRM, 0, nullptr, nullptr, 0);
     SpinLockGuard guard(st.interval_lock);
     st.process_interval_timer = id;
   }
@@ -556,8 +572,7 @@ timer_id_t timer_arm_callback(int64_t delay_ns, void (*fn)(void*, uint64_t),
   if (delay_ns < 0 || fn == nullptr) {
     return kInvalidTimerId;
   }
-  return ArmEntry(delay_ns, 0, FireKind::kCallback, 0, 0, nullptr, fn, cookie,
-                  arg);
+  return ArmEntry(delay_ns, 0, FireKind::kCallback, 0, 0, fn, cookie, arg);
 }
 
 timer_id_t timer_arm_callback_periodic(int64_t first_delay_ns,
@@ -567,8 +582,8 @@ timer_id_t timer_arm_callback_periodic(int64_t first_delay_ns,
   if (first_delay_ns < 0 || period_ns <= 0 || fn == nullptr) {
     return kInvalidTimerId;
   }
-  return ArmEntry(first_delay_ns, period_ns, FireKind::kCallback, 0, 0, nullptr,
-                  fn, cookie, arg);
+  return ArmEntry(first_delay_ns, period_ns, FireKind::kCallback, 0, 0, fn,
+                  cookie, arg);
 }
 
 void thread_sleep_ns(int64_t ns) {
@@ -576,9 +591,16 @@ void thread_sleep_ns(int64_t ns) {
     thread_yield();
     return;
   }
-  sema_t wake = {};
-  ArmEntry(ns, 0, FireKind::kWakeSema, 0, 0, &wake, nullptr, nullptr, 0);
-  sema_p(&wake);  // blocks the thread; its LWP runs other threads meanwhile
+  Tcb* self = sched::CurrentTcbOrAdopt();
+  Sleep sleep;
+  ArmEntry(ns, 0, FireKind::kCallback, 0, 0, &SleepFire, &sleep, 0);
+  sleep.lock.Lock();
+  if (sleep.fired) {
+    sleep.lock.Unlock();
+    return;
+  }
+  sleep.sleeper = self;
+  sched::Block(&sleep.lock);  // the thread blocks; its LWP runs other threads
 }
 
 uint64_t timer_fire_count() {

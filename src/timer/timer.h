@@ -8,8 +8,9 @@
 // This module is those library routines: one timer engine (the per-process
 // timer stand-in) multiplexes any number of per-thread timers. Timers deliver
 // simulated signals through src/signal — a directed signal to the owning thread
-// (trap-like, per thread_kill semantics) — or, for thread_sleep_ns(), wake the
-// sleeping thread directly.
+// (trap-like, per thread_kill semantics) — or run a callback on the engine
+// thread: thread_sleep_ns() and the timed sync waits (sema_p_timed,
+// cv_timedwait in src/sync, one layer up) wake their blocked thread that way.
 //
 // thread_sleep_ns() is the piece io_sleep_ns() cannot give you: it blocks the
 // *thread* only. The LWP is released to run other threads, so a thousand
@@ -22,7 +23,6 @@
 #include <cstdint>
 
 #include "src/core/thread.h"
-#include "src/sync/sync.h"
 
 namespace sunmt {
 
@@ -54,24 +54,13 @@ timer_id_t timer_arm_callback_periodic(int64_t first_delay_ns, int64_t period_ns
                                        void (*fn)(void* cookie, uint64_t arg),
                                        void* cookie, uint64_t arg);
 
-// Like cv_wait() but bounded: returns 0 if signaled, ETIME if `timeout_ns`
-// elapsed first. The mutex is reacquired before returning in either case, and
-// the paper's re-test rule still applies (the shared variant may also wake
-// spuriously). Lives in the timer library because the timeout is implemented
-// with a per-thread timer, exactly as the paper suggests building richer
-// timing facilities from the library timer.
-int cv_timedwait(condvar_t* cvp, mutex_t* mutexp, int64_t timeout_ns);
-
-// Like sema_p() but bounded: returns 1 if a token was taken, 0 if `timeout_ns`
-// elapsed first (no token consumed).
-int sema_p_timed(sema_t* sp, int64_t timeout_ns);
-
 // The per-process real-time interval timer: every `period_ns` one `sig`
 // (default SIG_ALRM) is raised as a process-directed interrupt — one unmasked
 // thread receives it. period_ns == 0 disarms. Returns the previous period.
 int64_t timer_set_process_interval(int64_t period_ns, int sig);
 
-// Blocks the calling thread (not its LWP) for at least `ns`.
+// Blocks the calling thread (not its LWP) for at least `ns`: it parks on a
+// one-entry wait of its own that a timer callback wakes.
 void thread_sleep_ns(int64_t ns);
 inline void thread_sleep_ms(int64_t ms) { thread_sleep_ns(ms * 1000 * 1000); }
 

@@ -32,18 +32,6 @@
 #include "src/util/clock.h"
 #include "tests/test_util.h"
 
-// TSan detection with a GCC __has_feature fallback (see lifecycle_cache_test).
-#if defined(__SANITIZE_THREAD__)
-#define SUNMT_TEST_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define SUNMT_TEST_TSAN 1
-#endif
-#endif
-#ifndef SUNMT_TEST_TSAN
-#define SUNMT_TEST_TSAN 0
-#endif
-
 namespace sunmt {
 namespace {
 

@@ -28,19 +28,6 @@
 #include "src/util/spinlock.h"
 #include "tests/test_util.h"
 
-// __SANITIZE_THREAD__ first: the sanitizer interface headers define a
-// __has_feature(x)=0 fallback for GCC (see lifecycle_cache_test.cc).
-#if defined(__SANITIZE_THREAD__)
-#define SUNMT_TEST_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define SUNMT_TEST_TSAN 1
-#endif
-#endif
-#ifndef SUNMT_TEST_TSAN
-#define SUNMT_TEST_TSAN 0
-#endif
-
 namespace sunmt {
 namespace {
 
@@ -259,6 +246,23 @@ TEST_F(Lockdep, TrylockNeverReports) {
   ASSERT_EQ(mutex_tryenter(&a), 1);
   mutex_exit(&a);
   mutex_exit(&b);
+  // A timed P is bounded, so it is a trylock to lockdep too: after s -> a,
+  // a timed P of s under a adds no a -> s edge. (The tryp first records the
+  // a -> s.qlock spinlock edge that both take.)
+  sema_t s = {};
+  sema_init(&s, 1, 0, nullptr);
+  sema_p(&s);
+  mutex_enter(&a);
+  mutex_exit(&a);
+  sema_v(&s);
+  mutex_enter(&a);
+  ASSERT_EQ(sema_tryp(&s), 1);
+  sema_v(&s);
+  uint64_t edges = lockdep::Snapshot().edges;
+  ASSERT_EQ(sema_p_timed(&s, 1000 * 1000 * 1000), 1);
+  sema_v(&s);
+  mutex_exit(&a);
+  EXPECT_EQ(lockdep::Snapshot().edges, edges);
   EXPECT_EQ(lockdep::Snapshot().inversions, 0u) << Report();
 }
 

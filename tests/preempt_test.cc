@@ -3,12 +3,16 @@
 // safe-point preemption without any voluntary thread_yield().
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 
 #include "src/core/runtime.h"
 #include "src/core/thread.h"
 #include "src/introspect/introspect.h"
+#include "src/ipc/fork1.h"
+#include "src/lwp/lwp_clock.h"
 #include "src/rlimit/rlimit.h"
 #include "src/signal/signal.h"
 #include "src/sync/sync.h"
@@ -160,6 +164,81 @@ TEST(RlimitExt, SoftCpuLimitDeliversSigXcpu) {
   EXPECT_TRUE(process_cpu_limit_exceeded());
   process_set_cpu_limit(0, SIG_XCPU);
   signal_handler_set(SIG_XCPU, SIG_DEFAULT);
+}
+
+int WaitForChild(pid_t pid) {
+  int status = 0;
+  EXPECT_EQ(waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status));
+  return WEXITSTATUS(status);
+}
+
+// A fork1() child rebuilds the runtime from the same configuration (one pool
+// LWP, 5 ms slices), so two CPU hogs there must still be timesliced — which
+// needs the LWP clock, whose thread did not survive the fork, running again.
+// Exit codes name the failing step.
+TEST(Fork1, ChildKeepsLwpClockAndPreemption) {
+#if SUNMT_TEST_TSAN
+  GTEST_SKIP() << "TSan cannot start threads after a multi-threaded fork";
+#endif
+  Runtime::Get();  // the parent's runtime starts the clock before the fork
+  ASSERT_TRUE(LwpClock::Running());
+  pid_t pid = fork1();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    uint64_t ticks = LwpClock::TickCount();
+    uint64_t preemptions = SnapshotSchedStats().preemptions;
+    static int64_t deadline;
+    deadline = MonotonicNowNs() + 200 * 1000 * 1000;
+    auto hog = [] {
+      volatile long sink = 0;
+      while (MonotonicNowNs() < deadline) {
+        for (long i = 0; i < 4096; ++i) {
+          sink = sink + 1;
+        }
+        thread_poll();  // safe point: preemption can land here
+      }
+    };
+    thread_id_t a = Spawn(hog);
+    thread_id_t b = Spawn(hog);
+    if (!Join(a) || !Join(b)) {
+      _exit(10);
+    }
+    if (LwpClock::TickCount() == ticks) {
+      _exit(11);  // the clock thread is gone
+    }
+    _exit(SnapshotSchedStats().preemptions > preemptions ? 0 : 12);
+  }
+  EXPECT_EQ(WaitForChild(pid), 0);
+}
+
+// The CPU-limit monitor started in the parent must run in a fork1() child
+// too: a soft limit armed there fires. Exit codes name the failing step.
+TEST(Fork1, ChildCpuLimitFires) {
+#if SUNMT_TEST_TSAN
+  GTEST_SKIP() << "TSan cannot start threads after a multi-threaded fork";
+#endif
+  // Start the monitor here (a limit no test reaches), then disarm it.
+  process_set_cpu_limit(process_rusage().user_ns + 3600 * 1000000000ll,
+                        SIG_XCPU);
+  process_set_cpu_limit(0, SIG_XCPU);
+  pid_t pid = fork1();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    g_xcpu.store(0);
+    signal_handler_set(SIG_XCPU, &XcpuHandler);
+    process_set_cpu_limit(process_rusage().user_ns + 20 * 1000 * 1000, SIG_XCPU);
+    int64_t deadline = MonotonicNowNs() + 5 * 1000 * 1000 * 1000ll;
+    volatile long sink = 0;
+    while (g_xcpu.load() == 0 && MonotonicNowNs() < deadline) {
+      for (long i = 0; i < 1000000; ++i) {
+        sink = sink + 1;
+      }
+      thread_poll();  // the delivered signal lands at a safe point
+    }
+    _exit(g_xcpu.load() == 1 ? 0 : 10);
+  }
+  EXPECT_EQ(WaitForChild(pid), 0);
 }
 
 }  // namespace

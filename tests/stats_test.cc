@@ -1,6 +1,7 @@
 // Tests for the runtime metrics subsystem (src/stats) and its wiring into the
 // scheduler and sync layers, including the Chrome-trace export.
 
+#include <errno.h>
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -15,6 +16,7 @@
 #include "src/stats/histogram.h"
 #include "src/stats/stats.h"
 #include "src/sync/sync.h"
+#include "src/timer/timer.h"
 
 namespace sunmt {
 namespace {
@@ -287,6 +289,38 @@ TEST(StatsTest, EndToEndSchedulerAndMutexHistograms) {
   // FormatProcessState() appends the stats section while enabled.
   std::string state = FormatProcessState();
   EXPECT_NE(state.find("STATS"), std::string::npos);
+
+  Stats::Reset();
+  Stats::Disable();
+}
+
+// A timed wait is the ordinary wait plus a timer, so it records the same one
+// sample whether it is woken or times out; a sleep is no sync wait at all.
+TEST(StatsTest, TimedWaitsRecordOneSampleAndSleepsNone) {
+  Stats::Enable();
+  Stats::Reset();
+  auto samples = [](LatencyStat stat) {
+    HistogramSnapshot snap;
+    Stats::Snapshot(stat, &snap);
+    return snap.count;
+  };
+  constexpr int64_t kWaitNs = 5 * 1000 * 1000;
+
+  thread_sleep_ns(kWaitNs);
+  EXPECT_EQ(samples(LatencyStat::kSemaWaitLocal), 0u);
+  EXPECT_EQ(samples(LatencyStat::kCondvarWaitLocal), 0u);
+
+  sema_t sema = {};
+  EXPECT_EQ(sema_p_timed(&sema, kWaitNs), 0);  // blocks, then times out
+  EXPECT_EQ(samples(LatencyStat::kSemaWaitLocal), 1u);
+
+  mutex_t mu = {};
+  condvar_t cv = {};
+  mutex_enter(&mu);
+  EXPECT_EQ(cv_timedwait(&cv, &mu, kWaitNs), ETIME);
+  mutex_exit(&mu);
+  EXPECT_EQ(samples(LatencyStat::kCondvarWaitLocal), 1u);
+  EXPECT_EQ(samples(LatencyStat::kSemaWaitLocal), 1u);
 
   Stats::Reset();
   Stats::Disable();

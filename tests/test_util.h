@@ -14,6 +14,22 @@
 #include "src/introspect/introspect.h"
 #include "src/util/clock.h"
 
+// SUNMT_TEST_TSAN is 1 in a ThreadSanitizer build (fork1 tests skip there: a
+// TSan child of a multi-threaded parent may not start threads).
+// __SANITIZE_THREAD__ must be tested first: the sanitizer interface headers
+// (pulled in via src/arch/context.h) define a __has_feature(x)=0 fallback for
+// GCC, so the feature check alone would deny TSan on the compiler that has it.
+#if defined(__SANITIZE_THREAD__)
+#define SUNMT_TEST_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define SUNMT_TEST_TSAN 1
+#endif
+#endif
+#ifndef SUNMT_TEST_TSAN
+#define SUNMT_TEST_TSAN 0
+#endif
+
 namespace sunmt_test {
 
 // Adapts std::function to the C-style thread entry. The closure is heap-owned

@@ -32,20 +32,6 @@
 #include "src/util/rng.h"
 #include "tests/test_util.h"
 
-// __SANITIZE_THREAD__ must be tested first: the sanitizer interface headers
-// define a __has_feature(x)=0 fallback for GCC, so the feature check alone
-// would deny TSan on the compiler that has it.
-#if defined(__SANITIZE_THREAD__)
-#define SUNMT_TEST_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define SUNMT_TEST_TSAN 1
-#endif
-#endif
-#ifndef SUNMT_TEST_TSAN
-#define SUNMT_TEST_TSAN 0
-#endif
-
 namespace sunmt {
 namespace {
 
