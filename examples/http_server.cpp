@@ -138,7 +138,7 @@ int RunSingle() {
   }
 
   sunmt::HttpCache cache(/*shards=*/8, /*max_bytes=*/1 << 20);
-  sunmt::HttpAccessLog access_log(STDOUT_FILENO, /*capacity=*/256);
+  sunmt::HttpAccessLog access_log(STDOUT_FILENO);
   sunmt::HttpServerConfig config;
   config.cache = &cache;
   config.access_log = &access_log;

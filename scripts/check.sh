@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate plus the sanitizer pass on the concurrency-heavy subsystems.
 #
-#   1. Regular build + full ctest (the ROADMAP tier-1 command), then the `net`
-#      and `http` labels again pinned to one CPU (taskset -c 0), where the
-#      netpoll owner, the threads it wakes and the watchdog share one core.
+#   1. Regular build + full ctest (the ROADMAP tier-1 command), then the full
+#      suite again pinned to one CPU (taskset -c 0), where every LWP — the
+#      netpoll owner, the threads it wakes, the watchdog — shares one core.
 #      Tier-1 runs once more on the portable ucontext context backend
 #      (SUNMT_FORCE_UCONTEXT, build-uc/), so the backend the x86-64 build
 #      never selects stays correct.
@@ -52,8 +52,8 @@ cmake --build "$repo/build" -j "$jobs"
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
 
 echo
-echo "== pinned: net + http labels on one CPU =="
-taskset -c 0 ctest --test-dir "$repo/build" --output-on-failure -L "net|http"
+echo "== pinned: tier-1 on one CPU =="
+taskset -c 0 ctest --test-dir "$repo/build" --output-on-failure
 
 echo
 echo "== ucontext: tier-1 on the portable context backend =="

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include "src/util/check.h"
-#include "src/util/object_cache.h"
 
 namespace sunmt {
 namespace {
@@ -122,17 +121,6 @@ size_t StackCache::CachedCount() { return Impl::CachedCount(); }
 
 void StackCache::Drain() { Impl::Drain(); }
 
-StackCache::Counters StackCache::Snapshot() {
-  ObjectCacheStats s = Impl::Snapshot();
-  Counters c;
-  c.hits = s.hits;
-  c.misses = s.misses;
-  c.refills = s.refills;
-  c.flushes = s.flushes;
-  c.depot_depth = s.depot_depth;
-  c.magazine_count = s.magazine_count;
-  c.magazine_depth = s.magazine_depth;
-  return c;
-}
+ObjectCacheStats StackCache::Snapshot() { return Impl::Snapshot(); }
 
 }  // namespace sunmt

@@ -13,6 +13,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "src/util/object_cache.h"
+
 namespace sunmt {
 
 class Stack {
@@ -93,18 +95,8 @@ class StackCache {
   // magazines (for leak-sensitive tests).
   static void Drain();
 
-  // Aggregate cache effectiveness counters (monotonic except the depth/count
-  // gauges), exported via FormatProcessState().
-  struct Counters {
-    uint64_t hits = 0;      // Acquire served from a magazine (incl. post-refill)
-    uint64_t misses = 0;    // Acquire fell through to a fresh mmap
-    uint64_t refills = 0;   // batch refills, depot -> magazine
-    uint64_t flushes = 0;   // batch flushes, magazine -> depot
-    size_t depot_depth = 0;     // entries in the depot right now
-    size_t magazine_count = 0;  // live per-LWP magazines
-    size_t magazine_depth = 0;  // entries across all magazines right now
-  };
-  static Counters Snapshot();
+  // The stack cache's effectiveness counters (a miss is a fresh mmap).
+  static ObjectCacheStats Snapshot();
 };
 
 }  // namespace sunmt

@@ -33,10 +33,13 @@ int OnlineCpus() {
   return n > 0 ? static_cast<int>(n) : 1;
 }
 
-void WatchdogMain(Runtime* rt, int64_t period_ns) {
+// Watchdog poll period: the simulated kernel's SIGWAITING latency, and the
+// netpoll backstop while no LWP owns the poll.
+constexpr long kWatchdogPeriodNs = 500 * 1000;
+
+void WatchdogMain(Runtime* rt) {
   for (;;) {
-    struct timespec req = {static_cast<time_t>(period_ns / 1000000000),
-                           static_cast<long>(period_ns % 1000000000)};
+    struct timespec req = {0, kWatchdogPeriodNs};
     nanosleep(&req, nullptr);
     rt->WatchdogTick();
   }
@@ -164,7 +167,7 @@ Runtime::Runtime() {
       SpawnPoolLwpLocked();
     }
   }
-  std::thread(WatchdogMain, this, config_.watchdog_period_ns).detach();
+  std::thread(WatchdogMain, this).detach();
 }
 
 void Runtime::SpawnPoolLwpLocked() {

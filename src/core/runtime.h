@@ -65,8 +65,6 @@ struct RuntimeConfig {
   // paper: "the threads package can use the receipt of SIGWAITING to cause
   // extra LWPs to be created as required to avoid deadlock."
   bool auto_grow = true;
-  // Watchdog poll period (the simulated kernel's SIGWAITING latency).
-  int64_t watchdog_period_ns = 500 * 1000;
   // Time-slice for unbound threads, enforced at scheduling safe points by the
   // clock tick (0 disables). Purely cooperative threads that never call into
   // the package cannot be preempted — documented limitation of a user-level

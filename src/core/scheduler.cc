@@ -265,24 +265,6 @@ void Block(SpinLock* queue_lock) {
   SafePoint();
 }
 
-void ParkOnFd(SpinLock* queue_lock, int fd, uint8_t events) {
-  Tcb* self = CurrentTcb();
-  SUNMT_CHECK(self != nullptr);
-  self->park_fd = fd;
-  self->park_events = events;
-  self->park_result = 0;
-  GlobalSchedStats().net_parks.Inc();
-  Trace::Record(TraceEvent::kNetPark, self->id, static_cast<uint64_t>(fd));
-  Block(queue_lock);
-  self->park_fd = -1;
-  self->park_events = 0;
-}
-
-void WakeFdWaiter(Tcb* tcb) {
-  GlobalSchedStats().net_wakes.Inc();
-  Wake(tcb);
-}
-
 void StopSelf() {
   Tcb* self = CurrentTcb();
   SUNMT_CHECK(self != nullptr);
@@ -314,40 +296,43 @@ void Wake(Tcb* tcb) {
     SpinLockGuard guard(tcb->state_lock);
     SUNMT_DCHECK(tcb->state.load(std::memory_order_relaxed) == ThreadState::kBlocked);
     if (tcb->stop_requested.load(std::memory_order_relaxed)) {
-      // Stopped while blocked: pend the wakeup until thread_continue.
+      // Stopped while blocked: thread_continue makes it runnable instead.
       tcb->stop_requested.store(false, std::memory_order_relaxed);
-      tcb->wakeup_pending = true;
       tcb->state.store(ThreadState::kStopped, std::memory_order_release);
       return;
     }
   }
-  MakeRunnable(tcb);
+  MakeRunnable(tcb, ThreadState::kBlocked);
 }
 
-void MakeRunnable(Tcb* tcb) {
-  GlobalSchedStats().wakes.Inc();
-  if (Trace::IsEnabled()) {
-    Tcb* waker = CurrentTcb();
-    Trace::Record(TraceEvent::kWake, tcb->id, waker != nullptr ? waker->id : 0);
-  }
-  if (Stats::Enabled()) {
-    tcb->runnable_since_ns.store(MonotonicNowNs(), std::memory_order_relaxed);
-  }
+bool MakeRunnable(Tcb* tcb, ThreadState from) {
   {
     SpinLockGuard guard(tcb->state_lock);
+    if (tcb->state.load(std::memory_order_relaxed) != from) {
+      return false;
+    }
+    GlobalSchedStats().wakes.Inc();
+    if (Trace::IsEnabled()) {
+      Tcb* waker = CurrentTcb();
+      Trace::Record(TraceEvent::kWake, tcb->id, waker != nullptr ? waker->id : 0);
+    }
+    if (Stats::Enabled()) {
+      tcb->runnable_since_ns.store(MonotonicNowNs(), std::memory_order_relaxed);
+    }
     tcb->state.store(ThreadState::kRunnable, std::memory_order_release);
     if (tcb->IsBound()) {
       // Kicked under state_lock: the bound thread may run and exit as soon as
       // it reads kRunnable, and its exit takes state_lock before its LWP
       // retires and is reaped, so the LWP outlives this kick.
       tcb->bound_lwp->Unpark();
-      return;
+      return true;
     }
   }
   // Genuine wake: prefer the waker's next box (wake affinity) — unless the
   // injector diverts it to the shared paths so stealing/overflow churn.
   bool affinity = !inject::StealBias(inject::kSchedWake);
   Runtime::Get().EnqueueRunnable(tcb, /*wake_affinity=*/affinity);
+  return true;
 }
 
 void RunThread(Lwp* lwp, Tcb* tcb) {

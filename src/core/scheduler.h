@@ -47,16 +47,6 @@ void Yield();
 // commit after the context save. Returns when another thread calls Wake().
 void Block(SpinLock* queue_lock);
 
-// Block(), tagged as a park on fd readiness (the netpoller wait state): records
-// which fd and direction(s) the thread is waiting on in the TCB (visible to
-// introspection while parked), counts it, and emits a net-park trace event.
-// Same queue-lock protocol as Block().
-void ParkOnFd(SpinLock* queue_lock, int fd, uint8_t events);
-
-// Wake() for a thread parked via ParkOnFd: counts the wake and emits a net-wake
-// trace event. The caller has already dequeued the TCB and set its wake reason.
-void WakeFdWaiter(Tcb* tcb);
-
 // Terminates the current thread; never returns.
 [[noreturn]] void ExitCurrent();
 
@@ -74,9 +64,11 @@ void SafePoint();
 // wakeup is deferred until thread_continue (the thread parks in kStopped).
 void Wake(Tcb* tcb);
 
-// Requeues a runnable unbound thread or kicks a bound thread's LWP. Used by
-// thread_continue and thread creation.
-void MakeRunnable(Tcb* tcb);
+// Makes a thread that is in state `from` runnable: requeues it (unbound) or
+// kicks its LWP (bound). The state test and the kRunnable store share one
+// state_lock section, so of two racing callers (two thread_continue calls on
+// one stopped thread) exactly one enqueues it. Returns whether this call did.
+bool MakeRunnable(Tcb* tcb, ThreadState from);
 
 // ---- LWP dispatch loops ------------------------------------------------------
 

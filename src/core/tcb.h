@@ -76,7 +76,6 @@ struct Tcb {
 
   // Stop/continue plumbing (thread_stop is honored at safe points).
   std::atomic<bool> stop_requested{false};
-  bool wakeup_pending = false;  // woken while stop-pending; re-run on continue
 
   // ---- Metrics (written only when Stats::Enabled(), except the counters) ---
   // Timestamp of the last MakeRunnable/yield-requeue; consumed (exchanged to
@@ -117,12 +116,9 @@ struct Tcb {
   std::atomic<uint64_t> timeout_fire_seq{0};
 
   // ---- Netpoller park state (see src/net) ----------------------------------
-  // While parked on fd readiness: the fd and direction mask (NET_READABLE /
-  // NET_WRITABLE) being waited for, for introspection. park_result carries the
-  // wake reason (0 = readiness; nonzero = cancelled by poller stop/unregister),
-  // written by the waker under the fd entry's lock before the wake.
-  int park_fd = -1;
-  uint8_t park_events = 0;
+  // The wake reason of a thread parked on fd readiness (0 = readiness;
+  // nonzero = cancelled by poller stop/unregister), written by the waker under
+  // the fd entry's lock before the wake.
   uint8_t park_result = 0;
 
   // SYNC_DEBUG mutexes record what this thread is blocked on, enabling the

@@ -94,7 +94,7 @@ thread_id_t thread_create(void* stack_addr, size_t stack_size, void (*func)(void
     SpinLockGuard guard(tcb->state_lock);
     tcb->state.store(ThreadState::kStopped, std::memory_order_release);
   } else {
-    sched::MakeRunnable(tcb);
+    sched::MakeRunnable(tcb, ThreadState::kEmbryo);
   }
   // `tcb` may already be gone here (the thread may have run and exited), so
   // only the saved id is returned.
@@ -192,24 +192,16 @@ int thread_continue(thread_id_t thread_id) {
   if (thread_id == kInvalidThreadId) {
     return -1;  // cannot continue the calling (running) thread
   }
-  Runtime& rt = Runtime::Get();
-  Tcb* to_wake = nullptr;
-  bool found = rt.WithThread(thread_id, [&](Tcb* target) {
-    SpinLockGuard guard(target->state_lock);
+  bool found = Runtime::Get().WithThread(thread_id, [](Tcb* target) {
     target->stop_requested.store(false, std::memory_order_relaxed);
-    if (target->state.load(std::memory_order_acquire) == ThreadState::kStopped) {
-      target->wakeup_pending = false;
-      to_wake = target;
+    // Still under the registry lock, so the target cannot be reclaimed. Of
+    // concurrent continues only one finds it kStopped and enqueues it; two
+    // enqueues would run it on two LWPs at once.
+    if (sched::MakeRunnable(target, ThreadState::kStopped)) {
+      Trace::Record(TraceEvent::kContinue, target->id, 0);
     }
   });
-  if (!found) {
-    return -1;
-  }
-  if (to_wake != nullptr) {
-    Trace::Record(TraceEvent::kContinue, to_wake->id, 0);
-    sched::MakeRunnable(to_wake);
-  }
-  return 0;
+  return found ? 0 : -1;
 }
 
 int thread_priority(thread_id_t thread_id, int priority) {

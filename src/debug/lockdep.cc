@@ -558,6 +558,9 @@ void ReportInversion(ThreadNode* n, uint32_t from, uint32_t to, uintptr_t pc,
   off = AppendF(b, kReportCap, off, "\n");
   g_report_len.store(static_cast<uint32_t>(off), std::memory_order_release);
   UnlockReport();
+  // Counted only once stored: a reader that sees the count (acquire, in
+  // Snapshot) then finds this report, not the previous one.
+  g_inversions.fetch_add(1, std::memory_order_release);
   EmitReport(kReportInversion, static_cast<uint16_t>(from),
              static_cast<uint16_t>(to), tid);
 }
@@ -590,7 +593,6 @@ void AddEdgeAndCheck(ThreadNode* n, uint32_t from, uint32_t to, uintptr_t pc,
   UnlockGraph();
   g_edges.fetch_add(1, std::memory_order_relaxed);
   if (plen > 0) {
-    g_inversions.fetch_add(1, std::memory_order_relaxed);
     ReportInversion(n, from, to, pc, held_pc, path, plen);
   }
 }
@@ -694,6 +696,7 @@ void ReportDeadlock(ThreadNode* self, ObjDebug* start, const Hop* hops,
   }
   g_report_len.store(static_cast<uint32_t>(off), std::memory_order_release);
   UnlockReport();
+  g_deadlocks.fetch_add(1, std::memory_order_release);  // see ReportInversion
   EmitReport(kReportDeadlock, start_cls, last_cls, tid);
 }
 
@@ -711,7 +714,6 @@ void WalkAndMaybeReport(ThreadNode* self, ObjDebug* start) {
   if (self->deadlock_reported.exchange(true, std::memory_order_acq_rel)) {
     return;  // already reported for this block
   }
-  g_deadlocks.fetch_add(1, std::memory_order_relaxed);
   ReportDeadlock(self, start, hops, count);
 }
 
@@ -892,8 +894,8 @@ CountersSnapshot Snapshot() {
   s.classes = g_class_count.load(std::memory_order_acquire) - 1;
   s.checks = g_checks.load(std::memory_order_relaxed);
   s.edges = g_edges.load(std::memory_order_relaxed);
-  s.inversions = g_inversions.load(std::memory_order_relaxed);
-  s.deadlocks = g_deadlocks.load(std::memory_order_relaxed);
+  s.inversions = g_inversions.load(std::memory_order_acquire);
+  s.deadlocks = g_deadlocks.load(std::memory_order_acquire);
   s.held_overflows = g_held_overflows.load(std::memory_order_relaxed);
   return s;
 }

@@ -11,14 +11,10 @@ namespace sunmt {
 // The one-byte stop sentinel: real lines always start with 'c' ("conn=").
 static constexpr char kStopSentinel = '\0';
 
-HttpAccessLog::HttpAccessLog(int fd, uint32_t capacity, bool blocking)
-    : fd_(fd), blocking_(blocking) {
-  if (capacity == 0) {
-    capacity = 1;
-  }
-  size_t footprint = MessageQueue::FootprintBytes(kMaxLine, capacity);
+HttpAccessLog::HttpAccessLog(int fd) : fd_(fd) {
+  size_t footprint = MessageQueue::FootprintBytes(kMaxLine, kCapacity);
   queue_memory_ = new char[footprint]();
-  queue_ = MessageQueue::CreateAt(queue_memory_, kMaxLine, capacity,
+  queue_ = MessageQueue::CreateAt(queue_memory_, kMaxLine, kCapacity,
                                   /*sync_type=*/0);
   logger_ = thread_create(nullptr, 0, &LoggerMain, this, THREAD_WAIT);
 }
@@ -54,11 +50,8 @@ void HttpAccessLog::Log(uint64_t conn_id, std::string_view method,
   }
   size_t len = static_cast<size_t>(n) < sizeof(line) ? static_cast<size_t>(n)
                                                      : sizeof(line) - 1;
-  bool queued = blocking_ ? queue_->Send(line, len) : queue_->TrySend(line, len);
+  queue_->Send(line, len);
   in_flight_.fetch_sub(1, std::memory_order_release);
-  if (!queued) {
-    lines_dropped_.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 void HttpAccessLog::Stop() {

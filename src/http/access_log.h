@@ -6,9 +6,8 @@
 // connection threads format the line and Send() it; one unbound logger thread
 // Recv()s and writes to the sink fd through the io_* wrappers.
 //
-// Backpressure is a policy choice: blocking mode (default) makes a full queue
-// throttle request threads (every line lands); non-blocking mode drops lines
-// and counts them (latency over completeness — the load-bench configuration).
+// Backpressure: a full queue throttles request threads, so every line logged
+// before Stop() lands unless the sink fails.
 
 #ifndef SUNMT_SRC_HTTP_ACCESS_LOG_H_
 #define SUNMT_SRC_HTTP_ACCESS_LOG_H_
@@ -24,9 +23,8 @@ namespace sunmt {
 
 class HttpAccessLog {
  public:
-  // Lines are written to `fd` (not owned). `capacity` bounds the mailbox;
-  // `blocking` selects full-queue policy (throttle vs drop).
-  explicit HttpAccessLog(int fd, uint32_t capacity = 1024, bool blocking = true);
+  // Lines are written to `fd` (not owned).
+  explicit HttpAccessLog(int fd);
   ~HttpAccessLog();
 
   HttpAccessLog(const HttpAccessLog&) = delete;
@@ -44,6 +42,7 @@ class HttpAccessLog {
   uint64_t lines_written() const {
     return lines_written_.load(std::memory_order_relaxed);
   }
+  // Lines lost to a failing sink or logged after Stop().
   uint64_t lines_dropped() const {
     return lines_dropped_.load(std::memory_order_relaxed);
   }
@@ -52,9 +51,9 @@ class HttpAccessLog {
   static void LoggerMain(void* arg);
 
   static constexpr uint32_t kMaxLine = 512;
+  static constexpr uint32_t kCapacity = 1024;  // mailbox slots
 
   int fd_;
-  bool blocking_;
   std::atomic<bool> stopping_{false};
   // Producers inside Log() past the stopping_ check; Stop() waits for this to
   // reach zero before the sentinel, so a blocking Send() always has a live

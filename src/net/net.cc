@@ -1,5 +1,5 @@
-// Public netpoller API: nonblocking syscall + park-on-EAGAIN retry loops over
-// NetPoller::WaitReady. Every wrapper reports errors through thread_errno()
+// Public netpoller API: nonblocking syscalls behind one park-on-EAGAIN retry
+// loop over NetPoller::WaitReady. Every wrapper reports errors through thread_errno()
 // like the src/io family, and additionally clears it to 0 on success.
 
 #include "src/net/net.h"
@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 
 #include "src/inject/inject.h"
@@ -40,8 +41,9 @@ bool WouldBlock(int err) { return err == EAGAIN || err == EWOULDBLOCK; }
 // drained, so any later readiness fires a fresh edge). So the fault only
 // stands on a genuinely not-ready fd; otherwise it decays to a no-op and the
 // caller performs the real syscall.
-bool InjectedEagainHolds(int fd, short events) {
-  struct pollfd p = {fd, events, 0};
+bool InjectedEagainHolds(int fd, uint32_t events) {
+  short poll_events = events == NET_READABLE ? POLLIN : POLLOUT;
+  struct pollfd p = {fd, poll_events, 0};
   return poll(&p, 1, 0) == 0;
 }
 
@@ -61,27 +63,51 @@ void EnsureIoRouter() {
   }
 }
 
-// Remaining budget for multi-park operations: each re-park (e.g. after a
-// concurrent consumer stole the readiness, or a partial writev) must not
-// restart the clock. Forever (<0) and nonblocking-try (0) pass through.
-struct Deadline {
-  explicit Deadline(int64_t timeout_ns)
-      : timeout_ns_(timeout_ns),
-        start_ns_(timeout_ns > 0 ? MonotonicNowNs() : 0) {}
-
-  int64_t Remaining() const {
-    if (timeout_ns_ <= 0) {
-      return timeout_ns_;
+// The one park-and-retry loop behind every parking read, write, writev and
+// accept. `attempt` makes the nonblocking syscall and returns its result, or
+// -1 with errno set; EAGAIN parks until `events` (NET_READABLE or
+// NET_WRITABLE) fire on `fd`, then retries. Reports through thread_errno()
+// like every wrapper.
+template <typename Attempt>
+ssize_t ParkAndRetry(int fd, uint32_t events, int64_t timeout_ns,
+                     Attempt attempt) {
+  NetPoller& poller = NetPoller::Get();
+  // One deadline spans every park of the call: a re-park (a concurrent
+  // consumer stole the readiness, or a writev went partial) keeps the clock.
+  const int64_t start_ns = timeout_ns > 0 ? MonotonicNowNs() : 0;
+  for (;;) {
+    // Injected not-ready: skip the syscall and take the WaitReady path, as if
+    // the data arrived just after an EAGAIN — races the deadline against the
+    // park/wake machinery. (Not with timeout 0: a nonblocking try must report
+    // the fd's true state. Not on a ready fd: see InjectedEagainHolds.)
+    if (timeout_ns == 0 || !inject::Fault(inject::kNetSyscall) ||
+        !InjectedEagainHolds(fd, events)) {
+      ssize_t n = attempt();
+      if (n >= 0) {
+        return NetResult(n, 0);
+      }
+      if (!WouldBlock(errno)) {
+        return NetResult<ssize_t>(-1, errno);
+      }
     }
-    int64_t left = timeout_ns_ - (MonotonicNowNs() - start_ns_);
-    // A fully consumed deadline must not turn into "wait forever" or a
-    // nonblocking try that reports EAGAIN; 1ns parks and times out as ETIME.
-    return left > 0 ? left : 1;
+    if (inject::Fault(inject::kNetWaitReady)) {
+      continue;  // injected spurious readiness: retry the syscall
+    }
+    // Forever (< 0) and a nonblocking try (0) pass through. A consumed
+    // deadline must not turn into either: 1 ns parks and times out as ETIME.
+    int64_t remaining = timeout_ns;
+    if (timeout_ns > 0) {
+      remaining = std::max<int64_t>(timeout_ns - (MonotonicNowNs() - start_ns), 1);
+    }
+    int rc = poller.WaitReady(fd, events, remaining);
+    if (rc == ETIME && timeout_ns == 0) {
+      rc = EAGAIN;  // a nonblocking try reports like the raw syscall
+    }
+    if (rc != 0) {
+      return NetResult<ssize_t>(-1, rc);
+    }
   }
-
-  int64_t timeout_ns_;
-  int64_t start_ns_;
-};
+}
 
 // write(2)/writev(2) on a peer-closed socket raise SIGPIPE, which would kill
 // the whole process out from under every other connection (first hit by the
@@ -172,35 +198,9 @@ bool net_backend_snapshot(NetBackendStats* out) {
 // ---- Parking I/O ------------------------------------------------------------
 
 ssize_t net_read_deadline(int fd, void* buf, size_t count, int64_t timeout_ns) {
-  NetPoller& poller = NetPoller::Get();
-  Deadline deadline(timeout_ns);
   count = inject::ShortTransfer(inject::kNetSyscall, count);
-  for (;;) {
-    // Injected not-ready: skip the syscall and take the WaitReady path, as if
-    // the data arrived just after an EAGAIN — races the deadline against the
-    // park/wake machinery. (Not with timeout 0: a nonblocking try must report
-    // the fd's true state. Not on a ready fd: see InjectedEagainHolds.)
-    if (timeout_ns == 0 || !inject::Fault(inject::kNetSyscall) ||
-        !InjectedEagainHolds(fd, POLLIN)) {
-      ssize_t n = read(fd, buf, count);
-      if (n >= 0) {
-        return NetResult(n, 0);
-      }
-      if (!WouldBlock(errno)) {
-        return NetResult<ssize_t>(-1, errno);
-      }
-    }
-    if (inject::Fault(inject::kNetWaitReady)) {
-      continue;  // injected spurious readiness: retry the syscall
-    }
-    int rc = poller.WaitReady(fd, NET_READABLE, deadline.Remaining());
-    if (rc == ETIME && timeout_ns == 0) {
-      rc = EAGAIN;  // a nonblocking try reports like the raw syscall
-    }
-    if (rc != 0) {
-      return NetResult<ssize_t>(-1, rc);
-    }
-  }
+  return ParkAndRetry(fd, NET_READABLE, timeout_ns,
+                      [&] { return read(fd, buf, count); });
 }
 
 ssize_t net_read(int fd, void* buf, size_t count) {
@@ -209,31 +209,9 @@ ssize_t net_read(int fd, void* buf, size_t count) {
 
 ssize_t net_write_deadline(int fd, const void* buf, size_t count,
                            int64_t timeout_ns) {
-  NetPoller& poller = NetPoller::Get();
-  Deadline deadline(timeout_ns);
   count = inject::ShortTransfer(inject::kNetSyscall, count);
-  for (;;) {
-    if (timeout_ns == 0 || !inject::Fault(inject::kNetSyscall) ||
-        !InjectedEagainHolds(fd, POLLOUT)) {
-      ssize_t n = WriteNoSigpipe(fd, buf, count);
-      if (n >= 0) {
-        return NetResult(n, 0);
-      }
-      if (!WouldBlock(errno)) {
-        return NetResult<ssize_t>(-1, errno);
-      }
-    }
-    if (inject::Fault(inject::kNetWaitReady)) {
-      continue;
-    }
-    int rc = poller.WaitReady(fd, NET_WRITABLE, deadline.Remaining());
-    if (rc == ETIME && timeout_ns == 0) {
-      rc = EAGAIN;
-    }
-    if (rc != 0) {
-      return NetResult<ssize_t>(-1, rc);
-    }
-  }
+  return ParkAndRetry(fd, NET_WRITABLE, timeout_ns,
+                      [&] { return WriteNoSigpipe(fd, buf, count); });
 }
 
 ssize_t net_write(int fd, const void* buf, size_t count) {
@@ -257,54 +235,43 @@ ssize_t net_writev_deadline(int fd, const struct iovec* iov, int iovcnt,
   if (total == 0) {
     return NetResult<ssize_t>(0, 0);
   }
-  NetPoller& poller = NetPoller::Get();
-  Deadline deadline(timeout_ns);
   int idx = 0;
-  for (;;) {
-    while (idx < iovcnt && local[idx].iov_len == 0) {
-      ++idx;
-    }
-    if (idx == iovcnt) {
-      return NetResult<ssize_t>(static_cast<ssize_t>(total), 0);
-    }
-    if (timeout_ns == 0 || !inject::Fault(inject::kNetSyscall) ||
-        !InjectedEagainHolds(fd, POLLOUT)) {
+  return ParkAndRetry(fd, NET_WRITABLE, timeout_ns, [&]() -> ssize_t {
+    // A partial write leaves the fd possibly still writable: retry before
+    // parking, until everything is sent or the socket pushes back.
+    for (;;) {
+      while (idx < iovcnt && local[idx].iov_len == 0) {
+        ++idx;
+      }
+      if (idx == iovcnt) {
+        return static_cast<ssize_t>(total);
+      }
       // Injected short transfer: clamp this attempt to a prefix of the first
       // pending entry, exercising the mid-entry continuation below.
       size_t clamped = inject::ShortTransfer(inject::kNetSyscall, local[idx].iov_len);
       ssize_t n = clamped < local[idx].iov_len
                       ? WriteNoSigpipe(fd, local[idx].iov_base, clamped)
                       : WritevNoSigpipe(fd, &local[idx], iovcnt - idx);
-      if (n > 0) {
-        size_t adv = static_cast<size_t>(n);
-        while (adv > 0 && idx < iovcnt) {
-          if (adv >= local[idx].iov_len) {
-            adv -= local[idx].iov_len;
-            local[idx].iov_len = 0;
-            ++idx;
-          } else {
-            local[idx].iov_base = static_cast<char*>(local[idx].iov_base) + adv;
-            local[idx].iov_len -= adv;
-            adv = 0;
-          }
+      if (n <= 0) {
+        if (n == 0) {
+          errno = EAGAIN;  // no progress: wait for writability, never spin
         }
-        continue;  // partial write: the fd may still be writable, retry first
+        return -1;
       }
-      if (n < 0 && !WouldBlock(errno)) {
-        return NetResult<ssize_t>(-1, errno);
+      size_t adv = static_cast<size_t>(n);
+      while (adv > 0 && idx < iovcnt) {
+        if (adv >= local[idx].iov_len) {
+          adv -= local[idx].iov_len;
+          local[idx].iov_len = 0;
+          ++idx;
+        } else {
+          local[idx].iov_base = static_cast<char*>(local[idx].iov_base) + adv;
+          local[idx].iov_len -= adv;
+          adv = 0;
+        }
       }
     }
-    if (inject::Fault(inject::kNetWaitReady)) {
-      continue;
-    }
-    int rc = poller.WaitReady(fd, NET_WRITABLE, deadline.Remaining());
-    if (rc == ETIME && timeout_ns == 0) {
-      rc = EAGAIN;
-    }
-    if (rc != 0) {
-      return NetResult<ssize_t>(-1, rc);
-    }
-  }
+  });
 }
 
 ssize_t net_writev(int fd, const struct iovec* iov, int iovcnt) {
@@ -313,30 +280,8 @@ ssize_t net_writev(int fd, const struct iovec* iov, int iovcnt) {
 
 int net_accept_deadline(int sockfd, struct sockaddr* addr, socklen_t* addrlen,
                         int64_t timeout_ns) {
-  NetPoller& poller = NetPoller::Get();
-  Deadline deadline(timeout_ns);
-  for (;;) {
-    if (timeout_ns == 0 || !inject::Fault(inject::kNetSyscall) ||
-        !InjectedEagainHolds(sockfd, POLLIN)) {
-      int fd = accept(sockfd, addr, addrlen);
-      if (fd >= 0) {
-        return NetResult(fd, 0);
-      }
-      if (!WouldBlock(errno)) {
-        return NetResult(-1, errno);
-      }
-    }
-    if (inject::Fault(inject::kNetWaitReady)) {
-      continue;
-    }
-    int rc = poller.WaitReady(sockfd, NET_READABLE, deadline.Remaining());
-    if (rc == ETIME && timeout_ns == 0) {
-      rc = EAGAIN;
-    }
-    if (rc != 0) {
-      return NetResult(-1, rc);
-    }
-  }
+  return static_cast<int>(ParkAndRetry(sockfd, NET_READABLE, timeout_ns,
+                                       [&] { return accept(sockfd, addr, addrlen); }));
 }
 
 int net_accept(int sockfd, struct sockaddr* addr, socklen_t* addrlen) {

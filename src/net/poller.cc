@@ -67,15 +67,16 @@ enum : uint8_t {
   kWakeCancelled = 1,
 };
 
+// Wakes a thread parked in WaitReady, whoever dequeued it (readiness, a
+// cancel sweep or its deadline), and counts the wake beside the parks.
+void WakeFdWaiter(Tcb* tcb) {
+  GlobalSchedStats().net_wakes.Inc();
+  sched::Wake(tcb);
+}
+
 // Deadline support, same shape as cv_timedwait (timed_wait.h): whichever of
-// readiness and the timer dequeues the waiter first wins. One ctx per
-// _deadline wait: a 10k-connection server with idle timeouts arms one of these
-// per request, so the blocks come from a per-LWP magazine
-// (src/util/object_cache.h) and steady state never touches the heap.
-struct NetCtxTag {
-  static constexpr const char* kName = "net.timeout_ctx";
-};
-using NetTimedWait = TimedWait<NetCtxTag, &sched::WakeFdWaiter>;
+// readiness and the timer dequeues the waiter first wins.
+using NetTimedWait = TimedWait<&WakeFdWaiter>;
 
 // fork1() child repair: the parked waiters do not exist in the child; abandon
 // the parent's poller so the child lazily builds a fresh one. The inherited
@@ -255,7 +256,7 @@ void NetPoller::WakeChain(Tcb* head) {
   while (head != nullptr) {
     Tcb* next = head->wait_next;
     head->wait_next = nullptr;
-    sched::WakeFdWaiter(head);
+    WakeFdWaiter(head);
     head = next;
   }
 }
@@ -336,8 +337,8 @@ void NetPoller::Kick() {
 int NetPoller::WaitReady(int fd, uint32_t events, int64_t timeout_ns) {
   SUNMT_DCHECK(events == NET_READABLE || events == NET_WRITABLE);
   // Schedule perturbation only: a *spurious* ready here would be illegal for
-  // net_connect (it reads SO_ERROR on 0), so the fault variant lives at the
-  // read/write/accept retry loops instead.
+  // net_connect (it reads SO_ERROR on 0), so the fault variant lives in
+  // net.cc's read/write/writev/accept retry loop instead.
   inject::Perturb(inject::kNetWaitReady);
   FdEntry* entry = GetEntry(fd);
   if (entry == nullptr) {
@@ -375,7 +376,9 @@ int NetPoller::WaitReady(int fd, uint32_t events, int64_t timeout_ns) {
   if (self->IsBound()) {
     Runtime::Get().HandOffPoll();
   }
-  sched::ParkOnFd(&entry->lock, fd, static_cast<uint8_t>(events));
+  GlobalSchedStats().net_parks.Inc();
+  Trace::Record(TraceEvent::kNetPark, self->id, static_cast<uint64_t>(fd));
+  sched::Block(&entry->lock);  // the waker sets park_result before the wake
   parked_count_.fetch_sub(1, std::memory_order_release);
   SyncWaitEndNs(LatencyStat::kNetReadinessWait, TraceEvent::kNetWake, self->id,
                 wait_start);

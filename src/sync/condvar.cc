@@ -30,13 +30,6 @@
 namespace sunmt {
 namespace {
 
-// One ctx per timed wait; steady state must not touch the heap (the paper's
-// no-malloc-on-hot-paths rule), so the blocks come from a per-LWP magazine.
-struct CvCtxTag {
-  static constexpr const char* kName = "cv.timeout_ctx";
-};
-using CvTimedWait = TimedWait<CvCtxTag, &sched::Wake>;
-
 bool IsShared(const condvar_t* cvp) { return (cvp->type & THREAD_SYNC_SHARED) != 0; }
 
 uint32_t LdFlags(const condvar_t* cvp) {
@@ -61,7 +54,7 @@ int CvWait(condvar_t* cvp, mutex_t* mutexp, int64_t timeout_ns) {
   Tcb* self = sched::CurrentTcbOrAdopt();
   cvp->qlock.Lock();
   WaitqPush(&cvp->wait_head, &cvp->wait_tail, self);  // advances block_generation
-  CvTimedWait timeout;
+  TimedWait<&sched::Wake> timeout;
   timeout.Arm(&cvp->qlock, &cvp->wait_head, &cvp->wait_tail, self, timeout_ns);
   mutex_exit(mutexp);
   // Condvars have no owner, so the waiting-on edge is for introspection and

@@ -23,13 +23,6 @@
 namespace sunmt {
 namespace {
 
-// One ctx per timed wait; steady state must not touch the heap (the paper's
-// no-malloc-on-hot-paths rule), so the blocks come from a per-LWP magazine.
-struct SemaCtxTag {
-  static constexpr const char* kName = "sema.timeout_ctx";
-};
-using SemaTimedWait = TimedWait<SemaCtxTag, &sched::Wake>;
-
 bool IsShared(const sema_t* sp) { return (sp->type & THREAD_SYNC_SHARED) != 0; }
 
 // Semaphores have no owner: a credit P'd here may be V'd by any thread (the
@@ -88,7 +81,7 @@ int LocalP(sema_t* sp, int64_t timeout_ns) {
     return 1;
   }
   WaitqPush(&sp->wait_head, &sp->wait_tail, self);  // advances block_generation
-  SemaTimedWait timeout;
+  TimedWait<&sched::Wake> timeout;
   timeout.Arm(&sp->qlock, &sp->wait_head, &sp->wait_tail, self, timeout_ns);
   WaitqBlock(&sp->qlock, &sp->lockdep_dbg, lockdep::kSema, LdFlags(sp),
              LatencyStat::kSemaWaitLocal, TraceEvent::kSemaWait, self);

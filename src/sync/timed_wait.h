@@ -20,6 +20,9 @@
 //     returning: the fire still takes the queue's lock to find the waiter
 //     gone, and the caller may destroy the object holding that lock the
 //     moment the wait returns.
+//   * So the waiter outlives every read the fire makes of its context, and
+//     the context lives in the TimedWait on the waiter's stack: a timed wait
+//     allocates nothing.
 
 #ifndef SUNMT_SRC_SYNC_TIMED_WAIT_H_
 #define SUNMT_SRC_SYNC_TIMED_WAIT_H_
@@ -32,7 +35,6 @@
 #include "src/core/tcb.h"
 #include "src/sync/waitq.h"
 #include "src/timer/timer.h"
-#include "src/util/object_cache.h"
 #include "src/util/spinlock.h"
 
 namespace sunmt {
@@ -42,16 +44,15 @@ namespace sunmt {
 // entry. Usage:
 //
 //   lock held; WaitqPush(head, tail, self);
-//   TimedWait<Tag, Wake> timeout;
+//   TimedWait<Wake> timeout;
 //   timeout.Arm(lock, head, tail, self, timeout_ns);  // < 0: stays unarmed
 //   block, releasing lock;
 //   if (timeout.Finish()) { the timer dequeued us }
 //
-// Tag names the object cache the per-wait context comes from (steady state
-// must not touch the heap). Wake is the wake-up the normal path uses for this
-// queue (sched::Wake, or sched::WakeFdWaiter for the netpoller). Both are
-// template arguments so the fire path calls them directly.
-template <typename Tag, void (*Wake)(Tcb*)>
+// Wake is the wake-up the normal path uses for this queue (sched::Wake, or
+// the netpoller's fd wake), a template argument so the fire calls it
+// directly.
+template <void (*Wake)(Tcb*)>
 class TimedWait {
  public:
   // Arms the timeout. Call with `lock` held, right after WaitqPush queued
@@ -63,27 +64,23 @@ class TimedWait {
     if (timeout_ns < 0) {
       return;
     }
-    self_ = self;
+    ctx_ = {lock, head, tail, self};
     self->timed_out = false;
     fire_seq_ = self->timeout_fire_seq.load(std::memory_order_relaxed);
-    ctx_ = CtxAlloc::New(lock, head, tail, self);
-    timer_ = timer_arm_callback(timeout_ns, &Fire, ctx_, self->block_generation);
+    timer_ = timer_arm_callback(timeout_ns, &Fire, &ctx_, self->block_generation);
   }
 
-  // Call once the waiter runs again. Returns true if the timer dequeued it
-  // (the fire owned and freed the context). Otherwise disarms the timer, and
-  // if the cancel lost the race waits for the in-flight fire's ack. An
-  // unarmed wait returns false.
+  // Call once the waiter runs again. Returns true if the timer dequeued it.
+  // Otherwise disarms the timer, and if the cancel lost the race waits for
+  // the in-flight fire's ack. An unarmed wait returns false.
   bool Finish() const {
-    if (self_ == nullptr) {
+    if (ctx_.tcb == nullptr) {
       return false;
     }
-    if (self_->timed_out) {
+    if (ctx_.tcb->timed_out) {
       return true;
     }
-    if (timer_cancel(timer_) == 0) {
-      CtxAlloc::Delete(ctx_);  // cancelled before firing: the fire never ran
-    } else {
+    if (timer_cancel(timer_) != 0) {
       AwaitFire();
     }
     return false;
@@ -96,12 +93,12 @@ class TimedWait {
     Tcb** tail;
     Tcb* tcb;
   };
-  using CtxAlloc = CachedAlloc<Ctx, Tag>;
 
-  // Runs on the timer engine thread when the timeout expires first.
+  // Runs on the timer engine thread when the timeout expires first. The
+  // context is copied out first, so nothing below reads the waiter's stack:
+  // once the ack lands, a waiter whose cancel lost may return and pop it.
   static void Fire(void* cookie, uint64_t generation) {
-    Ctx ctx = *static_cast<Ctx*>(cookie);
-    CtxAlloc::Delete(static_cast<Ctx*>(cookie));
+    Ctx ctx = *static_cast<const Ctx*>(cookie);
     bool matched = false;
     {
       SpinLockGuard guard(*ctx.lock);
@@ -128,7 +125,7 @@ class TimedWait {
   // callback backlog; the waiter holds no locks here.
   void AwaitFire() const {
     int spins = 0;
-    while (self_->timeout_fire_seq.load(std::memory_order_acquire) ==
+    while (ctx_.tcb->timeout_fire_seq.load(std::memory_order_acquire) ==
            fire_seq_) {
       if (++spins < 64) {
         CpuRelax();
@@ -138,9 +135,8 @@ class TimedWait {
     }
   }
 
-  Tcb* self_ = nullptr;
+  Ctx ctx_ = {};  // the fire's cookie; ctx_.tcb stays null while unarmed
   uint64_t fire_seq_ = 0;
-  Ctx* ctx_ = nullptr;
   timer_id_t timer_ = kInvalidTimerId;
 };
 

@@ -54,8 +54,6 @@ inline Tcb* WaitqPop(Tcb** head, Tcb** tail) {
   return tcb;
 }
 
-inline Tcb* WaitqPeek(Tcb* head) { return head; }
-
 inline bool WaitqEmpty(const Tcb* head) { return head == nullptr; }
 
 // True if the thread is on the chain. Lets a racing dequeuer (e.g. a timeout

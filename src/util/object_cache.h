@@ -6,10 +6,12 @@
 // *magazine*; a locked global *depot* backs all magazines and is touched only
 // in batches, so steady-state acquire/release costs one uncontended per-owner
 // lock and zero shared-lock round trips. This header extracts that machinery
-// into one implementation so every per-operation allocation — timed-wait
-// contexts, HTTP connection args, cxx::Thread closures, the stacks themselves
-// — shares a single protocol, a single fork-repair path, and a single stats
-// format (the OBJCACHE lines in FormatProcessState()).
+// into one implementation so every per-operation allocation — HTTP
+// connection args, cxx::Thread closures, the stacks themselves — shares a
+// single protocol, a single fork-repair path, and a single stats format (the
+// OBJCACHE lines in FormatProcessState()). (An object whose lifetime is one
+// call needs none of this: a timed wait keeps its timeout context on the
+// waiter's stack, src/sync/timed_wait.h.)
 //
 // Two layers:
 //
@@ -452,10 +454,10 @@ class ObjectCache {
 // New/Delete, only the underlying allocation is recycled. Tag supplies the
 // cache name (distinct tags get distinct caches even at equal block sizes):
 //
-//   struct CtxTag { static constexpr const char* kName = "sema.timeout_ctx"; };
-//   auto* ctx = CachedAlloc<SemaTimeoutCtx, CtxTag>::New(sp, self);
+//   struct ConnArgCacheTag { static constexpr const char* kName = "http.conn_arg"; };
+//   auto* arg = CachedAlloc<ConnArg, ConnArgCacheTag>::New(server, fd, id);
 //   ...
-//   CachedAlloc<SemaTimeoutCtx, CtxTag>::Delete(ctx);
+//   CachedAlloc<ConnArg, ConnArgCacheTag>::Delete(arg);
 template <typename T, typename Tag>
 class CachedAlloc {
   struct BlockTraits {
@@ -475,7 +477,7 @@ class CachedAlloc {
     if (!Cache::Acquire(&p)) {
       p = ::operator new(sizeof(T));
     }
-    // Brace-init so aggregates (the timed-wait ctx structs) work unchanged.
+    // Brace-init so aggregates (e.g. the HTTP ConnArg) work unchanged.
     return ::new (p) T{std::forward<Args>(args)...};
   }
 

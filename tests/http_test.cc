@@ -387,7 +387,7 @@ TEST(HttpAccessLog, LinesReachTheSinkInOrder) {
   int fds[2];
   ASSERT_EQ(pipe(fds), 0);
   {
-    HttpAccessLog log(fds[1], /*capacity=*/8);
+    HttpAccessLog log(fds[1]);
     log.Log(1, "GET", "/a", 200, 13, 42);
     log.Log(2, "POST", "/b", 404, 0, 7);
     log.Stop();

@@ -91,13 +91,13 @@ TEST(StackMagazine, RefillFlushInvariants) {
 
   StackCache::Drain();
   ASSERT_EQ(StackCache::CachedCount(), 0u);
-  StackCache::Counters base = StackCache::Snapshot();
+  ObjectCacheStats base = StackCache::Snapshot();
 
   std::vector<Stack> stacks;
   for (size_t i = 0; i < kN; ++i) {
     stacks.push_back(StackCache::Acquire());
   }
-  StackCache::Counters after_acquire = StackCache::Snapshot();
+  ObjectCacheStats after_acquire = StackCache::Snapshot();
   EXPECT_EQ(after_acquire.misses - base.misses, kN);
   EXPECT_EQ(after_acquire.hits, base.hits);
 
@@ -106,7 +106,7 @@ TEST(StackMagazine, RefillFlushInvariants) {
   }
   stacks.clear();
   EXPECT_EQ(StackCache::CachedCount(), kN);
-  StackCache::Counters after_recycle = StackCache::Snapshot();
+  ObjectCacheStats after_recycle = StackCache::Snapshot();
   EXPECT_EQ(after_recycle.flushes - base.flushes, 1u);
   EXPECT_EQ(after_recycle.depot_depth, StackCache::kRefillBatch);
   EXPECT_EQ(after_recycle.depot_depth + after_recycle.magazine_depth, kN);
@@ -114,7 +114,7 @@ TEST(StackMagazine, RefillFlushInvariants) {
   for (size_t i = 0; i < kN; ++i) {
     stacks.push_back(StackCache::Acquire());
   }
-  StackCache::Counters after_reacquire = StackCache::Snapshot();
+  ObjectCacheStats after_reacquire = StackCache::Snapshot();
   EXPECT_EQ(after_reacquire.hits - base.hits, kN);
   EXPECT_EQ(after_reacquire.refills - base.refills, 1u);
   EXPECT_EQ(after_reacquire.misses, after_acquire.misses) << "reuse allocated";
@@ -126,7 +126,7 @@ TEST(StackMagazine, RefillFlushInvariants) {
   stacks.clear();
   StackCache::Drain();
   EXPECT_EQ(StackCache::CachedCount(), 0u);
-  StackCache::Counters drained = StackCache::Snapshot();
+  ObjectCacheStats drained = StackCache::Snapshot();
   EXPECT_EQ(drained.depot_depth, 0u);
   EXPECT_EQ(drained.magazine_depth, 0u);
 }
@@ -145,12 +145,12 @@ TEST(StackMagazine, DrainReachesPerLwpMagazines) {
   }
   // Every joined thread's default stack was recycled somewhere in the cache.
   EXPECT_GT(StackCache::CachedCount(), 0u);
-  StackCache::Counters populated = StackCache::Snapshot();
+  ObjectCacheStats populated = StackCache::Snapshot();
   EXPECT_GT(populated.magazine_count, 0u);
 
   StackCache::Drain();
   EXPECT_EQ(StackCache::CachedCount(), 0u);
-  StackCache::Counters drained = StackCache::Snapshot();
+  ObjectCacheStats drained = StackCache::Snapshot();
   EXPECT_EQ(drained.depot_depth, 0u);
   EXPECT_EQ(drained.magazine_depth, 0u);
 }

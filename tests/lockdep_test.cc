@@ -421,10 +421,16 @@ TEST_F(Lockdep, CrossProcessDeadlockReported) {
           mutex_enter(&sh->m1);
         },
         /*flags=*/0);
-    bool ok = PollFor([] { return lockdep::Snapshot().deadlocks >= 1; });
+    // The threads an earlier test left deadlocked can still report after
+    // this test's reset, and the child inherits that report and its count:
+    // wait for the report that names this test's own lock.
     char buf[4096];
-    lockdep::LastReport(buf, sizeof(buf));
-    ok = ok && strstr(buf, "xp-M1") != nullptr && strstr(buf, "pid") != nullptr;
+    PollFor([&buf] {
+      lockdep::LastReport(buf, sizeof(buf));
+      return strstr(buf, "xp-M1") != nullptr;
+    });
+    bool ok = lockdep::Snapshot().deadlocks >= 1 &&
+              strstr(buf, "xp-M1") != nullptr && strstr(buf, "pid") != nullptr;
     _exit(ok ? 0 : 13);
   }
   Spawn(

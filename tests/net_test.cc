@@ -21,6 +21,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <functional>
 #include <vector>
 
 #include "src/core/runtime.h"
@@ -169,24 +170,70 @@ TEST(NetPoller, ParkAndWake) {
   close(fds[1]);
 }
 
+// Every parking call goes through one retry loop, so each gets the same
+// checks on an fd that is not ready in its direction: a timeout-0 try reports
+// EAGAIN like the raw syscall and parks nothing, and a deadline expires with
+// ETIME.
 TEST(NetPoller, DeadlineAndNonblockingTry) {
   int fds[2];
   MakeSocketpair(fds);
   ASSERT_EQ(net_register(fds[0]), 0);
+  int sndbuf = 4 * 1024;
+  setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
+  char fill[1024] = {};
+  while (write(fds[0], fill, sizeof(fill)) > 0) {
+  }
+  ASSERT_EQ(errno, EAGAIN);  // fds[0] is full for writes, empty for reads
+  int listener = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(listen(listener, 8), 0);
+  ASSERT_EQ(net_register(listener), 0);  // nothing pending
+
   char ch;
-  // Nonblocking try on an empty socket reports EAGAIN like the raw syscall.
-  EXPECT_EQ(net_read_deadline(fds[0], &ch, 1, 0), -1);
-  EXPECT_EQ(thread_errno(), EAGAIN);
-  int64_t start = MonotonicNowNs();
-  EXPECT_EQ(net_read_deadline(fds[0], &ch, 1, 40 * kMs), -1);
-  EXPECT_EQ(thread_errno(), ETIME);
-  EXPECT_GE(MonotonicNowNs() - start, 35 * kMs);
+  char out = 'w';
+  struct iovec iov[1] = {{&out, 1}};
+  struct Call {
+    const char* name;
+    std::function<ssize_t(int64_t)> run;
+  };
+  const Call calls[] = {
+      {"read", [&](int64_t t) { return net_read_deadline(fds[0], &ch, 1, t); }},
+      {"write", [&](int64_t t) { return net_write_deadline(fds[0], &out, 1, t); }},
+      {"writev", [&](int64_t t) { return net_writev_deadline(fds[0], iov, 1, t); }},
+      {"accept",
+       [&](int64_t t) -> ssize_t {
+         return net_accept_deadline(listener, nullptr, nullptr, t);
+       }},
+  };
+  uint64_t parks_before = GlobalSchedStats().net_parks.Load();
+  for (const Call& call : calls) {
+    EXPECT_EQ(call.run(0), -1) << call.name;
+    EXPECT_EQ(thread_errno(), EAGAIN) << call.name;
+    EXPECT_EQ(net_parked_count(), 0) << call.name;
+  }
+  EXPECT_EQ(GlobalSchedStats().net_parks.Load(), parks_before);
+  for (const Call& call : calls) {
+    int64_t start = MonotonicNowNs();
+    EXPECT_EQ(call.run(40 * kMs), -1) << call.name;
+    EXPECT_EQ(thread_errno(), ETIME) << call.name;
+    EXPECT_GE(MonotonicNowNs() - start, 35 * kMs) << call.name;
+  }
+  // A zero-length writev sends nothing and succeeds, full socket or not.
+  struct iovec empty[2] = {{&out, 0}, {&out, 0}};
+  EXPECT_EQ(net_writev_deadline(fds[0], empty, 2, 0), 0);
+  EXPECT_EQ(thread_errno(), 0);
   // A deadline that loses the race to data still delivers the data.
   ASSERT_EQ(write(fds[1], "d", 1), 1);
   EXPECT_EQ(net_read_deadline(fds[0], &ch, 1, 5 * kSec), 1);
   EXPECT_EQ(ch, 'd');
   EXPECT_EQ(thread_errno(), 0);
+  net_unregister(listener);
   net_unregister(fds[0]);
+  close(listener);
   close(fds[0]);
   close(fds[1]);
 }

@@ -2,10 +2,9 @@
 // stack cache (src/util/object_cache.h). Exercises the magazine/depot protocol
 // on a purpose-built small cache (so every tier boundary is reachable in a few
 // operations), the CachedAlloc new/delete adapter, fork-epoch repair through
-// fork1(), the inject sweep over the timed-wait arming paths that now allocate
-// from these caches, and the zero-alloc steady-state assertion the CI lane
-// runs: once warm, sema/cv/net deadline waits and HTTP connection handling
-// must not fall back to the heap.
+// fork1(), an inject sweep over the timed-wait arming paths, and the
+// zero-alloc steady-state assertion the CI lane runs: once warm, sema/cv/net
+// deadline waits and HTTP connection handling must not fall back to the heap.
 //
 // Runs with a 4-LWP pool (like lifecycle_cache_test) so entries really land in
 // several per-LWP magazines and Drain/Snapshot have cross-thread work to do.
@@ -276,8 +275,7 @@ TEST(ObjectCache, ResetAfterForkInChild) {
     if (!TestCache::Acquire(&v) || v != 7) {
       _exit(13);
     }
-    // The CachedAlloc adapter and the timed-wait arming path (which allocates
-    // its ctx from one of these caches) must also work post-fork.
+    // The CachedAlloc adapter and a timed wait must also work post-fork.
     TestObj* p = ObjAlloc::New();
     if (p == nullptr) {
       _exit(14);
@@ -286,7 +284,7 @@ TEST(ObjectCache, ResetAfterForkInChild) {
     sema_t s;
     sema_init(&s, 0, 0, nullptr);
     if (sema_p_timed(&s, 200 * kUs) != 0) {
-      _exit(15);  // timed wait must time out, not hang or trip the cache
+      _exit(15);  // timed wait must time out, not hang
     }
     TestCache::Drain();
     if (TestCache::CachedCount() != 0) {
@@ -302,11 +300,11 @@ TEST(ObjectCache, ResetAfterForkInChild) {
 
 // ---- Inject sweep over the timed-wait arming paths ---------------------------
 
-// The sema/cv timed-wait paths now acquire their per-wait ctx from a magazine;
-// the magazine<->depot hand-offs carry an inject point (kObjectCache). Churn
-// expiring AND signaled waits from several threads under the seed sweep: the
-// fire/cancel ack protocol and the cache hand-offs must hold up under forced
-// yields, delays, and steals.
+// Churn expiring AND signaled sema/cv timed waits from several threads under
+// the seed sweep, alongside the thread-stack cache their posters go through:
+// the fire/cancel ack protocol, which lets the timeout context live on the
+// waiter's stack, and the cache hand-offs must hold up under forced yields,
+// delays, and steals.
 TEST(ObjectCache, InjectSweepTimedWaitChurn) {
   RunSweep("timedwait-churn", 0.15, kSchedOps, [](SplitMix64& rng) {
     constexpr int kWorkers = 3;
@@ -366,11 +364,11 @@ void ChurnHotPaths(int iterations, int net_fd, const HttpServer& server) {
   for (int i = 0; i < iterations; ++i) {
     sema_t s;
     sema_init(&s, 0, 0, nullptr);
-    (void)sema_p_timed(&s, 50 * kUs);  // expires: ctx freed by the fire path
+    (void)sema_p_timed(&s, 50 * kUs);  // expires: the fire dequeues it
     sema_t posted;
     sema_init(&posted, 0, 0, nullptr);
     thread_id_t poster = Spawn([&posted] { sema_v(&posted); });
-    (void)sema_p_timed(&posted, 500 * kMs);  // satisfied: ctx freed by cancel
+    (void)sema_p_timed(&posted, 500 * kMs);  // satisfied: the timer is cancelled
     Join(poster);
     mutex_t m;
     condvar_t cv;
@@ -485,6 +483,13 @@ TEST(ObjectCache, ZeroAllocSteadyStateChurn) {
   }
   EXPECT_TRUE(converged)
       << "steady-state churn kept allocating; caches never warmed";
+  // Timed sema, condvar and net waits keep their timeout context on the
+  // waiter's stack: the churn above created no cache for it.
+  ObjectCacheStats caches[32];
+  size_t n = ObjectCacheSnapshotAll(caches, 32);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(strstr(caches[i].name, "timeout_ctx"), nullptr) << caches[i].name;
+  }
 
   server.Stop();
   net_unregister(sp[0]);

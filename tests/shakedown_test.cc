@@ -784,6 +784,51 @@ TEST(ShakedownSweep, StealChurnLosesNothing) {
   });
 }
 
+TEST(ShakedownSweep, StopContinueRunsVictimOnce) {
+  // Harassers stop and continue one yielding victim. Two continues that both
+  // enqueued the stopped victim once ran it on two LWPs at the same time; the
+  // victim must finish its loop exactly once, with every iteration counted.
+  RunSweep("stop-continue", 0.15, kSchedOps, [](SplitMix64& rng) {
+    constexpr int kHarassers = 3;
+    const int iters = 200 + static_cast<int>(rng.NextBounded(200));
+    std::atomic<int> progress{0};
+    std::atomic<int> finished{0};
+    std::atomic<bool> done{false};
+    thread_id_t victim = Spawn([&] {
+      for (int i = 0; i < iters; ++i) {
+        progress.fetch_add(1);
+        thread_yield();
+      }
+      finished.fetch_add(1);
+      done.store(true);
+    });
+    std::vector<thread_id_t> harassers;
+    for (int h = 0; h < kHarassers; ++h) {
+      const uint64_t harasser_seed = rng.Next();
+      harassers.push_back(Spawn([&, harasser_seed] {
+        SplitMix64 hrng(harasser_seed);
+        while (!done.load()) {
+          thread_stop(victim);
+          for (uint64_t spin = hrng.NextBounded(8); spin > 0; --spin) {
+            thread_yield();
+          }
+          thread_continue(victim);
+          for (uint64_t spin = hrng.NextBounded(8); spin > 0; --spin) {
+            thread_yield();
+          }
+        }
+      }));
+    }
+    for (thread_id_t id : harassers) {
+      EXPECT_TRUE(Join(id));
+    }
+    thread_continue(victim);
+    EXPECT_TRUE(Join(victim));
+    EXPECT_EQ(finished.load(), 1);
+    EXPECT_EQ(progress.load(), iters);
+  });
+}
+
 }  // namespace
 }  // namespace sunmt
 

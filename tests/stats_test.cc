@@ -17,6 +17,7 @@
 #include "src/stats/stats.h"
 #include "src/sync/sync.h"
 #include "src/timer/timer.h"
+#include "tests/test_util.h"
 
 namespace sunmt {
 namespace {
@@ -221,15 +222,16 @@ TEST(StatsTest, FormatStatsRendersQuantileTable) {
 struct ContentionCtx {
   mutex_t mu = {};
   sema_t ready = {};
+  std::atomic<thread_id_t> contender{0};
   std::atomic<bool> attempting{false};
   std::atomic<bool> holder_done{false};
 };
 
 // Holder: takes the mutex, lets the contender know, then dawdles inside the
-// critical section until the contender has announced its lock attempt (plus a
-// few extra yields so the attempt reaches the block path), so the contender
-// measurably blocks regardless of how slowly it gets scheduled (sanitizer
-// builds can stall it past any fixed yield count).
+// critical section until the contender has announced its lock attempt and
+// blocked on the mutex, so the contender measurably waits regardless of how
+// slowly it gets scheduled (sanitizer and lockdep builds can stall it past
+// any fixed yield count).
 void HolderThread(void* arg) {
   auto* ctx = static_cast<ContentionCtx*>(arg);
   mutex_enter(&ctx->mu);
@@ -237,9 +239,9 @@ void HolderThread(void* arg) {
   while (!ctx->attempting.load(std::memory_order_acquire)) {
     thread_yield();
   }
-  for (int i = 0; i < 20; ++i) {
-    thread_yield();
-  }
+  // The contender has left sema_p, so its next block is on the mutex.
+  sunmt_test::WaitForState(ctx->contender.load(), "BLOCKED",
+                           5'000'000'000ll);
   mutex_exit(&ctx->mu);
   ctx->holder_done.store(true, std::memory_order_release);
 }
@@ -247,6 +249,7 @@ void HolderThread(void* arg) {
 void ContenderThread(void* arg) {
   auto* ctx = static_cast<ContentionCtx*>(arg);
   sema_p(&ctx->ready);  // wait until the holder owns the mutex
+  ctx->contender.store(thread_get_id());
   ctx->attempting.store(true, std::memory_order_release);
   mutex_enter(&ctx->mu);
   mutex_exit(&ctx->mu);
