@@ -21,8 +21,9 @@
 #      entries, are where a use-after-free or stale redzone would show.
 #   4. Lockdep lane: the `lockdep` label (order-inversion + deadlock detector,
 #      see src/debug) plain and under TSan, plus a full-suite pass with
-#      SUNMT_DEBUG=lockorder to prove the detector stays false-positive-free
-#      on every locking pattern the tests exercise.
+#      SUNMT_DEBUG=lockorder,panic to prove the detector stays
+#      false-positive-free on every locking pattern the tests exercise (any
+#      report aborts its test).
 #   5. Zero-alloc lane: the object-cache steady-state assertion run on its
 #      own for visibility — warm caches, churn sema/cv/net deadline waits and
 #      HTTP connections, and require the process-wide cache-fallback counter
@@ -86,8 +87,9 @@ ctest --test-dir "$repo/build" --output-on-failure -j "$jobs" -L lockdep
 SUNMT_SHAKEDOWN_SEEDS=16 \
   ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" -L lockdep
 # The whole suite must also survive with the detector live: every acquire in
-# every test doubles as lockdep input, and a false positive would abort here.
-SUNMT_DEBUG=lockorder \
+# every test doubles as lockdep input, and ",panic" makes a false positive
+# abort here instead of only printing.
+SUNMT_DEBUG=lockorder,panic \
   ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
 
 echo

@@ -1,7 +1,6 @@
 #include "src/core/runtime.h"
 
 #include <stdlib.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -14,9 +13,9 @@
 #include "src/core/scheduler.h"
 #include "src/core/tls_arena.h"
 #include "src/core/trace.h"
-#include "src/lwp/lwp_clock.h"
 #include "src/util/check.h"
 #include "src/util/clock.h"
+#include "src/util/futex.h"
 #include "src/util/object_cache.h"
 
 namespace sunmt {
@@ -33,15 +32,62 @@ int OnlineCpus() {
   return n > 0 ? static_cast<int>(n) : 1;
 }
 
-// Watchdog poll period: the simulated kernel's SIGWAITING latency, and the
+// Watchdog period: the simulated kernel's SIGWAITING latency, and the
 // netpoll backstop while no LWP owns the poll.
-constexpr long kWatchdogPeriodNs = 500 * 1000;
+constexpr int64_t kWatchdogPeriodNs = 500 * 1000;
 
-void WatchdogMain(Runtime* rt) {
+// The service loop's futex word, bumped by RequestTimerSweep, and its
+// published wheel horizon.
+struct alignas(64) ServiceWake {
+  std::atomic<uint32_t> word{0};
+  std::atomic<int64_t> sweep_horizon_ns{INT64_MAX};
+};
+ServiceWake g_service;
+std::atomic<TimerSweep> g_timer_sweep{nullptr};
+
+// The process's one service thread. Each pass runs whichever duties are due,
+// then sleeps until the earliest next deadline or a sweep request. It sweeps
+// the wheel when its next event is due or a request arrived since the last
+// pass; a request landing during a pass bumps the word it is about to wait
+// on, so the wait returns at once and the next pass sweeps again.
+void ServiceMain(Runtime* rt) {
+  uint32_t seen = g_service.word.load(std::memory_order_acquire);
+  int64_t next_watchdog = MonotonicNowNs() + kWatchdogPeriodNs;
+  int64_t next_clock = INT64_MAX;  // the clock is stopped
+  int64_t last_clock = 0;
+  int64_t next_sweep = 0;  // sweep on the first pass: timers may predate us
   for (;;) {
-    struct timespec req = {0, kWatchdogPeriodNs};
-    nanosleep(&req, nullptr);
-    rt->WatchdogTick();
+    uint32_t word = g_service.word.load(std::memory_order_acquire);
+    int64_t now = MonotonicNowNs();
+    if (now >= next_watchdog) {
+      rt->WatchdogTick();
+      // A full period after the tick's work, as the watchdog always slept.
+      next_watchdog = MonotonicNowNs() + kWatchdogPeriodNs;
+    }
+    if (!LwpRegistry::ClockNeeded()) {
+      next_clock = INT64_MAX;
+    } else if (next_clock == INT64_MAX) {
+      last_clock = now;  // (re)start: the first tick is one period away
+      next_clock = now + LwpRegistry::kClockTickNs;
+    } else if (now >= next_clock) {
+      LwpRegistry::ClockTick(now - last_clock);
+      last_clock = now;
+      next_clock = now + LwpRegistry::kClockTickNs;
+    }
+    TimerSweep sweep = g_timer_sweep.load(std::memory_order_acquire);
+    if (sweep == nullptr) {
+      next_sweep = INT64_MAX;
+    } else if (word != seen || now >= next_sweep) {
+      g_service.sweep_horizon_ns.store(INT64_MAX, std::memory_order_release);
+      next_sweep = sweep(now);
+      g_service.sweep_horizon_ns.store(next_sweep, std::memory_order_release);
+    }
+    seen = word;
+    int64_t timeout =
+        std::min({next_watchdog, next_clock, next_sweep}) - MonotonicNowNs();
+    if (timeout > 0) {
+      FutexWait(&g_service.word, word, /*shared=*/false, timeout);
+    }
   }
 }
 
@@ -99,13 +145,14 @@ void Runtime::ResetAfterFork() {
       handler();
     }
   }
-  // One fork-repair path for every magazine cache (stacks, timed-wait ctxs,
-  // HTTP conn args, cxx closures): rebuild depots/registries, bump the epoch.
+  // One fork-repair path for every magazine cache (stacks, HTTP conn args,
+  // cxx closures): rebuild depots/registries, bump the epoch.
   ObjectCacheResetAfterForkAll();
   TlsArena::ResetLockAfterFork();
+  // The service thread did not survive the fork; the rebuilt runtime starts
+  // its own, which sweeps the (repaired) wheel on its first pass.
   g_initialized.store(false, std::memory_order_release);
   g_runtime.store(nullptr, std::memory_order_release);
-  LwpClock::RestartAfterFork();
 }
 
 bool Runtime::IsInitialized() { return g_initialized.load(std::memory_order_acquire); }
@@ -158,8 +205,7 @@ Runtime::Runtime() {
   queues_.Init(config_.max_pool_lwps);
   g_initialized.store(true, std::memory_order_release);
   if (config_.preempt_timeslice_ns > 0) {
-    Lwp::SetPreemptTimeslice(config_.preempt_timeslice_ns);
-    LwpClock::EnsureRunning();  // preemption rides on the clock tick
+    Lwp::SetPreemptTimeslice(config_.preempt_timeslice_ns);  // keeps the clock on
   }
   {
     SpinLockGuard guard(pool_lock_);
@@ -167,7 +213,7 @@ Runtime::Runtime() {
       SpawnPoolLwpLocked();
     }
   }
-  std::thread(WatchdogMain, this).detach();
+  std::thread(ServiceMain, this).detach();
 }
 
 void Runtime::SpawnPoolLwpLocked() {
@@ -330,6 +376,20 @@ void Runtime::ExitIdle(Lwp* lwp) {
 
 void Runtime::InstallNetPoll(const NetPollOps* ops) {
   g_net_poll.store(ops, std::memory_order_release);
+}
+
+void Runtime::InstallTimerSweep(TimerSweep sweep) {
+  g_timer_sweep.store(sweep, std::memory_order_release);
+}
+
+void Runtime::RequestTimerSweep(int64_t deadline_ns) {
+  // An arm the running sweep missed was inserted after the sweep released
+  // that shard's lock, so it reads "sweeping" or the horizon computed
+  // without it: it is swept again either way.
+  if (deadline_ns < g_service.sweep_horizon_ns.load(std::memory_order_acquire)) {
+    g_service.word.fetch_add(1, std::memory_order_release);
+    FutexWake(&g_service.word, 1);
+  }
 }
 
 void Runtime::PollAsOwner() {
@@ -596,22 +656,6 @@ void Runtime::WatchdogTick() {
 void Runtime::SetSigwaitingHook(SigwaitingHook hook, void* cookie) {
   sigwaiting_cookie_ = cookie;
   sigwaiting_hook_ = hook;
-}
-
-void Runtime::SnapshotLwps(std::vector<LwpInfo>* out) {
-  SpinLockGuard guard(pool_lock_);
-  out->clear();
-  for (Lwp* lwp : pool_lwps_) {
-    LwpInfo info;
-    info.id = lwp->id();
-    info.pool = true;
-    info.in_kernel_wait = lwp->InKernelWait();
-    info.indefinite_wait = lwp->InIndefiniteWait();
-    info.poll_owner = poll_owner_.load(std::memory_order_acquire) == lwp;
-    uint64_t tid = lwp->current_tid.load(std::memory_order_relaxed);
-    info.running_thread = tid != 0 ? tid : kInvalidThreadId;
-    out->push_back(info);
-  }
 }
 
 }  // namespace sunmt

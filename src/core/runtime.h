@@ -1,9 +1,14 @@
 // Process-wide state of the threads package: the LWP pool, the run queue, the
-// thread registry, thread_wait bookkeeping, and the SIGWAITING watchdog.
+// thread registry, thread_wait bookkeeping, and the service loop.
 //
 // One Runtime exists per process ("the process is the unit of work; threads are
 // resources of the process"). It is created lazily on first use and intentionally
 // never destroyed: threads may outlive main(), and LWPs park rather than exit.
+//
+// The service loop is the process's one service thread: a plain kernel thread,
+// outside the LWP registry, that sleeps on one futex word until the earliest of
+// the SIGWAITING watchdog tick, the LWP clock tick (while the clock is needed)
+// and the timer wheel's next event.
 
 #ifndef SUNMT_SRC_CORE_RUNTIME_H_
 #define SUNMT_SRC_CORE_RUNTIME_H_
@@ -54,6 +59,12 @@ struct NetPollOps {
   // Makes a blocking poll return.
   void (*kick)();
 };
+
+// The timer wheel as the service loop sees it. src/timer sits above src/core,
+// so it installs its sweep on first arm, as src/net installs NetPollOps. The
+// sweep fires every timer due at `now_ns` and returns the wheel's next event
+// time (INT64_MAX when the wheel is empty).
+using TimerSweep = int64_t (*)(int64_t now_ns);
 
 struct RuntimeConfig {
   // Pool LWPs created at initialization. 0 = one per online CPU.
@@ -164,6 +175,15 @@ class Runtime {
   // nobody owns the poll, an idle pool LWP is woken to take it.
   void HandOffPoll();
 
+  // ---- Timer wheel ------------------------------------------------------------
+  // Static, like InstallNetPoll: timers may be armed before the runtime exists.
+  static void InstallTimerSweep(TimerSweep sweep);
+
+  // Called after arming a timer due at `deadline_ns`: wakes the service loop
+  // to sweep the wheel if the deadline beats the loop's published horizon
+  // (its next sweep; INT64_MAX while a sweep runs). Lock-free.
+  static void RequestTimerSweep(int64_t deadline_ns);
+
   // ---- LWP lifecycle -------------------------------------------------------
   // Spawns a dedicated LWP bound to `tcb` (publishes tcb->bound_lwp first).
   Lwp* SpawnBoundLwp(Tcb* tcb);
@@ -211,24 +231,16 @@ class Runtime {
   ThreadId Wait(ThreadId id);
 
   // ---- Watchdog -----------------------------------------------------------------
-  // One SIGWAITING evaluation + dead-LWP reap; normally called by the watchdog
-  // thread, exposed for deterministic tests.
+  // One SIGWAITING evaluation + dead-LWP reap; normally called by the service
+  // loop, exposed for deterministic tests.
   void WatchdogTick();
 
   // Optional observer fired whenever SIGWAITING triggers (before pool growth).
   using SigwaitingHook = void (*)(void* cookie);
   void SetSigwaitingHook(SigwaitingHook hook, void* cookie);
 
-  // ---- Introspection snapshot (used by src/introspect) ---------------------------
-  struct LwpInfo {
-    int id;
-    bool pool;
-    bool in_kernel_wait;
-    bool indefinite_wait;
-    bool poll_owner;  // holds the blocking netpoll (see EnterIdle)
-    ThreadId running_thread;
-  };
-  void SnapshotLwps(std::vector<LwpInfo>* out);
+  // The pool LWP holding the blocking netpoll (see EnterIdle), or nullptr.
+  const Lwp* poll_owner() const { return poll_owner_.load(std::memory_order_acquire); }
 
  private:
   Runtime();

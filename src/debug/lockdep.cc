@@ -110,6 +110,9 @@ struct LockClass {
   uintptr_t pc = 0;
   uint8_t kind = 0;
   std::atomic<uint8_t> hier_level{0};
+  // A semaphore class one of whose objects was V'd by a thread that did not
+  // hold it: a counter, not a lock, so it takes no part in the order graph.
+  std::atomic<bool> counter{false};
   char name[40] = {0};
 };
 
@@ -186,6 +189,11 @@ uint8_t LevelOf(uint32_t cls) {
     return 0;
   }
   return g_classes[cls].hier_level.load(std::memory_order_relaxed);
+}
+
+bool IsCounter(uint32_t cls) {
+  return cls != 0 && cls < g_class_count.load(std::memory_order_acquire) &&
+         g_classes[cls].counter.load(std::memory_order_relaxed);
 }
 
 uint32_t ClassOf(ObjDebug* d, Kind kind, uintptr_t pc) {
@@ -601,13 +609,14 @@ void CheckAcquire(ThreadNode* n, const void* acquiring, uint32_t to,
                   uintptr_t pc) {
   g_checks.fetch_add(1, std::memory_order_relaxed);
   inject::Perturb(inject::kLockdep);
-  if (to == 0) return;
+  if (to == 0 || IsCounter(to)) return;
   uint8_t to_lvl = LevelOf(to);
   uint32_t depth = n->depth.load(std::memory_order_relaxed);
   if (depth > kMaxHeld) depth = kMaxHeld;
   for (uint32_t i = 0; i < depth; ++i) {
     uint32_t from = n->held[i].cls.load(std::memory_order_relaxed);
-    if (from == 0) continue;
+    // A counter P'd before its class was found out still sits here.
+    if (from == 0 || IsCounter(from)) continue;
     // Re-entry on the very same object is not an ordering problem: a counting
     // semaphore P'd twice, or a self-relock (the wait-for walk reports that).
     if (n->held[i].obj.load(std::memory_order_relaxed) == acquiring) continue;
@@ -768,8 +777,8 @@ void OnAcquired(ObjDebug* d, Kind kind, uintptr_t pc, uint32_t flags) {
   // Semaphore credits are not paired acquire/release by thread: a handshake
   // P's credits its partner V's, so the same object would otherwise pile up
   // one held entry per round trip. One entry per object is enough to catch
-  // sema-as-lock ordering bugs.
-  if (kind != kSema || !HeldContains(n, d)) {
+  // sema-as-lock ordering bugs, and none for a known counter.
+  if (kind != kSema || !(IsCounter(cls) || HeldContains(n, d))) {
     PushHeld(n, d, cls, flags, pc);
   }
   if ((flags & kFlagShared) != 0) {
@@ -785,6 +794,12 @@ void OnRelease(ObjDebug* d, uint32_t flags) {
   BusyScope busy;
   if (!busy.entered) return;
   ThreadNode* n = CurrentNode();
+  // A semaphore V'd by a thread that does not hold it is passing a credit.
+  uint32_t cls = d->class_id.load(std::memory_order_acquire);
+  if (cls != 0 && cls < g_class_count.load(std::memory_order_acquire) &&
+      g_classes[cls].kind == kSema && !HeldContains(n, d)) {
+    g_classes[cls].counter.store(true, std::memory_order_relaxed);
+  }
   if ((flags & kFlagOwner) != 0) {
     d->owner_node.store(nullptr, std::memory_order_seq_cst);
     d->owner_xpid.store(0, std::memory_order_seq_cst);

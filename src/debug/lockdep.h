@@ -135,7 +135,9 @@ void OnInit(ObjDebug* d, Kind kind, uintptr_t pc);
 void OnAcquireCheck(ObjDebug* d, Kind kind, uintptr_t pc);
 // After a successful acquire: push held entry, record ownership.
 void OnAcquired(ObjDebug* d, Kind kind, uintptr_t pc, uint32_t flags);
-// On release: pop held entry; clear ownership if kFlagOwner.
+// On release: pop held entry; clear ownership if kFlagOwner. A semaphore
+// released by a thread that does not hold it marks its class a counter: from
+// then on it is never held and adds no order edges.
 void OnRelease(ObjDebug* d, uint32_t flags);
 // rw_downgrade: writer becomes reader — ownership gone, lock still held.
 void OnDowngrade(ObjDebug* d);

@@ -271,7 +271,7 @@ void HttpServer::ConnMain(void* arg) {
 }
 
 void HttpServer::ServeConnection(int fd, uint64_t conn_id) {
-  HttpParser parser(HttpParser::kRequest, config_.parser_limits);
+  HttpParser parser(HttpParser::kRequest);
   char buf[8192];
   HttpMessage req;
   for (;;) {
@@ -343,8 +343,7 @@ bool HttpServer::ServeRequest(int fd, uint64_t conn_id, const HttpMessage& req,
       return true;
     }
   }
-  bool fillable = config_.cache != nullptr && config_.cache_fill &&
-                  req.method == "GET";
+  bool fillable = config_.cache != nullptr && req.method == "GET";
   HttpExchange ex(fd, conn_id, config_.io_timeout_ns, *keep_alive, fillable);
   if (config_.handler) {
     config_.handler(req, &ex);

@@ -96,9 +96,7 @@ struct HttpServerConfig {
   int64_t idle_timeout_ns = 30ll * 1000 * 1000 * 1000;  // between requests
   int64_t io_timeout_ns = 10ll * 1000 * 1000 * 1000;    // mid-request / writes
   size_t conn_stack_bytes = 0;        // 0 = package default (magazine-cached)
-  HttpParser::Limits parser_limits;
-  HttpCache* cache = nullptr;         // optional, not owned
-  bool cache_fill = true;             // insert 200-status GET responses
+  HttpCache* cache = nullptr;         // optional, not owned; 200 GETs fill it
   HttpAccessLog* access_log = nullptr;  // optional, not owned
   HttpHandler handler;                // required
 };

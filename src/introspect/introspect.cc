@@ -38,6 +38,7 @@ const char* StateName(ThreadState state) {
 
 struct LwpCollect {
   std::vector<LwpSnapshot>* out;
+  const Lwp* poll_owner;
 };
 
 void CollectLwp(Lwp* lwp, void* cookie) {
@@ -47,6 +48,7 @@ void CollectLwp(Lwp* lwp, void* cookie) {
   snap.pool = lwp->pool != nullptr;
   snap.in_kernel_wait = lwp->InKernelWait();
   snap.indefinite_wait = lwp->InIndefiniteWait();
+  snap.poll_owner = lwp == collect->poll_owner;
   // current_thread points into a recyclable stack block; only the id mirror is
   // safe to read from another LWP.
   snap.running_thread = lwp->current_tid.load(std::memory_order_relaxed);
@@ -90,7 +92,8 @@ void SnapshotThreads(std::vector<ThreadSnapshot>* out) {
 
 void SnapshotLwps(std::vector<LwpSnapshot>* out) {
   out->clear();
-  LwpCollect collect{out};
+  LwpCollect collect{
+      out, Runtime::IsInitialized() ? Runtime::Get().poll_owner() : nullptr};
   LwpRegistry::ForEach(&CollectLwp, &collect);
 }
 

@@ -36,6 +36,7 @@ struct LwpSnapshot {
   bool pool;             // serves unbound threads (vs bound/adopted)
   bool in_kernel_wait;
   bool indefinite_wait;
+  bool poll_owner;       // holds the blocking netpoll (Runtime::EnterIdle)
   uint64_t running_thread;  // 0 if idle
   int64_t user_ns;
   int64_t system_wait_ns;

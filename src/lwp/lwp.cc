@@ -26,6 +26,11 @@ RegistryState& Registry() {
   return *state;
 }
 
+// Sum of Lwp::ClockUses() over the registered LWPs, and the clock's ticks.
+std::atomic<int> g_clock_uses{0};
+std::atomic<uint64_t> g_clock_ticks{0};
+std::atomic<int64_t> g_preempt_timeslice_ns{0};
+
 }  // namespace
 
 Lwp::Lwp(int id) : id_(id), onproc_slot_(onproc::AllocSlot()) {}
@@ -87,6 +92,7 @@ void Lwp::DropCurrentAfterFork() {
   // stale copies whose kernel threads do not exist in this process.
   RegistryState& r = Registry();
   new (&r) RegistryState();
+  g_clock_uses.store(0, std::memory_order_relaxed);
   g_current_lwp = nullptr;
 }
 
@@ -97,21 +103,6 @@ void Lwp::Park() {
       return;  // consumed a token
     }
     FutexWait(&park_state_, 0);
-  }
-}
-
-bool Lwp::ParkFor(int64_t timeout_ns) {
-  SUNMT_DCHECK(Current() == this);
-  int64_t deadline = MonotonicNowNs() + timeout_ns;
-  for (;;) {
-    if (park_state_.exchange(0, std::memory_order_acquire) == 1) {
-      return true;
-    }
-    int64_t remaining = deadline - MonotonicNowNs();
-    if (remaining <= 0) {
-      return false;
-    }
-    FutexWait(&park_state_, 0, /*shared=*/false, remaining);
   }
 }
 
@@ -162,13 +153,18 @@ void Lwp::ExitKernelWait() {
   }
 }
 
+int64_t Lwp::CpuNowNs() const {
+  struct timespec ts;
+  if (cpu_clock_valid_ && clock_gettime(cpu_clock_, &ts) == 0) {
+    return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
+  }
+  return 0;
+}
+
 LwpUsage Lwp::Usage() const {
   LwpUsage usage;
   if (cpu_clock_valid_ && !finished_.load(std::memory_order_acquire)) {
-    struct timespec ts;
-    if (clock_gettime(cpu_clock_, &ts) == 0) {
-      usage.user_ns = static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
-    }
+    usage.user_ns = CpuNowNs();
   } else {
     usage.user_ns = accounted_user_ns_.load(std::memory_order_relaxed);
   }
@@ -177,8 +173,24 @@ LwpUsage Lwp::Usage() const {
   return usage;
 }
 
+int Lwp::ClockUses() const {
+  return timers_[0].armed.load(std::memory_order_relaxed) +
+         timers_[1].armed.load(std::memory_order_relaxed) +
+         (prof_buffer_.load(std::memory_order_relaxed) != nullptr);
+}
+
+void Lwp::CountClockUses(int before, int after) {
+  // An LWP taking its first use restarts its CPU sample: the clock may have
+  // been stopped, and a timer runs down only the time after it is armed.
+  if (before == 0 && after > 0) {
+    last_tick_cpu_ns_.store(CpuNowNs(), std::memory_order_relaxed);
+  }
+  g_clock_uses.fetch_add(after - before, std::memory_order_relaxed);
+}
+
 void Lwp::SetTimer(LwpTimerKind kind, int64_t interval_ns, TimerFn fn, void* cookie) {
   VirtualTimer& timer = timers_[static_cast<int>(kind)];
+  int uses = ClockUses();
   timer.armed.store(false, std::memory_order_release);
   timer.fn = fn;
   timer.cookie = cookie;
@@ -188,16 +200,15 @@ void Lwp::SetTimer(LwpTimerKind kind, int64_t interval_ns, TimerFn fn, void* coo
     SUNMT_CHECK(fn != nullptr);
     timer.armed.store(true, std::memory_order_release);
   }
+  CountClockUses(uses, ClockUses());
 }
 
 void Lwp::SetProfilingBuffer(std::atomic<uint64_t>* buffer, size_t slot_count) {
+  int uses = ClockUses();
   prof_slot_count_.store(slot_count, std::memory_order_relaxed);
   prof_buffer_.store(buffer, std::memory_order_release);
+  CountClockUses(uses, ClockUses());
 }
-
-namespace {
-std::atomic<int64_t> g_preempt_timeslice_ns{0};
-}  // namespace
 
 void Lwp::SetPreemptTimeslice(int64_t timeslice_ns) {
   g_preempt_timeslice_ns.store(timeslice_ns, std::memory_order_release);
@@ -207,14 +218,11 @@ int64_t Lwp::PreemptTimeslice() {
   return g_preempt_timeslice_ns.load(std::memory_order_acquire);
 }
 
-void Lwp::SampleAndTick(int64_t wall_delta_ns) {
-  int64_t now_cpu = 0;
-  struct timespec ts;
-  if (cpu_clock_valid_ && clock_gettime(cpu_clock_, &ts) == 0) {
-    now_cpu = static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
-  }
+void Lwp::Tick(int64_t wall_delta_ns) {
+  int64_t now_cpu = CpuNowNs();
   int64_t last = last_tick_cpu_ns_.exchange(now_cpu, std::memory_order_relaxed);
-  OnClockTick(now_cpu > last ? now_cpu - last : 0, wall_delta_ns);
+  int64_t user_delta_ns = now_cpu > last ? now_cpu - last : 0;
+  accounted_user_ns_.fetch_add(user_delta_ns, std::memory_order_relaxed);
 
   // Time-slice accounting: if the dispatched thread has burned more CPU than
   // the configured timeslice, ask it to yield at its next safe point.
@@ -225,10 +233,6 @@ void Lwp::SampleAndTick(int64_t wall_delta_ns) {
       preempt_pending.store(true, std::memory_order_release);
     }
   }
-}
-
-void Lwp::OnClockTick(int64_t user_delta_ns, int64_t wall_delta_ns) {
-  accounted_user_ns_.fetch_add(user_delta_ns, std::memory_order_relaxed);
 
   // The kVirtual timer decrements in LWP user time only; kProf also decrements
   // while "the system is running on behalf of the LWP" (our kernel-wait brackets).
@@ -267,6 +271,8 @@ void LwpRegistry::Add(Lwp* lwp) {
 }
 
 void LwpRegistry::Remove(Lwp* lwp) {
+  // A departing LWP's timers and buffer stop needing the clock.
+  g_clock_uses.fetch_sub(lwp->ClockUses(), std::memory_order_relaxed);
   RegistryState& r = Registry();
   SpinLockGuard guard(r.lock);
   r.list.Remove(lwp);
@@ -282,6 +288,21 @@ size_t LwpRegistry::Count() {
   RegistryState& r = Registry();
   SpinLockGuard guard(r.lock);
   return r.list.Size();
+}
+
+bool LwpRegistry::ClockNeeded() {
+  return g_clock_uses.load(std::memory_order_relaxed) > 0 ||
+         Lwp::PreemptTimeslice() > 0;
+}
+
+void LwpRegistry::ClockTick(int64_t wall_delta_ns) {
+  ForEach([](Lwp* lwp, void* delta) { lwp->Tick(*static_cast<int64_t*>(delta)); },
+          &wall_delta_ns);
+  g_clock_ticks.fetch_add(1, std::memory_order_relaxed);
+}
+
+uint64_t LwpRegistry::ClockTicks() {
+  return g_clock_ticks.load(std::memory_order_relaxed);
 }
 
 }  // namespace sunmt

@@ -9,7 +9,7 @@
 //   - register state        -> the kernel thread's registers + a scheduler Context
 //   - signal mask           -> mask word consulted by the simulated signal layer
 //   - alternate signal stack -> flag + range honored by src/signal
-//   - virtual time alarms   -> two interval timers (user / user+system) ticked by LwpClock
+//   - virtual time alarms   -> two interval timers (user / user+system) run by the LWP clock
 //   - user and system CPU usage
 //   - profiling state       -> per-tick bucket increments into a (possibly shared) buffer
 //   - scheduling class and priority (priocntl analogue)
@@ -61,8 +61,9 @@ class Lwp {
   // LWP's kernel thread; when it returns, the LWP terminates.
   using MainFn = void (*)(Lwp* self, void* arg);
 
-  // Fired on the clock thread when a virtual timer expires; the threads package
-  // routes it into the signal layer as SIGVTALRM/SIGPROF.
+  // Called on the clock tick when a virtual timer expires. The callback is the
+  // delivery: nothing routes it into the signal layer, so it runs on the
+  // runtime's service thread and must be short.
   using TimerFn = void (*)(Lwp* lwp, LwpTimerKind kind, void* cookie);
 
   // Creates an LWP that is not yet running; call Start() to launch its kernel
@@ -98,8 +99,6 @@ class Lwp {
   // deposits a token (at most one is retained). Callable from any thread.
   void Park();
   void Unpark();
-  // Park with a timeout; returns true if a token was consumed, false on timeout.
-  bool ParkFor(int64_t timeout_ns);
 
   // ---- Scheduling class & priority (priocntl analogue) -------------------
   void SetScheduling(SchedClass cls, int priority);
@@ -121,30 +120,23 @@ class Lwp {
   // ---- Usage, timers, profiling -------------------------------------------
   LwpUsage Usage() const;
 
-  // Arms (interval_ns > 0) or disarms (interval_ns == 0) a virtual timer.
+  // Arms (interval_ns > 0) or disarms (interval_ns == 0) a virtual timer. The
+  // timer runs down only the time after it is armed. Arming one starts the
+  // clock; it stops once nothing needs it (see LwpRegistry::ClockNeeded).
   void SetTimer(LwpTimerKind kind, int64_t interval_ns, TimerFn fn, void* cookie);
 
   // Directs per-tick profiling increments into `buffer[slot % slot_count]`, where
   // slot is chosen by the threads package via set_prof_slot(). Pass nullptr to
   // disable. Buffers may be shared between LWPs ("it may also share one if
-  // accumulated information is desired").
+  // accumulated information is desired"). A buffer keeps the clock running.
   void SetProfilingBuffer(std::atomic<uint64_t>* buffer, size_t slot_count);
   void set_prof_slot(size_t slot) { prof_slot_.store(slot, std::memory_order_relaxed); }
-  bool profiling_enabled() const {
-    return prof_buffer_.load(std::memory_order_acquire) != nullptr;
-  }
-
-  // Called by LwpClock on every tick with the CPU-time delta since the last tick.
-  void OnClockTick(int64_t user_delta_ns, int64_t wall_delta_ns);
-
-  // Samples this LWP's CPU clock and delivers a tick. Called by LwpClock.
-  void SampleAndTick(int64_t wall_delta_ns);
 
   // ---- Time-slice preemption support ---------------------------------------
   // The threads package marks when it dispatches a thread onto this LWP; the
-  // clock thread compares against the timeslice and sets preempt_pending, which
+  // clock tick compares against the timeslice and sets preempt_pending, which
   // the dispatched thread honors at its next scheduling safe point. The flag
-  // lives on the LWP (not the TCB) so the clock thread never touches a TCB
+  // lives on the LWP (not the TCB) so the clock tick never touches a TCB
   // that might be mid-reclaim.
   void MarkDispatch(int64_t cpu_now_ns) {
     preempt_pending.store(false, std::memory_order_relaxed);
@@ -200,10 +192,15 @@ class Lwp {
   static void DropCurrentAfterFork();
 
  private:
-  friend class LwpClock;
   friend class LwpRegistry;
 
   void ThreadMain(MainFn main, void* arg);
+  int64_t CpuNowNs() const;  // 0 if the LWP has no CPU clock
+  // Armed virtual timers plus a profiling buffer: this LWP's share of the
+  // count behind LwpRegistry::ClockNeeded().
+  int ClockUses() const;
+  void CountClockUses(int before, int after);
+  void Tick(int64_t wall_delta_ns);  // one LwpRegistry::ClockTick
 
   const int id_;
   const int onproc_slot_;
@@ -217,7 +214,7 @@ class Lwp {
   std::atomic<int64_t> system_wait_ns_{0};
   std::atomic<uint64_t> kernel_calls_{0};
 
-  // Timer state, guarded by the clock thread's iteration (armed flags atomic).
+  // Timer state, read by the clock tick (armed flags atomic).
   struct VirtualTimer {
     std::atomic<bool> armed{false};
     std::atomic<int64_t> interval_ns{0};
@@ -244,11 +241,27 @@ class Lwp {
   std::thread kernel_thread_;
 };
 
-// Global registry of live LWPs; the clock thread iterates it.
+// Global registry of live LWPs, and the LWP clock that ticks them.
+//
+// In SunOS one clock interrupt charges each LWP's user time, runs down its
+// virtual timers and bumps its profiling buffer. Here the runtime's service
+// loop (src/core/runtime.cc) plays the interrupt: every kClockTickNs while
+// ClockNeeded(), it calls ClockTick. A process without a runtime gets no ticks.
 class LwpRegistry {
  public:
   static void ForEach(void (*fn)(Lwp*, void*), void* cookie);
   static size_t Count();
+
+  // Clock period. SunOS used a 10ms clock; we tick at 5ms for snappier tests.
+  static constexpr int64_t kClockTickNs = 5 * 1000 * 1000;
+  // True while something needs the clock: a preemption timeslice, an armed
+  // virtual timer or a profiling buffer.
+  static bool ClockNeeded();
+  // Ticks every registered LWP; `wall_delta_ns` is the wall time since the
+  // previous tick.
+  static void ClockTick(int64_t wall_delta_ns);
+  // Ticks delivered so far.
+  static uint64_t ClockTicks();
 
  private:
   friend class Lwp;

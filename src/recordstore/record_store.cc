@@ -91,9 +91,11 @@ RecordStore RecordStore::Create(const char* path, uint32_t record_size,
   rw_init(&header->store_lock, THREAD_SYNC_SHARED, nullptr);
   // Fresh ftruncate'd pages are zero: every record mutex and the allocation
   // bitmap are already in their valid default state. Initialize only the
-  // variant types on the locks.
+  // variant types on the locks, and declare their one lockdep class ordered:
+  // callers nest record locks in index order.
   for (uint32_t i = 0; i < capacity; ++i) {
     mutex_init(&store.Slot(i)->lock, THREAD_SYNC_SHARED, nullptr);
+    mutex_set_order(&store.Slot(i)->lock, 1);
   }
   std::atomic_thread_fence(std::memory_order_release);
   header->magic = kMagic;  // published last: Open() validates it

@@ -54,6 +54,7 @@ class RecordStore {
 
   // ---- Per-record locking ----------------------------------------------------
   // Locks record `index` (blocking across processes) and returns its payload.
+  // A caller holding two records locks the lower index first.
   void* Lock(uint32_t index);
   // Non-blocking variant; nullptr if the record is locked elsewhere.
   void* TryLock(uint32_t index);

@@ -1,14 +1,13 @@
 #include "src/rlimit/rlimit.h"
 
-#include <time.h>
-
 #include <atomic>
-#include <thread>
 
 #include "src/core/runtime.h"
 #include "src/core/tcb.h"
 #include "src/lwp/lwp.h"
 #include "src/signal/signal.h"
+#include "src/timer/timer.h"
+#include "src/util/spinlock.h"
 
 namespace sunmt {
 namespace {
@@ -38,11 +37,15 @@ SumState Sum() {
   return sum;
 }
 
+constexpr int64_t kCheckPeriodNs = 5 * 1000 * 1000;
+
 struct LimitState {
   std::atomic<int64_t> soft_ns{0};
   std::atomic<int> sig{SIG_XCPU};
   std::atomic<bool> fired{false};
-  std::atomic<bool> monitor_started{false};
+  SpinLock lock;  // guards the two fields below
+  timer_id_t check = kInvalidTimerId;  // armed while soft_ns > 0
+  bool fork_handler = false;
 };
 
 LimitState& Limit() {
@@ -50,50 +53,58 @@ LimitState& Limit() {
   return state;
 }
 
-void MonitorMain() {
+// The periodic check, a timer callback on the service thread.
+void CheckLimit(void*, uint64_t) {
   LimitState& limit = Limit();
-  for (;;) {
-    struct timespec req = {0, 5 * 1000 * 1000};
-    nanosleep(&req, nullptr);
-    int64_t soft = limit.soft_ns.load(std::memory_order_acquire);
-    if (soft <= 0 || limit.fired.load(std::memory_order_acquire)) {
-      continue;
-    }
-    SumState sum = Sum();
-    if (sum.usage.user_ns <= soft) {
-      continue;
-    }
-    if (limit.fired.exchange(true, std::memory_order_acq_rel)) {
-      continue;
-    }
-    // "The LWP that exceeded the limit is sent the appropriate signal": target
-    // the thread currently carried by the busiest LWP; if it has none (or is
-    // gone by the time we look), fall back to a process-directed interrupt.
-    int sig = limit.sig.load(std::memory_order_relaxed);
-    bool delivered = false;
-    if (sum.busiest != nullptr && Runtime::IsInitialized()) {
-      // Find the thread running on the busiest LWP under the registry lock
-      // (keeps the TCB alive while we read its id).
-      thread_id_t victim = 0;
-      Runtime::Get().ForEachThread([&](Tcb* t) {
-        if (t->lwp == sum.busiest &&
-            t->state.load(std::memory_order_acquire) == ThreadState::kRunning) {
-          victim = t->id;
-        }
-      });
-      if (victim != 0 && thread_kill(victim, sig) == 0) {
-        delivered = true;
+  int64_t soft = limit.soft_ns.load(std::memory_order_acquire);
+  if (soft <= 0 || limit.fired.load(std::memory_order_acquire)) {
+    return;
+  }
+  SumState sum = Sum();
+  if (sum.usage.user_ns <= soft ||
+      limit.fired.exchange(true, std::memory_order_acq_rel)) {
+    return;
+  }
+  // "The LWP that exceeded the limit is sent the appropriate signal": target
+  // the thread currently carried by the busiest LWP; if it has none (or is
+  // gone by the time we look), fall back to a process-directed interrupt.
+  int sig = limit.sig.load(std::memory_order_relaxed);
+  bool delivered = false;
+  if (sum.busiest != nullptr && Runtime::IsInitialized()) {
+    // Find the thread running on the busiest LWP under the registry lock
+    // (keeps the TCB alive while we read its id).
+    thread_id_t victim = 0;
+    Runtime::Get().ForEachThread([&](Tcb* t) {
+      if (t->lwp == sum.busiest &&
+          t->state.load(std::memory_order_acquire) == ThreadState::kRunning) {
+        victim = t->id;
       }
+    });
+    if (victim != 0 && thread_kill(victim, sig) == 0) {
+      delivered = true;
     }
-    if (!delivered) {
-      signal_raise_process(sig);
-    }
+  }
+  if (!delivered) {
+    signal_raise_process(sig);
   }
 }
 
-// fork1() child repair: the monitor thread did not survive the fork, but the
-// armed limit did.
-void RlimitForkChildRepair() { std::thread(&MonitorMain).detach(); }
+timer_id_t ArmCheck() {
+  return timer_arm_callback_periodic(kCheckPeriodNs, kCheckPeriodNs, &CheckLimit,
+                                     nullptr, 0);
+}
+
+// fork1() child repair: the armed limit survived the fork, but its check lived
+// in the parent's wheel. Registered after the first arm, so it runs after the
+// timer engine's own repair has rebuilt the wheel it re-arms in. A child that
+// forks again before rebuilding its runtime has none yet, and an arm here
+// would build one mid-reset: there the next process_set_cpu_limit re-arms.
+void RlimitForkChildRepair() {
+  LimitState& limit = Limit();
+  limit.lock.Reset();
+  bool armed = limit.soft_ns.load(std::memory_order_acquire) > 0;
+  limit.check = armed && Runtime::IsInitialized() ? ArmCheck() : kInvalidTimerId;
+}
 
 }  // namespace
 
@@ -101,12 +112,19 @@ ProcessUsage process_rusage() { return Sum().usage; }
 
 void process_set_cpu_limit(int64_t soft_ns, int sig) {
   LimitState& limit = Limit();
+  SpinLockGuard guard(limit.lock);
   limit.sig.store(sig > 0 ? sig : SIG_XCPU, std::memory_order_relaxed);
   limit.fired.store(false, std::memory_order_release);
   limit.soft_ns.store(soft_ns, std::memory_order_release);
-  if (soft_ns > 0 && !limit.monitor_started.exchange(true, std::memory_order_acq_rel)) {
-    Runtime::RegisterForkChildHandler(&RlimitForkChildRepair);
-    std::thread(&MonitorMain).detach();
+  if (soft_ns > 0 && limit.check == kInvalidTimerId) {
+    limit.check = ArmCheck();
+    if (!limit.fork_handler) {
+      limit.fork_handler = true;
+      Runtime::RegisterForkChildHandler(&RlimitForkChildRepair);
+    }
+  } else if (soft_ns <= 0 && limit.check != kInvalidTimerId) {
+    timer_cancel(limit.check);
+    limit.check = kInvalidTimerId;
   }
 }
 

@@ -29,8 +29,9 @@ ProcessUsage process_rusage();
 
 // Arms a soft CPU limit: once the process's summed LWP user time exceeds
 // `soft_ns`, `sig` (default SIG_XCPU) is delivered once, to the thread on the
-// LWP that consumed the most CPU. soft_ns == 0 disarms. Detection latency is
-// one monitor period (~5ms).
+// LWP that consumed the most CPU. soft_ns == 0 disarms. The check is a 5 ms
+// periodic timer callback (src/timer) on the runtime's service thread, armed
+// only while a limit is set, so detection latency is about one period.
 void process_set_cpu_limit(int64_t soft_ns, int sig);
 
 // True once an armed limit has fired (resets when a new limit is armed).

@@ -94,7 +94,7 @@ class TimedWait {
     Tcb* tcb;
   };
 
-  // Runs on the timer engine thread when the timeout expires first. The
+  // Runs on the service thread when the timeout expires first. The
   // context is copied out first, so nothing below reads the waiter's stack:
   // once the ack lands, a waiter whose cancel lost may return and pop it.
   static void Fire(void* cookie, uint64_t generation) {

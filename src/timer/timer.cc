@@ -7,15 +7,16 @@
 //     (i.e. LWP — shards are keyed by the same round-robin token as the stats
 //     shards) takes its shard's spinlock once, pops a pooled entry, buckets it
 //     in the shard's wheel, and publishes the Armed tag. No malloc, and a
-//     futex kick only when the new deadline beats the ticker's published
-//     sleep horizon.
+//     futex kick only when the new deadline beats the service loop's
+//     published sweep horizon (Runtime::RequestTimerSweep).
 //   * Cancel is lock-free: decode the id, CAS the entry's tag word from
 //     Armed to Tombstone. The wheel is never touched — the tombstone is
 //     reaped when its slot turns over (or by a wholesale sweep once enough
 //     accumulate), so the dominant rearm-before-fire churn of deadline-heavy
 //     servers never takes any wheel lock twice. The generation stamp packed
 //     into the same tag word makes the CAS immune to entry reuse (ABA).
-//   * The ticker thread sweeps each shard: advance the wheel, splice the due
+//   * The runtime's service loop sweeps each shard through the entry point
+//     installed on first arm (SweepWheel): advance the wheel, splice the due
 //     batch, claim each entry Armed->Firing (a batch claim BEFORE any
 //     callback runs, so a cancel racing the fire fails — the timed-wait ack
 //     protocol in timed_wait.h depends on that), then fire outside all
@@ -28,9 +29,9 @@
 //     tag = (generation << 3) | state
 //     Free ->(arm, shard lock held)-> Armed
 //     Armed ->(cancel CAS, lock-free)-> Tombstone        cancel returns 0
-//     Armed ->(ticker claim)-> Firing
+//     Armed ->(sweep claim)-> Firing
 //     Firing ->(cancel CAS)-> FiringCancelled            cancel returns -1
-//     Firing ->(ticker, periodic)-> Armed (same generation: the id stays valid)
+//     Firing ->(sweep, periodic)-> Armed (same generation: the id stays valid)
 //     Firing/FiringCancelled/Tombstone ->(reap)-> Free with generation+1
 //
 // timer ids pack (generation << 24) | (pool index << 4) | shard, so cancel
@@ -39,9 +40,9 @@
 
 #include "src/timer/timer.h"
 
+#include <algorithm>
 #include <atomic>
 #include <new>
-#include <thread>
 
 #include "src/core/runtime.h"
 #include "src/core/scheduler.h"
@@ -52,7 +53,6 @@
 #include "src/timer/wheel.h"
 #include "src/util/check.h"
 #include "src/util/clock.h"
-#include "src/util/futex.h"
 #include "src/util/spinlock.h"
 
 namespace sunmt {
@@ -61,7 +61,7 @@ namespace {
 enum class FireKind : uint8_t {
   kSignalThread,   // thread_kill(target, sig)
   kSignalProcess,  // signal_raise_process(sig) — the per-process interval timer
-  kCallback,       // fn(cookie, arg) on the engine thread — timed waits, sleeps
+  kCallback,       // fn(cookie, arg) on the service thread — timed waits, sleeps
 };
 
 // ---- Entry & tag word --------------------------------------------------------
@@ -75,7 +75,7 @@ constexpr uint64_t kStateMask = 7;
 constexpr int kGenShift = 3;
 
 struct TimerEntry {
-  WheelNode node;  // must stay first: the ticker casts WheelNode* back
+  WheelNode node;  // must stay first: the sweep casts WheelNode* back
   // (generation << kGenShift) | state; generation starts at 1 so no packed id
   // ever equals kInvalidTimerId.
   std::atomic<uint64_t> tag{(1ull << kGenShift) | kStFree};
@@ -110,7 +110,6 @@ constexpr int kShards = 8;
 constexpr uint32_t kChunkSize = 1024;   // entries per lazily allocated chunk
 constexpr uint32_t kMaxChunks = 1024;   // 1M pooled entries per shard
 constexpr uint32_t kReapThreshold = 1024;  // tombstones that trigger a sweep
-constexpr int64_t kIdleSleepNs = 1000 * 1000 * 1000;
 
 // id layout: (generation << 24) | (index << 4) | shard.
 constexpr int kIdShardBits = 4;
@@ -145,16 +144,7 @@ struct alignas(64) TimerShard {
 };
 
 struct WheelState {
-  std::atomic<uint32_t> wakeup{0};
-  // The ticker's published sleep horizon: an arm kicks the futex only when
-  // its deadline beats this. INT64_MAX while the ticker is mid-sweep, so any
-  // arm that lands during processing forces an immediate re-loop instead of
-  // being missed.
-  std::atomic<int64_t> sleep_until_ns{INT64_MAX};
-  std::atomic<bool> ticker_started{false};
   TimerShard shards[kShards];
-  // After the shards: the fire counter must not share the cache line that
-  // every arm reads (sleep_until_ns, ticker_started).
   std::atomic<uint64_t> fires{0};
   SpinLock interval_lock;
   timer_id_t process_interval_timer = kInvalidTimerId;
@@ -173,18 +163,11 @@ WheelState& Wheel() {
   return *state;
 }
 
-// fork1() child repair: the ticker thread does not exist in the child and any
-// engine structure may have been copied mid-mutation; rebuild everything in
-// place (parent entries and pool chunks leak in the child — the safe
-// direction) and let the first arm lazily restart the ticker.
+// fork1() child repair: any engine structure may have been copied
+// mid-mutation; rebuild everything in place (parent entries and pool chunks
+// leak in the child — the safe direction). The child's rebuilt runtime starts
+// a service loop that sweeps the fresh wheel.
 void TimerForkChildRepair() { new (&Wheel()) WheelState(); }
-
-void EnsureForkHandler() {
-  static std::atomic<bool> once{false};
-  if (!once.exchange(true, std::memory_order_acq_rel)) {
-    Runtime::RegisterForkChildHandler(&TimerForkChildRepair);
-  }
-}
 
 void FireEntry(TimerEntry* entry) {
   // Delays here race timer delivery against concurrent waker/cancel paths —
@@ -206,7 +189,7 @@ void FireEntry(TimerEntry* entry) {
   }
 }
 
-// ---- Arm / cancel / ticker ---------------------------------------------------
+// ---- Arm / cancel / sweep ----------------------------------------------------
 
 inline timer_id_t MakeId(uint64_t gen, uint32_t index, int shard) {
   return (gen << kIdGenShift) | (static_cast<uint64_t>(index) << kIdShardBits) |
@@ -242,41 +225,6 @@ TimerEntry* PopFreeLocked(TimerShard& sh) {
   ++sh.carved;
   sh.pool_alloc.fetch_add(1, std::memory_order_relaxed);
   return e;
-}
-
-void KickTicker(WheelState& st) {
-  st.wakeup.fetch_add(1, std::memory_order_release);
-  FutexWake(&st.wakeup, 1);
-}
-
-uint64_t ProcessShard(TimerShard& sh, uint64_t now_tick);
-
-void TickerMain() {
-  WheelState& st = Wheel();
-  for (;;) {
-    // Publish "processing": any arm landing from here on kicks the futex,
-    // which (version read below) forces an immediate re-loop instead of a
-    // missed deadline.
-    st.sleep_until_ns.store(INT64_MAX, std::memory_order_release);
-    uint32_t version = st.wakeup.load(std::memory_order_acquire);
-    int64_t now = MonotonicNowNs();
-    uint64_t now_tick = static_cast<uint64_t>(now) >> kTickShift;
-    int64_t next_ns = now + kIdleSleepNs;
-    for (TimerShard& sh : st.shards) {
-      uint64_t next_tick = ProcessShard(sh, now_tick);
-      if (next_tick != TimingWheel::kNoEvent) {
-        int64_t ns = static_cast<int64_t>(next_tick << kTickShift);
-        if (ns < next_ns) {
-          next_ns = ns;
-        }
-      }
-    }
-    st.sleep_until_ns.store(next_ns, std::memory_order_release);
-    int64_t timeout = next_ns - MonotonicNowNs();
-    if (timeout > 0) {
-      FutexWait(&st.wakeup, version, /*shared=*/false, timeout);
-    }
-  }
 }
 
 // Sweeps one shard: advance its wheel, claim the due batch, fire outside the
@@ -341,7 +289,7 @@ uint64_t ProcessShard(TimerShard& sh, uint64_t now_tick) {
   // cancelling waiter is already spinning in TimedWait::AwaitFire for the
   // fire's timeout_fire_seq bump, and the fire owns the callback context).
   // Signal fires carry no ack and ARE suppressed on a mid-flight cancel: the
-  // claim-to-fire window can stretch across a descheduled ticker, and a
+  // claim-to-fire window can stretch across a descheduled sweep, and a
   // disarmed interval timer's signal landing after the caller restored
   // SIG_DEFAULT would terminate the process.
   WheelNode rearm_list;
@@ -404,21 +352,35 @@ uint64_t ProcessShard(TimerShard& sh, uint64_t now_tick) {
   return next_tick;
 }
 
-void EnsureTicker(WheelState& st) {
-  if (st.ticker_started.load(std::memory_order_acquire)) {
-    return;
+// The service loop's wheel duty: sweeps every shard and returns the wheel's
+// next event time (INT64_MAX when it is empty).
+int64_t SweepWheel(int64_t now_ns) {
+  uint64_t now_tick = static_cast<uint64_t>(now_ns) >> kTickShift;
+  int64_t next_ns = INT64_MAX;
+  for (TimerShard& sh : Wheel().shards) {
+    uint64_t next_tick = ProcessShard(sh, now_tick);
+    if (next_tick != TimingWheel::kNoEvent) {
+      next_ns = std::min(next_ns, static_cast<int64_t>(next_tick << kTickShift));
+    }
   }
-  if (!st.ticker_started.exchange(true, std::memory_order_acq_rel)) {
-    std::thread(&TickerMain).detach();
+  return next_ns;
+}
+
+void EnsureInstalled() {
+  static std::atomic<bool> once{false};
+  if (!once.load(std::memory_order_acquire) &&
+      !once.exchange(true, std::memory_order_acq_rel)) {
+    Runtime::RegisterForkChildHandler(&TimerForkChildRepair);
+    Runtime::InstallTimerSweep(&SweepWheel);
   }
 }
 
 timer_id_t ArmEntry(int64_t delay_ns, int64_t period_ns, FireKind kind, int sig,
                     thread_id_t target, void (*fn)(void*, uint64_t),
                     void* cookie, uint64_t arg) {
-  EnsureForkHandler();
+  EnsureInstalled();
+  Runtime::Get();  // its service loop sweeps the wheel
   WheelState& st = Wheel();
-  EnsureTicker(st);
   int64_t deadline = MonotonicNowNs() + delay_ns;
   int home = static_cast<int>(stats_internal::ShardToken() % kShards);
   timer_id_t id = kInvalidTimerId;
@@ -453,9 +415,7 @@ timer_id_t ArmEntry(int64_t delay_ns, int64_t period_ns, FireKind kind, int sig,
     break;
   }
   SUNMT_CHECK(id != kInvalidTimerId);
-  if (deadline < st.sleep_until_ns.load(std::memory_order_acquire)) {
-    KickTicker(st);
-  }
+  Runtime::RequestTimerSweep(deadline);
   return id;
 }
 
@@ -507,7 +467,7 @@ int timer_cancel(timer_id_t id) {
     return -1;
   }
   TimerEntry* e = &chunk[index % kChunkSize];
-  // Stretches the cancel-vs-claim race: the ticker may be splicing this very
+  // Stretches the cancel-vs-claim race: the sweep may be splicing this very
   // entry's slot right now.
   inject::Perturb(inject::kTimerWheel);
   uint64_t tag = e->tag.load(std::memory_order_acquire);
@@ -525,12 +485,13 @@ int timer_cancel(timer_id_t id) {
         sh.cancels.fetch_add(1, std::memory_order_relaxed);
         uint32_t t = sh.tombstones.fetch_add(1, std::memory_order_relaxed) + 1;
         if (t % kReapThreshold == 0) {
-          KickTicker(st);  // batch boundary: worth a wholesale sweep
+          // Batch boundary: worth a wholesale sweep, unless one is due anyway.
+          Runtime::RequestTimerSweep(MonotonicNowNs());
         }
         return 0;
       }
     } else if (state == kStFiring) {
-      // The ticker claimed it first: the fire owns the callback context and
+      // The sweep claimed it first: the fire owns the callback context and
       // will run; all we can suppress is a periodic re-arm.
       if (e->tag.compare_exchange_weak(
               tag, (gen << kGenShift) | kStFiringCancelled,

@@ -6,9 +6,11 @@
 // per-address space timer when that functionality is required."
 //
 // This module is those library routines: one timer engine (the per-process
-// timer stand-in) multiplexes any number of per-thread timers. Timers deliver
-// simulated signals through src/signal — a directed signal to the owning thread
-// (trap-like, per thread_kill semantics) — or run a callback on the engine
+// timer stand-in) multiplexes any number of per-thread timers. The engine has
+// no thread of its own: the runtime's service loop (src/core/runtime.cc), the
+// process's one service thread, sweeps its wheel. Timers deliver simulated
+// signals through src/signal — a directed signal to the owning thread
+// (trap-like, per thread_kill semantics) — or run a callback on the service
 // thread: thread_sleep_ns() and the timed sync waits (sema_p_timed,
 // cv_timedwait in src/sync, one layer up) wake their blocked thread that way.
 //
@@ -40,9 +42,10 @@ timer_id_t timer_arm(int64_t first_delay_ns, int64_t period_ns, int sig,
 // one-shot timers count as unknown).
 int timer_cancel(timer_id_t id);
 
-// Arms a one-shot timer running fn(cookie, arg) on the timer engine's kernel
-// thread after `delay_ns`. The callback must be short and non-blocking (it
-// delays every other timer); package wake-ups are fine, package waits are not.
+// Arms a one-shot timer running fn(cookie, arg) on the service thread after
+// `delay_ns`. The callback must be short and non-blocking (it delays every
+// other timer, the LWP clock and the SIGWAITING watchdog); package wake-ups
+// are fine, package waits are not.
 timer_id_t timer_arm_callback(int64_t delay_ns, void (*fn)(void* cookie, uint64_t arg),
                               void* cookie, uint64_t arg);
 

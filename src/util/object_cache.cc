@@ -52,12 +52,6 @@ CacheNode* Head() { return g_head.load(std::memory_order_acquire); }
 
 }  // namespace objcache_internal
 
-void ObjectCacheDrainAll() {
-  for (auto* n = objcache_internal::Head(); n != nullptr; n = n->next) {
-    n->drain();
-  }
-}
-
 void ObjectCacheResetAfterForkAll() {
   for (auto* n = objcache_internal::Head(); n != nullptr; n = n->next) {
     n->reset_after_fork();

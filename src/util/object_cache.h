@@ -26,12 +26,12 @@
 //     per New/Delete, so only the allocation itself is recycled.
 //
 // Every instantiation registers itself (lock-free, on first use) with a global
-// cache list so introspection, Drain sweeps, and the fork1() child repair find
-// it without any per-cache wiring. Fork discipline is the same epoch scheme as
-// the original stack cache: ObjectCacheResetAfterForkAll() rebuilds each
-// depot/registry empty and bumps a global epoch; surviving per-thread
-// magazines notice the new epoch on next use (or at thread exit) and abandon
-// parent-generation entries instead of double-freeing them.
+// cache list so introspection, thread-exit magazine retirement, and the fork1()
+// child repair find it without any per-cache wiring. Fork discipline is the
+// same epoch scheme as the original stack cache: ObjectCacheResetAfterForkAll()
+// rebuilds each depot/registry empty and bumps a global epoch; surviving
+// per-thread magazines notice the new epoch on next use (or at thread exit) and
+// abandon parent-generation entries instead of double-freeing them.
 //
 // Traits contract:
 //   static constexpr const char* kName;          // stats/introspection name
@@ -79,7 +79,6 @@ namespace objcache_internal {
 // walks this list, and a registration lock could have been copied held.
 struct CacheNode {
   const char* name;
-  void (*drain)();
   void (*reset_after_fork)();
   ObjectCacheStats (*snapshot)();
   void (*retire_thread)();
@@ -111,10 +110,6 @@ extern std::atomic<uint32_t> g_fork_epoch;
 extern std::atomic<uint64_t> g_fallback_allocs;
 
 }  // namespace objcache_internal
-
-// Frees everything cached in every registered cache (depots and all threads'
-// magazines). For leak-sensitive tests.
-void ObjectCacheDrainAll();
 
 // fork1() child-side repair: rebuilds every registered cache's depot and
 // magazine registry empty (the child's copies are reachable only here;
@@ -429,8 +424,8 @@ class ObjectCache {
   static void EnsureRegistered() {
     static const bool once = [] {
       static objcache_internal::CacheNode node{
-          Traits::kName,         &Drain, &ResetAfterFork, &Snapshot,
-          &RetireThreadMagazine, nullptr};
+          Traits::kName, &ResetAfterFork, &Snapshot, &RetireThreadMagazine,
+          nullptr};
       objcache_internal::Register(&node);
       return true;
     }();

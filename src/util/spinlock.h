@@ -148,7 +148,10 @@ class SpinLock {
   __attribute__((noinline)) void LockDebug() {
     uintptr_t pc = reinterpret_cast<uintptr_t>(__builtin_return_address(0));
     uint32_t self = lockdep::KernelTid();
-    if (owner_.load(std::memory_order_relaxed) == self) {
+    // owner_ goes stale when lockdep is switched off inside a critical section
+    // (that unlock skips clearing it), so a self-relock must also be held now.
+    if (owner_.load(std::memory_order_relaxed) == self &&
+        locked_.load(std::memory_order_relaxed)) {
       fprintf(stderr,
               "SUNMT: SpinLock self-relock: kernel thread %u re-acquiring "
               "%p at 0x%lx\n",

@@ -213,6 +213,32 @@ TEST_F(Lockdep, SemaAsLockInversion) {
   EXPECT_NE(report.find("sema-B"), std::string::npos) << report;
 }
 
+// Semaphores that pass credits are counters, not locks. Each thread P's both
+// semaphores, in opposite orders, but every credit it takes was V'd by the
+// other thread, so neither thread ever holds one and there is no inversion.
+TEST_F(Lockdep, SemaCreditsPassedBothWaysAreNoInversion) {
+  sema_t a = {}, b = {};
+  sema_init(&a, 0, 0, nullptr);
+  sema_init(&b, 0, 0, nullptr);
+  sema_set_name(&a, "credit-A");
+  sema_set_name(&b, "credit-B");
+  std::atomic<bool> taken{false};
+  thread_id_t peer = Spawn([&] {
+    sema_p(&a);  // the main thread's credits: A, then B
+    sema_p(&b);
+    taken.store(true);
+    sema_v(&b);  // and credits back: B, then A
+    sema_v(&a);
+  });
+  sema_v(&a);
+  sema_v(&b);
+  ASSERT_TRUE(PollFor([&] { return taken.load(); }));  // both credits gone
+  sema_p(&b);
+  sema_p(&a);
+  EXPECT_TRUE(Join(peer));
+  EXPECT_EQ(lockdep::Snapshot().inversions, 0u) << Report();
+}
+
 TEST_F(Lockdep, RwlockWriterInversion) {
   rwlock_t a = {}, b = {};
   rw_init(&a, 0, nullptr);

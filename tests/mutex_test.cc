@@ -225,7 +225,9 @@ TEST(MutexDeathTest, DebugVariantDetectsAbbaDeadlock) {
         // Classic AB-BA deadlock between two threads on SYNC_DEBUG mutexes: the
         // wait-for-graph walk must panic instead of hanging forever. The
         // semaphores force the true cycle (each side holds one lock before
-        // either requests its second).
+        // either requests its second). The inversion is deliberate, so lockdep
+        // (on under SUNMT_DEBUG=lockorder,panic) must not abort on it first.
+        lockdep::Disable();
         static mutex_t a;
         static mutex_t b;
         mutex_init(&a, SYNC_DEBUG, nullptr);

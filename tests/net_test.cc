@@ -20,6 +20,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "src/core/runtime.h"
 #include "src/core/thread.h"
 #include "src/inject/inject.h"
+#include "src/introspect/introspect.h"
 #include "src/io/io.h"
 #include "src/lwp/lwp.h"
 #include "src/net/net.h"
@@ -48,15 +50,22 @@ void MakeSocketpair(int fds[2]) {
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
 }
 
-std::vector<Runtime::LwpInfo> PoolLwps() {
-  std::vector<Runtime::LwpInfo> lwps;
-  Runtime::Get().SnapshotLwps(&lwps);
+// The pool's LWPs in pool order: a pool LWP's id grows with its place in the
+// pool, so sorting by id puts the snapshot in the order shrinks retire from.
+std::vector<LwpSnapshot> PoolLwps() {
+  std::vector<LwpSnapshot> lwps;
+  SnapshotLwps(&lwps);
+  lwps.erase(std::remove_if(lwps.begin(), lwps.end(),
+                            [](const LwpSnapshot& lwp) { return !lwp.pool; }),
+             lwps.end());
+  std::sort(lwps.begin(), lwps.end(),
+            [](const LwpSnapshot& a, const LwpSnapshot& b) { return a.id < b.id; });
   return lwps;
 }
 
 // Id of the pool LWP that owns the blocking poll, or -1.
 int PollOwnerId() {
-  for (const Runtime::LwpInfo& lwp : PoolLwps()) {
+  for (const LwpSnapshot& lwp : PoolLwps()) {
     if (lwp.poll_owner) {
       return lwp.id;
     }
@@ -539,8 +548,8 @@ class EveryLwpComputing {
     }
     running_ = WaitUntil(
         [this] {
-          std::vector<Runtime::LwpInfo> lwps = PoolLwps();
-          for (const Runtime::LwpInfo& lwp : lwps) {
+          std::vector<LwpSnapshot> lwps = PoolLwps();
+          for (const LwpSnapshot& lwp : lwps) {
             bool computing = false;
             for (thread_id_t id : ids_) {
               computing = computing || lwp.running_thread == id;
@@ -606,7 +615,7 @@ TEST(NetPoller, BoundParkerHandsThePollToAnIdleLwp) {
   }
   ASSERT_TRUE(WaitUntil(
       [] {
-        for (const Runtime::LwpInfo& lwp : PoolLwps()) {
+        for (const LwpSnapshot& lwp : PoolLwps()) {
           if (lwp.running_thread != kInvalidThreadId || lwp.poll_owner) {
             return false;
           }
@@ -669,14 +678,14 @@ TEST(NetPoller, SigwaitingIgnoresThePollOwner) {
   auto owner_and_pinned = [] {
     int owners = 0;
     int pinned = 0;
-    for (const Runtime::LwpInfo& lwp : PoolLwps()) {
+    for (const LwpSnapshot& lwp : PoolLwps()) {
       owners += lwp.poll_owner ? 1 : 0;
       pinned += !lwp.poll_owner && lwp.indefinite_wait ? 1 : 0;
     }
     return owners == 1 && pinned == 1;
   };
   ASSERT_TRUE(WaitUntil(owner_and_pinned, 5 * kSec));
-  for (const Runtime::LwpInfo& lwp : PoolLwps()) {
+  for (const LwpSnapshot& lwp : PoolLwps()) {
     if (lwp.poll_owner) {
       EXPECT_FALSE(lwp.indefinite_wait) << "the owner's epoll_wait counts for SIGWAITING";
     }
@@ -717,7 +726,7 @@ TEST(NetPoller, ShrinkRetiresThePollOwner) {
   });
   ASSERT_TRUE(WaitUntil([] { return PollOwnerId() != -1; }, 5 * kSec));
   auto owner_index = [] {
-    std::vector<Runtime::LwpInfo> lwps = PoolLwps();
+    std::vector<LwpSnapshot> lwps = PoolLwps();
     for (size_t i = 0; i < lwps.size(); ++i) {
       if (lwps[i].poll_owner) {
         return static_cast<int>(i);
@@ -742,10 +751,16 @@ TEST(NetPoller, ShrinkRetiresThePollOwner) {
   int owner = PollOwnerId();
   int target = n - index - 1;  // retires pool LWPs [0, index]
   ASSERT_EQ(thread_setconcurrency(target), 0);
-  EXPECT_TRUE(WaitUntil([&] { return Runtime::Get().pool_size() == target; },
-                        5 * kSec))
+  // The snapshot lists an LWP until its kernel thread leaves, a little after
+  // it leaves the pool.
+  EXPECT_TRUE(WaitUntil(
+      [&] {
+        return Runtime::Get().pool_size() == target &&
+               static_cast<int>(PoolLwps().size()) == target;
+      },
+      5 * kSec))
       << "shrink stalled: the poll owner was not kicked out of epoll_wait";
-  for (const Runtime::LwpInfo& lwp : PoolLwps()) {
+  for (const LwpSnapshot& lwp : PoolLwps()) {
     EXPECT_NE(lwp.id, owner);
   }
   ASSERT_EQ(write(fds[1], "s", 1), 1);

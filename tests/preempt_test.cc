@@ -12,7 +12,7 @@
 #include "src/core/thread.h"
 #include "src/introspect/introspect.h"
 #include "src/ipc/fork1.h"
-#include "src/lwp/lwp_clock.h"
+#include "src/lwp/lwp.h"
 #include "src/rlimit/rlimit.h"
 #include "src/signal/signal.h"
 #include "src/sync/sync.h"
@@ -166,6 +166,23 @@ TEST(RlimitExt, SoftCpuLimitDeliversSigXcpu) {
   signal_handler_set(SIG_XCPU, SIG_DEFAULT);
 }
 
+// In a fork1() child: arms a soft limit just above current usage and burns
+// through it. Exits 0 once SIG_XCPU arrives, 10 if it never does.
+[[noreturn]] void ChildBurnsThroughCpuLimit() {
+  g_xcpu.store(0);
+  signal_handler_set(SIG_XCPU, &XcpuHandler);
+  process_set_cpu_limit(process_rusage().user_ns + 20 * 1000 * 1000, SIG_XCPU);
+  int64_t deadline = MonotonicNowNs() + 5 * 1000 * 1000 * 1000ll;
+  volatile long sink = 0;
+  while (g_xcpu.load() == 0 && MonotonicNowNs() < deadline) {
+    for (long i = 0; i < 1000000; ++i) {
+      sink = sink + 1;
+    }
+    thread_poll();  // the delivered signal lands at a safe point
+  }
+  _exit(g_xcpu.load() == 1 ? 0 : 10);
+}
+
 int WaitForChild(pid_t pid) {
   int status = 0;
   EXPECT_EQ(waitpid(pid, &status, 0), pid);
@@ -175,18 +192,21 @@ int WaitForChild(pid_t pid) {
 
 // A fork1() child rebuilds the runtime from the same configuration (one pool
 // LWP, 5 ms slices), so two CPU hogs there must still be timesliced — which
-// needs the LWP clock, whose thread did not survive the fork, running again.
-// Exit codes name the failing step.
+// needs the LWP clock, whose service thread did not survive the fork, running
+// again. Exit codes name the failing step.
 TEST(Fork1, ChildKeepsLwpClockAndPreemption) {
 #if SUNMT_TEST_TSAN
   GTEST_SKIP() << "TSan cannot start threads after a multi-threaded fork";
 #endif
   Runtime::Get();  // the parent's runtime starts the clock before the fork
-  ASSERT_TRUE(LwpClock::Running());
+  uint64_t parent_ticks = LwpRegistry::ClockTicks();
+  ASSERT_TRUE(sunmt_test::WaitUntil(
+      [&] { return LwpRegistry::ClockTicks() != parent_ticks; },
+      5ll * 1000 * 1000 * 1000));
   pid_t pid = fork1();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    uint64_t ticks = LwpClock::TickCount();
+    uint64_t ticks = LwpRegistry::ClockTicks();
     uint64_t preemptions = SnapshotSchedStats().preemptions;
     static int64_t deadline;
     deadline = MonotonicNowNs() + 200 * 1000 * 1000;
@@ -204,40 +224,48 @@ TEST(Fork1, ChildKeepsLwpClockAndPreemption) {
     if (!Join(a) || !Join(b)) {
       _exit(10);
     }
-    if (LwpClock::TickCount() == ticks) {
-      _exit(11);  // the clock thread is gone
+    if (LwpRegistry::ClockTicks() == ticks) {
+      _exit(11);  // the clock is gone
     }
     _exit(SnapshotSchedStats().preemptions > preemptions ? 0 : 12);
   }
   EXPECT_EQ(WaitForChild(pid), 0);
 }
 
-// The CPU-limit monitor started in the parent must run in a fork1() child
-// too: a soft limit armed there fires. Exit codes name the failing step.
+// A CPU limit armed and disarmed in the parent must still work in a fork1()
+// child: a soft limit armed there fires. Exit codes name the failing step.
 TEST(Fork1, ChildCpuLimitFires) {
 #if SUNMT_TEST_TSAN
   GTEST_SKIP() << "TSan cannot start threads after a multi-threaded fork";
 #endif
-  // Start the monitor here (a limit no test reaches), then disarm it.
+  // Arm the check here (a limit no test reaches), then disarm it.
   process_set_cpu_limit(process_rusage().user_ns + 3600 * 1000000000ll,
                         SIG_XCPU);
   process_set_cpu_limit(0, SIG_XCPU);
   pid_t pid = fork1();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    g_xcpu.store(0);
-    signal_handler_set(SIG_XCPU, &XcpuHandler);
-    process_set_cpu_limit(process_rusage().user_ns + 20 * 1000 * 1000, SIG_XCPU);
-    int64_t deadline = MonotonicNowNs() + 5 * 1000 * 1000 * 1000ll;
-    volatile long sink = 0;
-    while (g_xcpu.load() == 0 && MonotonicNowNs() < deadline) {
-      for (long i = 0; i < 1000000; ++i) {
-        sink = sink + 1;
-      }
-      thread_poll();  // the delivered signal lands at a safe point
-    }
-    _exit(g_xcpu.load() == 1 ? 0 : 10);
+    ChildBurnsThroughCpuLimit();
   }
+  EXPECT_EQ(WaitForChild(pid), 0);
+}
+
+// A limit still armed at the fork: its check lived in the parent's timer
+// wheel, so the child re-arms it in the wheel the timer engine's own fork
+// repair rebuilt (a re-arm that ran first would be wiped). A limit the child
+// sets then fires there.
+TEST(Fork1, ChildKeepsArmedCpuLimit) {
+#if SUNMT_TEST_TSAN
+  GTEST_SKIP() << "TSan cannot start threads after a multi-threaded fork";
+#endif
+  process_set_cpu_limit(process_rusage().user_ns + 3600 * 1000000000ll,
+                        SIG_XCPU);
+  pid_t pid = fork1();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ChildBurnsThroughCpuLimit();
+  }
+  process_set_cpu_limit(0, SIG_XCPU);
   EXPECT_EQ(WaitForChild(pid), 0);
 }
 

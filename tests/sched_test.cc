@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "src/core/runtime.h"
 #include "src/core/tcb.h"
 #include "src/core/thread.h"
+#include "src/introspect/introspect.h"
 #include "src/sync/sync.h"
 #include "tests/test_util.h"
 
@@ -312,12 +314,15 @@ TEST(Runtime, PoolSizeReflectsSetconcurrency) {
 
 TEST(Runtime, SnapshotLwpsSeesPool) {
   thread_setconcurrency(2);
-  std::vector<Runtime::LwpInfo> lwps;
-  Runtime::Get().SnapshotLwps(&lwps);
-  EXPECT_GE(lwps.size(), 2u);
-  for (const auto& info : lwps) {
-    EXPECT_TRUE(info.pool);
-  }
+  // A new pool LWP enters the snapshot once its kernel thread has started.
+  EXPECT_TRUE(sunmt_test::WaitUntil(
+      [] {
+        std::vector<LwpSnapshot> lwps;
+        SnapshotLwps(&lwps);
+        return std::count_if(lwps.begin(), lwps.end(),
+                             [](const LwpSnapshot& l) { return l.pool; }) >= 2;
+      },
+      5ll * 1000 * 1000 * 1000));
   thread_setconcurrency(0);
 }
 

@@ -1,14 +1,19 @@
 // Timer subsystem tests: per-thread timers, the per-process interval timer,
-// cancellation, and the user-level thread_sleep_ns.
+// cancellation, the user-level thread_sleep_ns, and the one service thread
+// that drives every timed duty.
 
+#include <dirent.h>
 #include <gtest/gtest.h>
 #include <time.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <vector>
 
 #include "src/core/runtime.h"
 #include "src/core/thread.h"
+#include "src/lwp/lwp.h"
+#include "src/rlimit/rlimit.h"
 #include "src/signal/signal.h"
 #include "src/sync/sync.h"
 #include "src/timer/timer.h"
@@ -20,6 +25,58 @@ namespace {
 
 using sunmt_test::Join;
 using sunmt_test::Spawn;
+using sunmt_test::WaitUntil;
+
+constexpr int64_t kSec = 1000 * 1000 * 1000;
+
+// Kernel threads of this process that are not LWPs.
+int NonLwpThreads() {
+  int tasks = 0;
+  DIR* dir = opendir("/proc/self/task");
+  if (dir == nullptr) {
+    return -1;
+  }
+  while (dirent* entry = readdir(dir)) {
+    tasks += entry->d_name[0] != '.' ? 1 : 0;
+  }
+  closedir(dir);
+  return tasks - static_cast<int>(LwpRegistry::Count());
+}
+
+// Polls until the count reads the same five times running: a new LWP is a
+// task a moment before it registers.
+int StableNonLwpThreads() {
+  int last = NonLwpThreads();
+  for (int same = 0; same < 5;) {
+    usleep(2000);
+    int now = NonLwpThreads();
+    same = now == last ? same + 1 : 0;
+    last = now;
+  }
+  return last;
+}
+
+void IgnoreTimer(void*, uint64_t) {}
+void IgnoreLwpTimer(Lwp*, LwpTimerKind, void*) {}
+
+// First in the file, so no timed duty has run yet in this process. The
+// runtime's service loop sweeps the wheel, runs the LWP clock and, through a
+// timer, the CPU-limit check: arming each starts no kernel thread.
+TEST(ServiceThread, TimedDutiesStartNoKernelThread) {
+  thread_get_id();  // builds the runtime and adopts this thread as an LWP
+  int before = StableNonLwpThreads();
+  timer_id_t id = timer_arm_callback(3600 * kSec, &IgnoreTimer, nullptr, 0);
+  process_set_cpu_limit(process_rusage().user_ns + 3600 * kSec, SIG_XCPU);
+  uint64_t ticks = LwpRegistry::ClockTicks();
+  Lwp::Current()->SetTimer(LwpTimerKind::kVirtual, 3600 * kSec, &IgnoreLwpTimer,
+                           nullptr);
+  EXPECT_TRUE(WaitUntil([&] { return LwpRegistry::ClockTicks() > ticks; }, 5 * kSec))
+      << "the virtual timer did not start the LWP clock";
+  EXPECT_EQ(StableNonLwpThreads(), before);
+  Lwp::Current()->SetTimer(LwpTimerKind::kVirtual, 0, nullptr, nullptr);
+  process_set_cpu_limit(0, SIG_XCPU);
+  EXPECT_EQ(timer_cancel(id), 0);
+}
 
 std::atomic<int> g_alarms{0};
 std::atomic<uint64_t> g_alarm_thread{0};
