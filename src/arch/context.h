@@ -8,7 +8,8 @@
 // Two backends:
 //  - x86_64 assembly (default on x86_64): saves only the System-V callee-saved
 //    registers plus the FP control words, boost.context style. ~tens of ns.
-//  - ucontext (portable fallback, or -DSUNMT_FORCE_UCONTEXT=ON): uses
+//  - ucontext (every other architecture, AArch64 included, or
+//    -DSUNMT_FORCE_UCONTEXT=ON on x86_64): uses
 //    swapcontext(2), which on Linux also saves the signal mask via sigprocmask —
 //    an instructive ablation, since that is precisely the kernel crossing the
 //    paper's design avoids (see bench/abl_context_switch).
@@ -29,14 +30,9 @@
 #include <cstddef>
 #include <cstdint>
 
-// Backend selection: x86_64 gets the assembly path by default; AArch64 only
-// behind -DSUNMT_AARCH64_ASM (experimental, see context_aarch64.S); everything
-// else (or -DSUNMT_USE_UCONTEXT) uses the portable ucontext backend.
-#if defined(SUNMT_USE_UCONTEXT)
-#define SUNMT_CONTEXT_UCONTEXT 1
-#elif defined(__x86_64__)
-#define SUNMT_CONTEXT_ASM 1
-#elif defined(__aarch64__) && defined(SUNMT_AARCH64_ASM)
+// Backend selection: x86_64 gets the assembly path unless -DSUNMT_USE_UCONTEXT;
+// everything else uses the portable ucontext backend.
+#if defined(__x86_64__) && !defined(SUNMT_USE_UCONTEXT)
 #define SUNMT_CONTEXT_ASM 1
 #else
 #define SUNMT_CONTEXT_UCONTEXT 1

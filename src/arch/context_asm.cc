@@ -1,4 +1,4 @@
-// C++ glue for the assembly context backend.
+// C++ glue for the x86_64 assembly context backend (context_x86_64.S).
 
 #include "src/arch/context.h"
 
@@ -19,22 +19,12 @@ void sunmt_ctx_entry_returned() { SUNMT_PANIC("context entry function returned")
 namespace sunmt {
 namespace {
 
-#if defined(__x86_64__)
 // Offsets into the saved frame; must match context_x86_64.S.
 constexpr size_t kFrameSize = 0x40;
 constexpr size_t kSlotFpu = 0x00;
 constexpr size_t kSlotEntry = 0x28;  // rbx: the trampoline calls *%rbx
 constexpr size_t kSlotFp = 0x30;     // rbp: zeroed to terminate backtraces
 constexpr size_t kSlotPc = 0x38;     // return address -> trampoline
-#elif defined(__aarch64__)
-// Offsets into the saved frame; must match context_aarch64.S.
-constexpr size_t kFrameSize = 0xa0;
-constexpr size_t kSlotEntry = 0x00;  // x19: the trampoline does blr x19
-constexpr size_t kSlotFp = 0x50;     // x29: zeroed to terminate backtraces
-constexpr size_t kSlotPc = 0x58;     // x30 (lr) -> trampoline
-#else
-#error "no assembly context backend for this architecture"
-#endif
 
 }  // namespace
 
@@ -49,14 +39,12 @@ void Context::Make(void* stack_base, size_t size, EntryFn entry) {
   char* frame = reinterpret_cast<char*>(sp);
   memset(frame, 0, kFrameSize);
 
-#if defined(__x86_64__)
   // Sane FP state for the new context: default mxcsr (all exceptions masked,
   // round-to-nearest) and default x87 control word.
   uint32_t mxcsr = 0x1f80;
   uint16_t fcw = 0x037f;
   memcpy(frame + kSlotFpu, &mxcsr, sizeof(mxcsr));
   memcpy(frame + kSlotFpu + 4, &fcw, sizeof(fcw));
-#endif
 
   void* entry_ptr = reinterpret_cast<void*>(entry);
   void* tramp_ptr = reinterpret_cast<void*>(&sunmt_ctx_trampoline);

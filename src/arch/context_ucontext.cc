@@ -11,13 +11,6 @@
 #include "src/util/check.h"
 
 namespace sunmt {
-namespace {
-
-// The context being entered for the first time, so the trampoline can find its slot.
-// Thread-local because every LWP (kernel thread) switches independently.
-thread_local Context* g_entering = nullptr;
-
-}  // namespace
 
 void Context::Trampoline(unsigned hi, unsigned lo) {
   auto* self = reinterpret_cast<Context*>((static_cast<uintptr_t>(hi) << 32) |

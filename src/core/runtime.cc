@@ -443,7 +443,6 @@ void Runtime::RequeueFromDispatch(Tcb* tcb) {
 Lwp* Runtime::SpawnBoundLwp(Tcb* tcb) {
   Lwp* lwp = new Lwp(next_lwp_id_.fetch_add(1, std::memory_order_relaxed));
   tcb->bound_lwp = lwp;
-  tcb->lwp = lwp;
   lwp->Start(&sched::BoundLwpMain, tcb);
   return lwp;
 }

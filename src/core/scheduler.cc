@@ -56,11 +56,16 @@ struct LockdepProviderInit {
   LockdepProviderInit() { lockdep::SetNodeProvider(&LockdepNode); }
 } g_lockdep_provider_init;
 
+// The thread `lwp` (the caller's own LWP, or null off-LWP) is running.
+Tcb* RunningOn(Lwp* lwp) {
+  return lwp != nullptr
+             ? static_cast<Tcb*>(lwp->current_thread.load(std::memory_order_relaxed))
+             : nullptr;
+}
+
 // Switches from the current thread to its LWP's dispatch context, delivering the
-// commit. Returns when the thread is next dispatched.
-void* Deschedule(Tcb* self, SwitchCommit* commit) {
-  Lwp* lwp = self->lwp;
-  SUNMT_DCHECK(lwp != nullptr);
+// commit. Returns when the thread is next dispatched, perhaps on another LWP.
+void* Deschedule(Lwp* lwp, Tcb* self, SwitchCommit* commit) {
   return self->ctx.SwitchTo(lwp->sched_ctx, commit);
 }
 
@@ -119,7 +124,6 @@ void AdoptedSchedMain(void* first_commit) {
   SUNMT_CHECK(self != nullptr);
   Tcb* tcb = commit->prev;
   self->current_thread.store(nullptr, std::memory_order_relaxed);
-  self->current_tid.store(0, std::memory_order_relaxed);
   onproc::Publish(self->onproc_slot(), 0);
   RunCommit(commit);
   for (;;) {
@@ -146,7 +150,6 @@ Tcb* AdoptCurrentKernelThread() {
   tcb->id = rt.AllocateThreadId();
   tcb->is_main = true;
   tcb->bound_lwp = lwp;
-  tcb->lwp = lwp;
   tcb->priority.store(RunQueue::kLevels / 2, std::memory_order_relaxed);
   size_t tls_size = TlsArena::FrozenSize();
   if (tls_size > 0) {
@@ -161,7 +164,6 @@ Tcb* AdoptCurrentKernelThread() {
   tcb->stack = static_cast<Stack&&>(sched_stack);
   tcb->state.store(ThreadState::kRunning, std::memory_order_release);
   lwp->current_thread.store(tcb, std::memory_order_relaxed);
-  lwp->current_tid.store(static_cast<uint64_t>(tcb->id), std::memory_order_relaxed);
   onproc::Publish(lwp->onproc_slot(), static_cast<uint64_t>(tcb->id));
   rt.RegisterThread(tcb);
   return tcb;
@@ -169,13 +171,7 @@ Tcb* AdoptCurrentKernelThread() {
 
 }  // namespace
 
-Tcb* CurrentTcb() {
-  Lwp* lwp = Lwp::Current();
-  if (lwp == nullptr) {
-    return nullptr;
-  }
-  return static_cast<Tcb*>(lwp->current_thread.load(std::memory_order_relaxed));
-}
+Tcb* CurrentTcb() { return RunningOn(Lwp::Current()); }
 
 Tcb* CurrentTcbOrAdopt() {
   Tcb* tcb = CurrentTcb();
@@ -191,20 +187,21 @@ void SetSignalDeliveryHook(SignalDeliveryHook hook) {
 }
 
 void SafePoint() {
-  Tcb* self = CurrentTcb();
+  Lwp* lwp = Lwp::Current();
+  Tcb* self = RunningOn(lwp);
   if (self == nullptr) {
     return;
   }
   if (self->stop_requested.load(std::memory_order_acquire)) {
     StopSelf();
+    lwp = Lwp::Current();  // continued, perhaps on another LWP
   }
   // Time-slice preemption: requeue behind equal-priority peers. Bound threads
   // own their LWP, so the host scheduler handles their fairness — check
   // IsBound() before the exchange so a bound thread never consumes (or acts
   // on) a preempt flag. (The timeslice is not armed on bound LWPs either; this
   // guards against a flag left over from pool dispatches on the same LWP.)
-  Lwp* lwp = self->lwp;
-  if (lwp != nullptr && !self->IsBound() &&
+  if (!self->IsBound() &&
       lwp->preempt_pending.exchange(false, std::memory_order_acq_rel)) {
     Runtime& rt = Runtime::Get();
     // Only give up the LWP if it has other work visible without stealing:
@@ -214,7 +211,7 @@ void SafePoint() {
       self->preempt_count.fetch_add(1, std::memory_order_relaxed);
       Trace::Record(TraceEvent::kPreempt, self->id, 0);
       SwitchCommit commit{CommitKind::kYield, self, nullptr};
-      Deschedule(self, &commit);  // re-dispatch starts a fresh slice
+      Deschedule(lwp, self, &commit);  // re-dispatch starts a fresh slice
     }
   }
   SignalDeliveryHook hook = g_signal_hook.load(std::memory_order_acquire);
@@ -226,11 +223,12 @@ void SafePoint() {
 }
 
 void Yield() {
-  Tcb* self = CurrentTcb();
+  SafePoint();
+  Lwp* lwp = Lwp::Current();  // after the safe point, which may migrate us
+  Tcb* self = RunningOn(lwp);
   if (self == nullptr) {
     return;
   }
-  SafePoint();
   if (self->IsBound()) {
     // A bound thread owns its LWP; yielding is a host-scheduler affair.
     sched_yield();
@@ -239,17 +237,18 @@ void Yield() {
   Runtime& rt = Runtime::Get();
   // Fast path: nothing this LWP could run instead (local shard + overflow are
   // empty) — keep running without touching any shared lock.
-  if (!rt.queues().HasLocalWork(self->lwp->sched_shard)) {
+  if (!rt.queues().HasLocalWork(lwp->sched_shard)) {
     return;
   }
   self->yield_count.fetch_add(1, std::memory_order_relaxed);
   SwitchCommit commit{CommitKind::kYield, self, nullptr};
-  Deschedule(self, &commit);
+  Deschedule(lwp, self, &commit);
   SafePoint();
 }
 
 void Block(SpinLock* queue_lock) {
-  Tcb* self = CurrentTcb();
+  Lwp* lwp = Lwp::Current();
+  Tcb* self = RunningOn(lwp);
   SUNMT_CHECK(self != nullptr);
   // Perturbation lands with the sleep-queue lock still held: widens the
   // window where a waker has popped this thread but it has not yet switched.
@@ -261,15 +260,16 @@ void Block(SpinLock* queue_lock) {
     lockdep::OnSpinHandoff(queue_lock);
   }
   SwitchCommit commit{CommitKind::kBlock, self, queue_lock};
-  Deschedule(self, &commit);
+  Deschedule(lwp, self, &commit);
   SafePoint();
 }
 
 void StopSelf() {
-  Tcb* self = CurrentTcb();
+  Lwp* lwp = Lwp::Current();
+  Tcb* self = RunningOn(lwp);
   SUNMT_CHECK(self != nullptr);
   SwitchCommit commit{CommitKind::kStop, self, nullptr};
-  Deschedule(self, &commit);
+  Deschedule(lwp, self, &commit);
 }
 
 void SetThreadExitHook(ThreadExitHook hook) {
@@ -284,7 +284,7 @@ void ExitCurrent() {
     exit_hook(self);  // runs on the exiting thread's stack; may call user code
   }
   SwitchCommit commit{CommitKind::kExit, self, nullptr};
-  Deschedule(self, &commit);
+  Deschedule(Lwp::Current(), self, &commit);  // the hook may have migrated us
   SUNMT_PANIC("exited thread was dispatched again");
 }
 
@@ -348,17 +348,15 @@ void RunThread(Lwp* lwp, Tcb* tcb) {
     Stats::RecordValue(LatencyStat::kRunQueueDepth,
                        Runtime::Get().queues().LocalDepth(lwp->sched_shard));
   }
+  // The LWP assumes the thread's identity: current_thread for itself, the
+  // ON-PROC slot for everyone else (mutex spinners, introspection, rlimit).
   lwp->current_thread.store(tcb, std::memory_order_relaxed);
-  lwp->current_tid.store(static_cast<uint64_t>(tcb->id), std::memory_order_relaxed);
-  // Publish ON-PROC status for owner-aware adaptive locks: while this id is
-  // visible in the slot, spinners on a mutex this thread holds keep spinning.
   onproc::Publish(lwp->onproc_slot(), static_cast<uint64_t>(tcb->id));
   if (lwp->sched_shard >= 0) {
     tcb->last_shard = lwp->sched_shard;  // wake affinity for the next block/wake
   }
   {
     SpinLockGuard guard(tcb->state_lock);
-    tcb->lwp = lwp;
     tcb->state.store(ThreadState::kRunning, std::memory_order_release);
   }
   // Bound threads own their LWP and are never package-preempted; arming the
@@ -369,7 +367,6 @@ void RunThread(Lwp* lwp, Tcb* tcb) {
   void* ret = lwp->sched_ctx.SwitchTo(tcb->ctx, tcb);
   lwp->ClearDispatch();
   lwp->current_thread.store(nullptr, std::memory_order_relaxed);
-  lwp->current_tid.store(0, std::memory_order_relaxed);
   onproc::Publish(lwp->onproc_slot(), 0);  // back in the dispatch loop: off-proc
   RunCommit(static_cast<SwitchCommit*>(ret));
 }

@@ -6,7 +6,9 @@
 // thread-local storage — plus the queue links and bookkeeping the user-level
 // scheduler needs. The TCB is carved out of the *top of the thread's own stack*
 // (together with the TLS block), so creating a thread performs no heap allocation:
-// one of the paper's explicit design principles.
+// one of the paper's explicit design principles. A TCB names no LWP (a bound
+// thread's aside): which thread an LWP runs is recorded once, in the LWP's
+// ON-PROC slot (src/lwp/onproc.h).
 
 #ifndef SUNMT_SRC_CORE_TCB_H_
 #define SUNMT_SRC_CORE_TCB_H_
@@ -70,8 +72,9 @@ struct Tcb {
   // owning container's lock (or by the box CAS protocol); see run_queue.h.
   std::atomic<int> queued_where{kTcbNotQueued};
   int last_shard = -1;       // shard of the pool LWP that last ran this thread
-  Lwp* lwp = nullptr;        // carrying LWP while kRunning; bound LWP if bound
-  Lwp* bound_lwp = nullptr;  // non-null iff permanently bound (THREAD_BIND_LWP)
+  // Non-null iff permanently bound (THREAD_BIND_LWP). The running thread finds
+  // its LWP through Lwp::Current(), other kernel threads via src/lwp/onproc.h.
+  Lwp* bound_lwp = nullptr;
   bool is_main = false;      // the adopted initial thread
 
   // Stop/continue plumbing (thread_stop is honored at safe points).

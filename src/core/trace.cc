@@ -15,11 +15,12 @@ namespace sunmt {
 namespace {
 
 // Each slot carries a sequence number (seqlock-style): even = stable, odd =
-// being written. Writers claim slots with a global ticket; readers skip slots
-// whose sequence moved while copying. The payload fields are relaxed atomics
-// bracketed by fences (the data-race-free seqlock recipe): racing accesses are
-// intentional — the seq check discards torn reads — but must not be UB, and
-// must be invisible to TSan.
+// being written. A writer takes a global ticket, which names its slot and lap,
+// then claims the slot with one CAS on its sequence (see Record); readers skip
+// slots whose sequence moved while copying. The payload fields are relaxed
+// atomics bracketed by fences (the data-race-free seqlock recipe): racing
+// accesses are intentional — the seq check discards torn reads — but must not
+// be UB, and must be invisible to TSan.
 struct Slot {
   std::atomic<uint64_t> seq{0};
   std::atomic<int64_t> time_ns{0};
@@ -37,6 +38,8 @@ struct RingBuf {
   const size_t mask;
   Slot* const slots;
   std::atomic<uint64_t> next_ticket{0};
+  // Tickets below this one predate the last in-place reset: never collected.
+  std::atomic<uint64_t> first_ticket{0};
 };
 
 std::atomic<bool> g_enabled{false};
@@ -82,16 +85,12 @@ void Trace::Enable(size_t capacity) {
   size_t cap = RoundUpPow2(capacity < 16 ? 16 : capacity);
   RingBuf* ring = g_ring.load(std::memory_order_acquire);
   if (ring != nullptr && ring->mask + 1 == cap) {
-    // Same capacity: reset the ring in place. Stop new writers, clear every
-    // slot's sequence, restart the ticket. A writer that claimed a ticket
-    // before the stop finishes its store afterwards; its slot then carries a
-    // stale lap number that Collect() rejects, so the worst case is one lost
-    // slot, never a dangling pointer.
-    g_enabled.store(false, std::memory_order_release);
-    for (size_t i = 0; i <= ring->mask; ++i) {
-      ring->slots[i].seq.store(0, std::memory_order_relaxed);
-    }
-    ring->next_ticket.store(0, std::memory_order_release);
+    // Same capacity: reset the ring in place by starting it at the next
+    // ticket. Tickets keep counting, so a writer still finishing a record
+    // from before the reset holds an older lap than any later writer of its
+    // slot, and the claim in Record keeps the two apart.
+    ring->first_ticket.store(ring->next_ticket.load(std::memory_order_acquire),
+                             std::memory_order_release);
   } else {
     // New capacity: install a fresh ring. The previous ring is intentionally
     // leaked — lock-free writers and readers may still hold a pointer to it,
@@ -121,9 +120,18 @@ void Trace::Record(TraceEvent event, uint64_t thread_id, uint64_t arg) {
   }
   uint64_t ticket = ring->next_ticket.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = ring->slots[ticket & ring->mask];
-  // Lap number encodes stability: seq is 2*lap+1 while writing, 2*(lap+1) after.
+  // Lap number encodes stability: seq is 2*lap+1 while writing, 2*(lap+1)
+  // after. Claim the slot from a complete record of an older lap. A slot
+  // still being written (odd: a writer delayed since its ticket a lap ago) or
+  // already at or past this lap belongs to another writer, and this record
+  // is dropped, so no two writers ever fill one slot at once.
   uint64_t lap = ticket / (ring->mask + 1);
-  slot.seq.store(2 * lap + 1, std::memory_order_relaxed);
+  uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+  if ((seq & 1) != 0 || seq > 2 * lap ||
+      !slot.seq.compare_exchange_strong(seq, 2 * lap + 1, std::memory_order_acquire,
+                                        std::memory_order_relaxed)) {
+    return;
+  }
   std::atomic_thread_fence(std::memory_order_release);  // seq=odd before data
   slot.time_ns.store(MonotonicNowNs(), std::memory_order_relaxed);
   slot.thread_id.store(thread_id, std::memory_order_relaxed);
@@ -140,13 +148,14 @@ size_t Trace::Collect(std::vector<TraceRecord>* out) {
   }
   uint64_t end = ring->next_ticket.load(std::memory_order_acquire);
   size_t capacity = ring->mask + 1;
-  uint64_t begin = end > capacity ? end - capacity : 0;
+  uint64_t begin = std::max(end > capacity ? end - capacity : 0,
+                            ring->first_ticket.load(std::memory_order_acquire));
   for (uint64_t ticket = begin; ticket < end; ++ticket) {
     Slot& slot = ring->slots[ticket & ring->mask];
     uint64_t lap = ticket / capacity;
     uint64_t seq_before = slot.seq.load(std::memory_order_acquire);
     if (seq_before != 2 * (lap + 1)) {
-      continue;  // overwritten by a later lap, reset, or still being written
+      continue;  // overwritten by a later lap, dropped, or still being written
     }
     TraceRecord copy;
     copy.time_ns = slot.time_ns.load(std::memory_order_relaxed);
@@ -159,6 +168,12 @@ size_t Trace::Collect(std::vector<TraceRecord>* out) {
     }
     out->push_back(copy);
   }
+  // Ticket order is not time order: a writer may be delayed between taking
+  // its ticket and reading the clock.
+  std::stable_sort(out->begin(), out->end(),
+                   [](const TraceRecord& a, const TraceRecord& b) {
+                     return a.time_ns < b.time_ns;
+                   });
   return out->size();
 }
 
@@ -179,8 +194,11 @@ std::string Trace::Format() {
 
 uint64_t Trace::RecordedCount() {
   RingBuf* ring = g_ring.load(std::memory_order_acquire);
-  return ring == nullptr ? 0
-                         : ring->next_ticket.load(std::memory_order_relaxed);
+  if (ring == nullptr) {
+    return 0;
+  }
+  uint64_t first = ring->first_ticket.load(std::memory_order_acquire);
+  return ring->next_ticket.load(std::memory_order_relaxed) - first;
 }
 
 namespace {
@@ -208,10 +226,6 @@ void AppendEvent(std::vector<std::string>* events, const char* fmt, ...) {
 std::string Trace::ExportChromeJson() {
   std::vector<TraceRecord> records;
   Collect(&records);
-  std::stable_sort(records.begin(), records.end(),
-                   [](const TraceRecord& a, const TraceRecord& b) {
-                     return a.time_ns < b.time_ns;
-                   });
 
   int64_t base = EnableTimeNs();
   if (!records.empty() && records.front().time_ns < base) {
@@ -336,7 +350,7 @@ std::string Trace::ExportChromeJson() {
                     "\"name\":\"STEAL\",\"ts\":%.3f,"
                     "\"args\":{\"thief\":%" PRIu64 ",\"victim\":%" PRIu64
                     ",\"count\":%" PRIu64 "}}",
-                    ts, r.thread_id, r.arg & 0xffffffffull, r.arg >> 32);
+                    ts, r.thread_id, r.arg & 0xffffffffu, r.arg >> 32);
         break;
       case TraceEvent::kInject:
         // arg = (op bit << 32) | inject::Point.

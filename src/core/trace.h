@@ -73,11 +73,13 @@ class Trace {
   static int64_t EnableTimeNs();
 
   // Appends an event (no-op when disabled). Safe from any thread, lock-free.
+  // The ring is lossy: a writer whose slot another writer still holds (one
+  // delayed a whole lap) drops its record rather than share the slot.
   static void Record(TraceEvent event, uint64_t thread_id, uint64_t arg);
 
-  // Copies out everything currently recorded, oldest first. Records that were
-  // mid-write during the copy (or invalidated by a concurrent re-Enable) are
-  // skipped. Returns the number copied.
+  // Copies out everything currently recorded, in timestamp order. Records
+  // that were mid-write during the copy (or predate a concurrent re-Enable)
+  // are skipped. Returns the number copied.
   static size_t Collect(std::vector<TraceRecord>* out);
 
   // Human-readable rendering of Collect(): one event per line, timestamps in

@@ -1,7 +1,9 @@
 #include "src/introspect/introspect.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstring>
+#include <utility>
 
 #include "src/core/runtime.h"
 #include "src/core/scheduler.h"
@@ -9,6 +11,7 @@
 #include "src/debug/lockdep.h"
 #include "src/inject/inject.h"
 #include "src/lwp/lwp.h"
+#include "src/lwp/onproc.h"
 #include "src/net/backend.h"
 #include "src/timer/timer.h"
 #include "src/util/object_cache.h"
@@ -49,9 +52,7 @@ void CollectLwp(Lwp* lwp, void* cookie) {
   snap.in_kernel_wait = lwp->InKernelWait();
   snap.indefinite_wait = lwp->InIndefiniteWait();
   snap.poll_owner = lwp == collect->poll_owner;
-  // current_thread points into a recyclable stack block; only the id mirror is
-  // safe to read from another LWP.
-  snap.running_thread = lwp->current_tid.load(std::memory_order_relaxed);
+  snap.running_thread = onproc::Running(lwp->onproc_slot());
   LwpUsage usage = lwp->Usage();
   snap.user_ns = usage.user_ns;
   snap.system_wait_ns = usage.system_wait_ns;
@@ -66,22 +67,35 @@ void SnapshotThreads(std::vector<ThreadSnapshot>* out) {
   if (!Runtime::IsInitialized()) {
     return;
   }
-  Runtime::Get().ForEachThread([out](Tcb* t) {
+  // (running thread id, LWP id) per LWP from the ON-PROC slots, by thread id.
+  using Carried = std::vector<std::pair<uint64_t, int>>;
+  Carried carried;
+  LwpRegistry::ForEach(
+      [](Lwp* lwp, void* v) {
+        static_cast<Carried*>(v)->emplace_back(onproc::Running(lwp->onproc_slot()),
+                                               lwp->id());
+      },
+      &carried);
+  std::sort(carried.begin(), carried.end());
+  Runtime::Get().ForEachThread([out, &carried](Tcb* t) {
     ThreadSnapshot snap;
     snap.id = t->id;
-    Lwp* lwp;
     {
       SpinLockGuard guard(t->state_lock);
       snprintf(snap.name, sizeof(snap.name), "%s", t->name);
-      // t->lwp is rebound by the dispatcher under state_lock on every switch.
-      lwp = t->IsBound() ? t->bound_lwp : t->lwp;
     }
+    // The LWP whose slot names the thread, or its bound LWP: a registered
+    // bound thread has not exited, so that LWP has not retired.
+    auto it = std::lower_bound(carried.begin(), carried.end(),
+                               std::make_pair(snap.id, 0));  // LWP ids are > 0
+    snap.lwp_id = t->IsBound() ? t->bound_lwp->id()
+                  : it != carried.end() && it->first == snap.id ? it->second
+                                                                : -1;
     snap.state = StateName(t->state.load(std::memory_order_acquire));
     snap.priority = t->priority.load(std::memory_order_relaxed);
     snap.bound = t->IsBound();
     snap.waitable = t->waitable;
     snap.stop_requested = t->stop_requested.load(std::memory_order_relaxed);
-    snap.lwp_id = lwp != nullptr ? lwp->id() : -1;
     snap.pending_signals = t->pending_signals.load(std::memory_order_relaxed);
     snap.sigmask = t->sigmask.load(std::memory_order_relaxed);
     snap.yields = t->yield_count.load(std::memory_order_relaxed);

@@ -24,7 +24,10 @@ struct ThreadSnapshot {
   bool bound;
   bool waitable;
   bool stop_requested;
-  int lwp_id;  // carrying/bound LWP, -1 if none
+  // Carrying/bound LWP, -1 if none: the LWP whose ON-PROC slot names this
+  // thread (src/lwp/onproc.h), so a blocked or runnable unbound thread, or
+  // one on an LWP that got no slot, reports -1.
+  int lwp_id;
   uint64_t pending_signals;
   uint64_t sigmask;
   uint64_t yields;    // voluntary thread_yield calls by this thread
@@ -37,7 +40,7 @@ struct LwpSnapshot {
   bool in_kernel_wait;
   bool indefinite_wait;
   bool poll_owner;       // holds the blocking netpoll (Runtime::EnterIdle)
-  uint64_t running_thread;  // 0 if idle
+  uint64_t running_thread;  // from its ON-PROC slot: 0 if idle or no slot
   int64_t user_ns;
   int64_t system_wait_ns;
   uint64_t kernel_calls;

@@ -7,7 +7,7 @@
 //
 //   - LWP ID
 //   - register state        -> the kernel thread's registers + a scheduler Context
-//   - signal mask           -> mask word consulted by the simulated signal layer
+//   - signal mask           -> kept per thread (Tcb::sigmask), as the package does
 //   - alternate signal stack -> flag + range honored by src/signal
 //   - virtual time alarms   -> two interval timers (user / user+system) run by the LWP clock
 //   - user and system CPU usage
@@ -15,7 +15,9 @@
 //   - scheduling class and priority (priocntl analogue)
 //
 // Threads are multiplexed on LWPs by src/core; this module knows nothing about
-// threads except an opaque `current_thread` slot and the dispatch callback.
+// threads except an opaque `current_thread` slot, the ON-PROC slot
+// (src/lwp/onproc.h) where the dispatcher publishes the running thread's id,
+// and the dispatch callback.
 
 #ifndef SUNMT_SRC_LWP_LWP_H_
 #define SUNMT_SRC_LWP_LWP_H_
@@ -91,7 +93,8 @@ class Lwp {
 
   // This LWP's slot in the ON-PROC table (src/lwp/onproc.h), allocated for the
   // LWP's whole lifetime (-1 if the table was full). The threads package
-  // publishes the running thread's id there around each dispatch.
+  // publishes the running thread's id there around each dispatch: it is the
+  // one record other kernel threads read of which thread this LWP runs.
   int onproc_slot() const { return onproc_slot_; }
 
   // ---- Parking (the only way an LWP idles) -------------------------------
@@ -154,16 +157,14 @@ class Lwp {
   // "Alternate signal stack and masks for alternate stack disable and onstack"
   // is per-LWP state; only bound threads may use it (the paper rejects carrying
   // it per unbound thread as too expensive).
-  std::atomic<uint64_t> sigmask{0};
   std::atomic<bool> has_alt_stack{false};
   void* alt_stack_base = nullptr;  // owned by the bound thread
   size_t alt_stack_size = 0;
 
   // ---- Slots owned by the threads package ---------------------------------
-  // current_thread is only dereferenced from this LWP itself; cross-LWP
-  // observers (introspection) must read current_tid instead — the TCB behind
-  // the pointer lives in a recyclable stack block and may be rebuilt for a new
-  // thread the moment it exits.
+  // current_thread is only read by this LWP itself; other kernel threads read
+  // the ON-PROC slot instead — the TCB behind the pointer lives in a
+  // recyclable stack block and may be rebuilt for a new thread once it exits.
   std::atomic<void*> current_thread{nullptr};  // TCB executing on this LWP
   Context sched_ctx;               // the LWP's own (dispatch loop) context
   std::atomic<bool> retire{false}; // dispatch loop should exit when idle
@@ -174,10 +175,6 @@ class Lwp {
   // Link in the global LwpRegistry (managed by Add/Remove; public because the
   // intrusive-list template needs the member pointer at namespace scope).
   ListNode registry_node;
-
-  // Id of the thread in current_thread, 0 while dispatching. Kept apart from
-  // the hot dispatch fields: introspection polls it from other kernel threads.
-  std::atomic<uint64_t> current_tid{0};
 
   // True once the kernel thread has exited its main function.
   bool Finished() const { return finished_.load(std::memory_order_acquire); }

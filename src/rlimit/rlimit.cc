@@ -3,8 +3,8 @@
 #include <atomic>
 
 #include "src/core/runtime.h"
-#include "src/core/tcb.h"
 #include "src/lwp/lwp.h"
+#include "src/lwp/onproc.h"
 #include "src/signal/signal.h"
 #include "src/timer/timer.h"
 #include "src/util/spinlock.h"
@@ -14,8 +14,8 @@ namespace {
 
 struct SumState {
   ProcessUsage usage;
-  Lwp* busiest = nullptr;
   int64_t busiest_ns = -1;
+  uint64_t busiest_thread = 0;  // running on the busiest LWP, 0 if none
 };
 
 void AccumulateOne(Lwp* lwp, void* cookie) {
@@ -27,7 +27,8 @@ void AccumulateOne(Lwp* lwp, void* cookie) {
   sum->usage.lwps += 1;
   if (usage.user_ns > sum->busiest_ns) {
     sum->busiest_ns = usage.user_ns;
-    sum->busiest = lwp;
+    // Read under the registry lock, while the LWP cannot retire.
+    sum->busiest_thread = onproc::Running(lwp->onproc_slot());
   }
 }
 
@@ -66,25 +67,10 @@ void CheckLimit(void*, uint64_t) {
     return;
   }
   // "The LWP that exceeded the limit is sent the appropriate signal": target
-  // the thread currently carried by the busiest LWP; if it has none (or is
-  // gone by the time we look), fall back to a process-directed interrupt.
+  // the thread the busiest LWP was carrying; if it had none (or is gone by
+  // now), fall back to a process-directed interrupt.
   int sig = limit.sig.load(std::memory_order_relaxed);
-  bool delivered = false;
-  if (sum.busiest != nullptr && Runtime::IsInitialized()) {
-    // Find the thread running on the busiest LWP under the registry lock
-    // (keeps the TCB alive while we read its id).
-    thread_id_t victim = 0;
-    Runtime::Get().ForEachThread([&](Tcb* t) {
-      if (t->lwp == sum.busiest &&
-          t->state.load(std::memory_order_acquire) == ThreadState::kRunning) {
-        victim = t->id;
-      }
-    });
-    if (victim != 0 && thread_kill(victim, sig) == 0) {
-      delivered = true;
-    }
-  }
-  if (!delivered) {
+  if (sum.busiest_thread == 0 || thread_kill(sum.busiest_thread, sig) != 0) {
     signal_raise_process(sig);
   }
 }

@@ -259,12 +259,14 @@ int thread_kill(thread_id_t thread_id, int sig) {
   }
   EnsureInit();
   Runtime& rt = Runtime::Get();
-  Tcb* self = sched::CurrentTcbOrAdopt();
   bool found = rt.WithThread(thread_id, [sig](Tcb* target) { PendOnThread(target, sig); });
   if (!found) {
     return -1;
   }
-  if (thread_id == self->id) {
+  // A sender off any LWP (the service thread firing a timer) is no thread:
+  // adopting it would show it as one.
+  Tcb* self = sched::CurrentTcb();
+  if (self != nullptr && thread_id == self->id) {
     sched::SafePoint();  // self-directed: behave like a trap, deliver now
   }
   return 0;

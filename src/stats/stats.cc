@@ -2,9 +2,6 @@
 
 #include <cstdio>
 
-#include "src/debug/lockdep.h"
-#include "src/util/object_cache.h"
-
 namespace sunmt {
 namespace stats_internal {
 
@@ -178,30 +175,6 @@ std::string FormatStats() {
   }
   if (!any) {
     out += "  (no samples)\n";
-  }
-  lockdep::CountersSnapshot ld = lockdep::Snapshot();
-  if (ld.configured) {
-    snprintf(line, sizeof(line),
-             "  lockdep.checks=%llu edges=%llu inversions=%llu deadlocks=%llu\n",
-             static_cast<unsigned long long>(ld.checks),
-             static_cast<unsigned long long>(ld.edges),
-             static_cast<unsigned long long>(ld.inversions),
-             static_cast<unsigned long long>(ld.deadlocks));
-    out += line;
-  }
-  // Per-LWP object caches (src/util/object_cache.h): one line per cache.
-  ObjectCacheStats caches[16];
-  size_t cache_count =
-      ObjectCacheSnapshotAll(caches, sizeof(caches) / sizeof(caches[0]));
-  for (size_t i = 0; i < cache_count; ++i) {
-    const ObjectCacheStats& oc = caches[i];
-    snprintf(line, sizeof(line),
-             "  objcache.%-18s hits=%llu misses=%llu refills=%llu flushes=%llu\n",
-             oc.name, static_cast<unsigned long long>(oc.hits),
-             static_cast<unsigned long long>(oc.misses),
-             static_cast<unsigned long long>(oc.refills),
-             static_cast<unsigned long long>(oc.flushes));
-    out += line;
   }
   return out;
 }

@@ -115,7 +115,8 @@ class Stats {
 };
 
 // Renders every non-empty histogram as a quantile table
-// (COUNT / P50 / P90 / P99 / MAX / MEAN), durations human-scaled.
+// (COUNT / P50 / P90 / P99 / MAX / MEAN), durations human-scaled. Counters
+// (object caches, lockdep) print once, in FormatProcessState().
 std::string FormatStats();
 
 // A monotonically increasing event counter, sharded to keep concurrent

@@ -11,6 +11,7 @@
 
 #include "src/core/scheduler.h"
 #include "src/core/tcb.h"
+#include "src/lwp/lwp.h"
 #include "src/lwp/onproc.h"
 #include "src/sync/waitq.h"
 #include "src/util/check.h"
@@ -43,15 +44,12 @@ uint32_t LdFlags(const mutex_t* mp) {
 // thread on the waitq, so they skip the bookkeeping.
 bool TracksOwnerToken(const mutex_t* mp) { return !IsShared(mp) && !IsSpin(mp); }
 
-// Publishes "I hold this lock, from this LWP" after an acquisition. Token 0
-// (no TCB / no slot) is fine: spinners treat unknown owners as running.
+// Publishes "I hold this lock, from this LWP" after an acquisition: the
+// caller's ON-PROC slot names it. Token 0 (off-LWP / no slot) is fine:
+// spinners treat unknown owners as running.
 void PublishOwnerToken(mutex_t* mp) {
-  Tcb* self = sched::CurrentTcb();
-  uint64_t token = 0;
-  if (self != nullptr && self->lwp != nullptr) {
-    token = onproc::MakeToken(self->lwp->onproc_slot(),
-                              static_cast<uint64_t>(self->id));
-  }
+  Lwp* lwp = Lwp::Current();
+  uint64_t token = lwp != nullptr ? onproc::OwnerToken(lwp->onproc_slot()) : 0;
   mp->owner_token.store(token, std::memory_order_relaxed);
 }
 

@@ -31,6 +31,7 @@
 //     Armed ->(cancel CAS, lock-free)-> Tombstone        cancel returns 0
 //     Armed ->(sweep claim)-> Firing
 //     Firing ->(cancel CAS)-> FiringCancelled            cancel returns -1
+//                                   (0 for a periodic signal timer)
 //     Firing ->(sweep, periodic)-> Armed (same generation: the id stays valid)
 //     Firing/FiringCancelled/Tombstone ->(reap)-> Free with generation+1
 //
@@ -83,7 +84,7 @@ struct TimerEntry {
   TimerEntry* free_next = nullptr;   // shard free list / local reap batches
   int64_t deadline_ns = 0;
   std::atomic<int64_t> period_ns{0};  // 0 = one-shot (atomic: engine vs cancel)
-  FireKind kind = FireKind::kCallback;
+  std::atomic<FireKind> kind{FireKind::kCallback};  // atomic: arm vs cancel
   int sig = 0;
   thread_id_t target = 0;
   void (*callback)(void*, uint64_t) = nullptr;
@@ -174,7 +175,7 @@ void FireEntry(TimerEntry* entry) {
   // the timeout-vs-wake window of the timed sync waits.
   inject::Perturb(inject::kTimerCallback);
   Wheel().fires.fetch_add(1, std::memory_order_relaxed);
-  switch (entry->kind) {
+  switch (entry->kind.load(std::memory_order_relaxed)) {
     case FireKind::kSignalThread:
       if (thread_kill(entry->target, entry->sig) != 0) {
         entry->period_ns.store(0, std::memory_order_relaxed);  // target gone
@@ -301,8 +302,8 @@ uint64_t ProcessShard(TimerShard& sh, uint64_t now_tick) {
     bool cancelled_in_flight =
         (e->tag.load(std::memory_order_acquire) & kStateMask) ==
         kStFiringCancelled;
-    bool signal_fire = e->kind == FireKind::kSignalThread ||
-                       e->kind == FireKind::kSignalProcess;
+    bool signal_fire =
+        e->kind.load(std::memory_order_relaxed) != FireKind::kCallback;
     if (!(cancelled_in_flight && signal_fire)) {
       FireEntry(e);
     }
@@ -400,7 +401,7 @@ timer_id_t ArmEntry(int64_t delay_ns, int64_t period_ns, FireKind kind, int sig,
     uint64_t gen = e->tag.load(std::memory_order_relaxed) >> kGenShift;
     e->deadline_ns = deadline;
     e->period_ns.store(period_ns, std::memory_order_relaxed);
-    e->kind = kind;
+    e->kind.store(kind, std::memory_order_relaxed);
     e->sig = sig;
     e->target = target;
     e->callback = fn;
@@ -492,11 +493,22 @@ int timer_cancel(timer_id_t id) {
       }
     } else if (state == kStFiring) {
       // The sweep claimed it first: the fire owns the callback context and
-      // will run; all we can suppress is a periodic re-arm.
+      // will run; all we can suppress is a periodic re-arm. A periodic signal
+      // timer's id is still live and its fire owns no caller memory, so that
+      // cancel succeeds; a callback's -1 tells its caller the fire is in flight.
+      // Read before the CAS, whose success proves they are this incarnation's:
+      // once the entry is recycled, another arm may rewrite them.
+      bool periodic_signal =
+          e->kind.load(std::memory_order_relaxed) != FireKind::kCallback &&
+          e->period_ns.load(std::memory_order_relaxed) > 0;
       if (e->tag.compare_exchange_weak(
               tag, (gen << kGenShift) | kStFiringCancelled,
               std::memory_order_acq_rel, std::memory_order_acquire)) {
-        return -1;
+        if (!periodic_signal) {
+          return -1;
+        }
+        sh.cancels.fetch_add(1, std::memory_order_relaxed);
+        return 0;
       }
     } else {
       return -1;  // free, already tombstoned, or already cancelled mid-fire

@@ -39,7 +39,10 @@ timer_id_t timer_arm(int64_t first_delay_ns, int64_t period_ns, int sig,
                      thread_id_t target);
 
 // Cancels a timer. Returns 0, or -1 if the id is unknown (already fired
-// one-shot timers count as unknown).
+// one-shot timers count as unknown) or names a callback timer whose fire is
+// in flight. A periodic signal timer cancelled while its fire is in flight
+// returns 0: its id is live and the cancel stops every re-arm (the signal in
+// flight may still land).
 int timer_cancel(timer_id_t id);
 
 // Arms a one-shot timer running fn(cookie, arg) on the service thread after

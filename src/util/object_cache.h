@@ -59,7 +59,7 @@
 namespace sunmt {
 
 // Aggregate counters for one cache (monotonic except the depth/count gauges),
-// exported as an OBJCACHE line in FormatProcessState() and FormatStats().
+// exported as an OBJCACHE line in FormatProcessState().
 struct ObjectCacheStats {
   const char* name = nullptr;
   uint64_t hits = 0;       // Acquire served from a magazine (incl. post-refill)

@@ -13,6 +13,7 @@
 #include "src/pthread/pthread_compat.h"
 #include "src/timer/timer.h"
 #include "src/util/clock.h"
+#include "tests/test_util.h"
 
 namespace sunmt {
 namespace {
@@ -244,22 +245,27 @@ TEST(CvTimedwait, SharedVariantTimesOut) {
 TEST(CvTimedwait, MixOfTimedAndPlainWaiters) {
   static mutex_t mu;
   static condvar_t cv;
-  static std::atomic<int> timed_out_count, woken_count;
+  static std::atomic<int> entered, timed_out_count, woken_count;
   mutex_init(&mu, 0, nullptr);
   cv_init(&cv, 0, nullptr);
+  entered.store(0);
   timed_out_count.store(0);
   woken_count.store(0);
   std::vector<Thread> waiters;
   for (int i = 0; i < 3; ++i) {
     waiters.emplace_back([&] {
       mutex_enter(&mu);
+      entered.fetch_add(1);
       int rc = cv_timedwait(&cv, &mu, 15 * 1000 * 1000);
       mutex_exit(&mu);
       (rc == ETIME ? timed_out_count : woken_count).fetch_add(1);
     });
   }
-  // Wake exactly one; the other two must time out.
-  thread_sleep_ms(3);
+  // Wake exactly one; the other two must time out. Wait until all three have
+  // entered: cv_timedwait drops the mutex only once queued, so once this
+  // thread holds it, every waiter that has not timed out is queued.
+  EXPECT_TRUE(sunmt_test::WaitUntil([] { return entered.load() == 3; },
+                                    5'000'000'000));
   mutex_enter(&mu);
   cv_signal(&cv);
   mutex_exit(&mu);

@@ -765,69 +765,46 @@ TEST(HttpPrefork, SharedCacheStatsAcrossProcesses) {
 
 // ---- Injection shakedown ----------------------------------------------------
 
-int SweepSeeds() {
-  const char* env = getenv("SUNMT_SHAKEDOWN_SEEDS");
-  if (env != nullptr && env[0] != '\0') {
-    int n = atoi(env);
-    if (n > 0) {
-      return n;
-    }
-  }
-  return 64;
-}
-
 // The whole request path — accept, parse, cache, writev response, keep-alive
 // loop, teardown — once per seed under schedule perturbation, injected
 // faults, and short transfers. Failures print the replay spec.
 TEST(HttpShakedown, ServerSurvivesInjectSweep) {
-  const double kRate = 0.08;
-  for (int seed = 1; seed <= SweepSeeds(); ++seed) {
-    SCOPED_TRACE(std::string("[shakedown] seed=") + std::to_string(seed));
-    inject::Configure(static_cast<uint64_t>(seed), kRate, inject::kOpAll);
-    {
-      HttpCache cache(4, 1 << 20);
-      HttpServerConfig config;
-      config.cache = &cache;
-      InstallEchoHandler(&config);
-      HttpServer server(std::move(config));
-      ASSERT_EQ(server.Start(), 0);
-      constexpr int kConns = 3;
-      thread_id_t clients[kConns];
-      for (int c = 0; c < kConns; ++c) {
-        uint16_t port = server.port();
-        clients[c] = Spawn([port, c] {
-          int fd = ConnectTo(port);
-          // Mix of cacheable, 404, chunked, and a pipelined pair.
-          ASSERT_TRUE(SendAll(fd, "GET /sweep HTTP/1.1\r\nHost: t\r\n\r\n"));
-          std::vector<HttpMessage> resp = ReadResponses(fd, 1);
-          ASSERT_EQ(resp.size(), 1u);
-          EXPECT_EQ(resp[0].status, 200);
-          ASSERT_TRUE(SendAll(fd,
-                              "GET /missing HTTP/1.1\r\nHost: t\r\n\r\n"
-                              "GET /stream HTTP/1.1\r\nHost: t\r\n\r\n"));
-          resp = ReadResponses(fd, 2);
-          ASSERT_EQ(resp.size(), 2u);
-          EXPECT_EQ(resp[0].status, 404);
-          EXPECT_EQ(resp[1].status, 200);
-          EXPECT_EQ(resp[1].body, std::string("part:one,two"));
-          (void)c;
-          CloseClient(fd);
-        });
-      }
-      for (int c = 0; c < kConns; ++c) {
-        EXPECT_TRUE(Join(clients[c]));
-      }
-      server.Stop();
+  sunmt_test::RunSweep("shakedown", "http", 0.08, inject::kOpAll,
+                       [](SplitMix64&) {
+    HttpCache cache(4, 1 << 20);
+    HttpServerConfig config;
+    config.cache = &cache;
+    InstallEchoHandler(&config);
+    HttpServer server(std::move(config));
+    ASSERT_EQ(server.Start(), 0);
+    constexpr int kConns = 3;
+    thread_id_t clients[kConns];
+    for (int c = 0; c < kConns; ++c) {
+      uint16_t port = server.port();
+      clients[c] = Spawn([port, c] {
+        int fd = ConnectTo(port);
+        // Mix of cacheable, 404, chunked, and a pipelined pair.
+        ASSERT_TRUE(SendAll(fd, "GET /sweep HTTP/1.1\r\nHost: t\r\n\r\n"));
+        std::vector<HttpMessage> resp = ReadResponses(fd, 1);
+        ASSERT_EQ(resp.size(), 1u);
+        EXPECT_EQ(resp[0].status, 200);
+        ASSERT_TRUE(SendAll(fd,
+                            "GET /missing HTTP/1.1\r\nHost: t\r\n\r\n"
+                            "GET /stream HTTP/1.1\r\nHost: t\r\n\r\n"));
+        resp = ReadResponses(fd, 2);
+        ASSERT_EQ(resp.size(), 2u);
+        EXPECT_EQ(resp[0].status, 404);
+        EXPECT_EQ(resp[1].status, 200);
+        EXPECT_EQ(resp[1].body, std::string("part:one,two"));
+        (void)c;
+        CloseClient(fd);
+      });
     }
-    inject::Disable();
-    if (::testing::Test::HasFailure()) {
-      fprintf(stderr,
-              "[shakedown] FAILED seed=%d -- replay with "
-              "SUNMT_INJECT=seed=%d,rate=%g,ops=all\n",
-              seed, seed, kRate);
-      return;
+    for (int c = 0; c < kConns; ++c) {
+      EXPECT_TRUE(Join(clients[c]));
     }
-  }
+    server.Stop();
+  });
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,40 +31,11 @@ namespace sunmt {
 namespace {
 
 using sunmt_test::Join;
+using sunmt_test::RunSweep;
 using sunmt_test::Spawn;
 
 constexpr int64_t kUs = 1000;
 constexpr int64_t kMs = 1000 * kUs;
-
-int SweepSeeds() {
-  static const int n = [] {
-    const char* env = getenv("SUNMT_SHAKEDOWN_SEEDS");
-    int v = env != nullptr ? atoi(env) : 0;
-    return v > 0 ? v : 64;
-  }();
-  return n;
-}
-
-// Same protocol as shakedown_test: one run per seed, stop-and-print-replay on
-// the first failing seed.
-void RunSweep(const char* name, double rate, uint32_t ops,
-              const std::function<void(SplitMix64&)>& body) {
-  for (int seed = 1; seed <= SweepSeeds(); ++seed) {
-    SCOPED_TRACE(std::string("[lifecycle] body=") + name +
-                 " seed=" + std::to_string(seed));
-    inject::Configure(static_cast<uint64_t>(seed), rate, ops);
-    SplitMix64 rng(static_cast<uint64_t>(seed) * 0x9e3779b97f4a7c15ull);
-    body(rng);
-    inject::Disable();
-    if (::testing::Test::HasFailure()) {
-      fprintf(stderr,
-              "[lifecycle] FAILED body=%s seed=%d -- replay with "
-              "SUNMT_INJECT=seed=%d,rate=%g,ops=yield|delay|steal\n",
-              name, seed, seed, rate);
-      return;
-    }
-  }
-}
 
 constexpr uint32_t kSchedOps =
     inject::kOpYield | inject::kOpDelay | inject::kOpSteal;
@@ -218,7 +188,7 @@ TEST(StackMagazine, ResetAfterForkInChild) {
 // (FormatProcessState snapshots every shard in order) must not wedge or crash
 // against concurrent register/unregister.
 TEST(RegistryShards, LookupAndIterationUnderChurn) {
-  RunSweep("registry-churn", 0.15, kSchedOps, [](SplitMix64& rng) {
+  RunSweep("lifecycle", "registry-churn", 0.15, kSchedOps, [](SplitMix64& rng) {
     constexpr int kWorkers = 6;
     const int kids_per_worker = 4 + static_cast<int>(rng.NextBounded(4));
     std::atomic<int> done_workers{0};
@@ -275,7 +245,7 @@ TEST(RegistryShards, LookupAndIterationUnderChurn) {
 // is not running and block instead of burning their full spin budget; when the
 // holder resumes and exits, the critical section count must be exact.
 TEST(MutexOwnerAware, WaitersBlockWhileHolderParked) {
-  RunSweep("parked-holder", 0.15, kSchedOps, [](SplitMix64& rng) {
+  RunSweep("lifecycle", "parked-holder", 0.15, kSchedOps, [](SplitMix64& rng) {
     mutex_t m;
     sema_t gate;
     mutex_init(&m, 0, nullptr);  // default = adaptive

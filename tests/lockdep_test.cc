@@ -22,6 +22,7 @@
 #include "src/introspect/introspect.h"
 #include "src/ipc/fork1.h"
 #include "src/ipc/shared_arena.h"
+#include "src/stats/stats.h"
 #include "src/sync/sync.h"
 #include "src/timer/timer.h"
 #include "src/util/clock.h"
@@ -121,6 +122,23 @@ TEST_F(Lockdep, NamedClassesAppearInThreadState) {
   EXPECT_NE(state.find("LOCKDEP on"), std::string::npos) << state;
   EXPECT_NE(state.find("introspect-demo"), std::string::npos) << state;
   EXPECT_NE(state.find("held"), std::string::npos) << state;
+}
+
+// With stats on, the process report appends FormatStats()'s histograms, and
+// each lockdep counter still prints once, on the LOCKDEP line.
+TEST_F(Lockdep, CountersPrintOnceWithStatsOn) {
+  bool stats_were_on = Stats::Enabled();
+  Stats::Enable();
+  std::string state = FormatProcessState();
+  if (!stats_were_on) {
+    Stats::Disable();
+  }
+  ASSERT_NE(state.find("STATS"), std::string::npos) << state;
+  for (const char* counter : {"checks=", "edges=", "inversions=", "deadlocks="}) {
+    size_t at = state.find(counter);
+    ASSERT_NE(at, std::string::npos) << counter;
+    EXPECT_EQ(state.find(counter, at + 1), std::string::npos) << counter << state;
+  }
 }
 
 TEST_F(Lockdep, AbBaInversionReportedBeforeDeadlock) {
@@ -407,8 +425,11 @@ TEST_F(Lockdep, ThreeThreadCycleReported) {
         },
         /*flags=*/0);
   }
-  EXPECT_TRUE(PollFor([] { return lockdep::Snapshot().deadlocks >= 1; }));
-  EXPECT_NE(Report().find("cycle of 3"), std::string::npos) << Report();
+  // The threads TwoThreadDeadlockReported leaves deadlocked can still report
+  // their cycle of 2 after this test's reset: wait for this test's own report.
+  EXPECT_TRUE(PollFor([] { return Report().find("cycle of 3") != std::string::npos; }))
+      << Report();
+  EXPECT_GE(lockdep::Snapshot().deadlocks, 1u);
 }
 
 TEST_F(Lockdep, CrossProcessDeadlockReported) {
@@ -495,12 +516,7 @@ TEST_F(Lockdep, DisabledModeCountsNothing) {
 // Each seed must (a) still deterministically report the planted inversion and
 // (b) never fabricate a deadlock out of a plain contended workload.
 TEST_F(Lockdep, ShakedownSweep) {
-  const char* env = getenv("SUNMT_SHAKEDOWN_SEEDS");
-  int seeds = env != nullptr ? atoi(env) : 0;
-  if (seeds <= 0) {
-    seeds = 64;
-  }
-  for (int seed = 1; seed <= seeds; ++seed) {
+  for (int seed = 1; seed <= sunmt_test::SweepSeeds(); ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     inject::Configure(static_cast<uint64_t>(seed), 0.02,
                       inject::kOpYield | inject::kOpDelay);

@@ -22,6 +22,9 @@ namespace {
 
 using sunmt_test::Join;
 using sunmt_test::Spawn;
+using sunmt_test::WaitForState;
+
+constexpr int64_t kWaitNs = 5'000'000'000;
 
 MessageQueue* MakeLocalQueue(uint32_t msg_size, uint32_t capacity) {
   void* memory = calloc(1, MessageQueue::FootprintBytes(msg_size, capacity));
@@ -159,9 +162,7 @@ TEST(MessageQueue, SenderBlocksUntilReceiverDrains) {
     q->Send(&v2, sizeof(v2));  // blocks
     sent.store(1);
   });
-  for (int i = 0; i < 30; ++i) {
-    thread_yield();
-  }
+  ASSERT_TRUE(WaitForState(sender, "BLOCKED", kWaitNs));
   EXPECT_EQ(sent.load(), 0);
   int out = 0;
   EXPECT_EQ(q->Recv(&out, sizeof(out)), sizeof(int));

@@ -15,6 +15,9 @@ namespace {
 
 using sunmt_test::Join;
 using sunmt_test::Spawn;
+using sunmt_test::WaitForState;
+
+constexpr int64_t kWaitNs = 5'000'000'000;
 
 TEST(Mutex, ZeroInitializedIsUsable) {
   // "Any synchronization variable that is statically or dynamically allocated
@@ -56,12 +59,7 @@ TEST(Mutex, BlockedEnterWakesOnExit) {
     phase.store(2);
     mutex_exit(&mu);
   });
-  while (phase.load() < 1) {
-    thread_yield();
-  }
-  for (int i = 0; i < 20; ++i) {
-    thread_yield();
-  }
+  ASSERT_TRUE(WaitForState(id, "BLOCKED", kWaitNs));
   EXPECT_EQ(phase.load(), 1);  // still blocked
   mutex_exit(&mu);
   EXPECT_TRUE(Join(id));

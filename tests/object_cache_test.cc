@@ -20,7 +20,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -43,40 +42,11 @@ namespace sunmt {
 namespace {
 
 using sunmt_test::Join;
+using sunmt_test::RunSweep;
 using sunmt_test::Spawn;
 
 constexpr int64_t kUs = 1000;
 constexpr int64_t kMs = 1000 * kUs;
-
-int SweepSeeds() {
-  static const int n = [] {
-    const char* env = getenv("SUNMT_SHAKEDOWN_SEEDS");
-    int v = env != nullptr ? atoi(env) : 0;
-    return v > 0 ? v : 64;
-  }();
-  return n;
-}
-
-// Same protocol as shakedown_test: one run per seed, stop-and-print-replay on
-// the first failing seed.
-void RunSweep(const char* name, double rate, uint32_t ops,
-              const std::function<void(SplitMix64&)>& body) {
-  for (int seed = 1; seed <= SweepSeeds(); ++seed) {
-    SCOPED_TRACE(std::string("[objcache] body=") + name +
-                 " seed=" + std::to_string(seed));
-    inject::Configure(static_cast<uint64_t>(seed), rate, ops);
-    SplitMix64 rng(static_cast<uint64_t>(seed) * 0x9e3779b97f4a7c15ull);
-    body(rng);
-    inject::Disable();
-    if (::testing::Test::HasFailure()) {
-      fprintf(stderr,
-              "[objcache] FAILED body=%s seed=%d -- replay with "
-              "SUNMT_INJECT=seed=%d,rate=%g,ops=yield|delay|steal\n",
-              name, seed, seed, rate);
-      return;
-    }
-  }
-}
 
 constexpr uint32_t kSchedOps =
     inject::kOpYield | inject::kOpDelay | inject::kOpSteal;
@@ -236,15 +206,24 @@ TEST(ObjectCache, CachedAllocRecyclesBlocksAndRunsLifecycles) {
 
 // ---- Introspection -----------------------------------------------------------
 
+// With stats on, the process report appends FormatStats()'s histograms, and
+// each cache's counters still print once, on its OBJCACHE line.
 TEST(ObjectCache, SurfacedInProcessStateAndStats) {
   uint64_t v;
   (void)TestCache::Acquire(&v);  // ensure this cache is registered
+  bool stats_were_on = Stats::Enabled();
+  Stats::Enable();
   std::string state = FormatProcessState();
+  if (!stats_were_on) {
+    Stats::Disable();
+  }
   EXPECT_NE(state.find("OBJCACHE caches="), std::string::npos);
   EXPECT_NE(state.find("fallback_allocs="), std::string::npos);
-  EXPECT_NE(state.find("test.value"), std::string::npos);
-  std::string stats = FormatStats();
-  EXPECT_NE(stats.find("objcache.test.value"), std::string::npos);
+  EXPECT_NE(state.find("STATS"), std::string::npos);
+  size_t at = state.find("test.value");
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_EQ(state.find("test.value", at + 1), std::string::npos) << state;
+  EXPECT_EQ(FormatStats().find("test.value"), std::string::npos);
 }
 
 // ---- Fork-epoch repair -------------------------------------------------------
@@ -306,7 +285,7 @@ TEST(ObjectCache, ResetAfterForkInChild) {
 // waiter's stack, and the cache hand-offs must hold up under forced yields,
 // delays, and steals.
 TEST(ObjectCache, InjectSweepTimedWaitChurn) {
-  RunSweep("timedwait-churn", 0.15, kSchedOps, [](SplitMix64& rng) {
+  RunSweep("objcache", "timedwait-churn", 0.15, kSchedOps, [](SplitMix64& rng) {
     constexpr int kWorkers = 3;
     std::atomic<int> violations{0};
     std::vector<thread_id_t> workers;

@@ -23,6 +23,9 @@ namespace {
 
 using sunmt_test::Join;
 using sunmt_test::Spawn;
+using sunmt_test::WaitForState;
+
+constexpr int64_t kWaitNs = 5'000'000'000;
 
 // "Synchronization variables can also be placed in files and have lifetimes
 // beyond that of the creating process." — including the hazard the paper
@@ -72,9 +75,7 @@ TEST(PaperSemantics, SemaphorePostedFromSignalHandler) {
     sema_p(&g_async_sema);  // released by the handler, not by plain code
     notified.store(1);
   });
-  for (int i = 0; i < 20; ++i) {
-    thread_yield();
-  }
+  ASSERT_TRUE(WaitForState(waiter, "BLOCKED", kWaitNs));
   EXPECT_EQ(notified.load(), 0);
   EXPECT_EQ(thread_kill(thread_get_id(), SIG_USR1), 0);  // handler fires -> V
   EXPECT_TRUE(Join(waiter));
@@ -130,8 +131,8 @@ TEST(PaperSemantics, ChildOfFork1SeesOneThread) {
   for (int i = 0; i < 5; ++i) {
     parked.push_back(Spawn([&] { sema_p(&gate); }));
   }
-  for (int i = 0; i < 30; ++i) {
-    thread_yield();
+  for (thread_id_t id : parked) {
+    ASSERT_TRUE(WaitForState(id, "BLOCKED", kWaitNs));
   }
   pid_t pid = fork1();
   ASSERT_GE(pid, 0);

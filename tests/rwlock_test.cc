@@ -74,9 +74,7 @@ TEST(Rwlock, WriterExcludesReaders) {
     reader_entered.store(1);
     rw_exit(&rw);
   });
-  for (int i = 0; i < 30; ++i) {
-    thread_yield();
-  }
+  ASSERT_TRUE(WaitForState(reader, "BLOCKED", kWaitNs));
   EXPECT_EQ(reader_entered.load(), 0);  // blocked behind the writer
   rw_exit(&rw);
   EXPECT_TRUE(Join(reader));
@@ -94,9 +92,7 @@ TEST(Rwlock, WriterExcludesWriter) {
     second_in.store(1);
     rw_exit(&rw);
   });
-  for (int i = 0; i < 30; ++i) {
-    thread_yield();
-  }
+  ASSERT_TRUE(WaitForState(other, "BLOCKED", kWaitNs));
   EXPECT_EQ(second_in.load(), 0);
   rw_exit(&rw);
   EXPECT_TRUE(Join(other));
@@ -161,8 +157,8 @@ TEST(Rwlock, DowngradeAdmitsPendingReaders) {
       rw_exit(&rw);
     }));
   }
-  for (int i = 0; i < 30; ++i) {
-    thread_yield();
+  for (thread_id_t id : ids) {
+    ASSERT_TRUE(WaitForState(id, "BLOCKED", kWaitNs));
   }
   EXPECT_EQ(readers_in.load(), 0);
   rw_downgrade(&rw);  // writer -> reader; pending readers flood in
@@ -206,9 +202,7 @@ TEST(Rwlock, TryupgradeWaitsForOtherReadersToDrain) {
     upgraded.store(ok == 1 ? 1 : -1);
     rw_exit(&rw);
   });
-  for (int i = 0; i < 30; ++i) {
-    thread_yield();
-  }
+  ASSERT_TRUE(WaitForState(upgrader, "BLOCKED", kWaitNs));
   EXPECT_EQ(upgraded.load(), 0);  // still waiting on the other reader
   sema_v(&release_other);
   EXPECT_TRUE(Join(other));

@@ -238,6 +238,25 @@ TEST(Setprio, QueuedRunnableThreadIsRequeuedAtNewLevel) {
   // stays queued until the spinner is released, so the queue order under a
   // priority change is observable deterministically.
   thread_setconcurrency(1);
+  // A shrink only marks the other pool LWPs retiring. Wait until introspection
+  // lists one pool LWP and one shard with an LWP: a retiring LWP that has not
+  // left its dispatch loop (or not even started) could run `a` before the
+  // priority change, or hold a shard the spinner lands in.
+  ASSERT_TRUE(sunmt_test::WaitUntil(
+      [] {
+        std::vector<LwpSnapshot> lwps;
+        std::vector<ShardSnapshot> shards;
+        SnapshotLwps(&lwps);
+        SnapshotShards(&shards);
+        int attached = 0;
+        for (const ShardSnapshot& shard : shards) {
+          attached += shard.live_lwps;
+        }
+        return attached == 1 &&
+               std::count_if(lwps.begin(), lwps.end(),
+                             [](const LwpSnapshot& l) { return l.pool; }) == 1;
+      },
+      5'000'000'000));
   static std::atomic<bool> released;
   static std::vector<char> order;
   released.store(false);

@@ -53,12 +53,7 @@ TEST(Sema, PBlocksUntilV) {
     sema_p(&sem);
     phase.store(2);
   });
-  while (phase.load() < 1) {
-    thread_yield();
-  }
-  for (int i = 0; i < 30; ++i) {
-    thread_yield();
-  }
+  ASSERT_TRUE(WaitForState(id, "BLOCKED", kWaitNs));
   EXPECT_EQ(phase.load(), 1);  // still blocked
   sema_v(&sem);
   EXPECT_TRUE(Join(id));

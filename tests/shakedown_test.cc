@@ -20,7 +20,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -42,55 +41,11 @@ namespace sunmt {
 namespace {
 
 using sunmt_test::Join;
+using sunmt_test::RunSweep;
 using sunmt_test::Spawn;
 
 constexpr int64_t kUs = 1000;
 constexpr int64_t kMs = 1000 * kUs;
-
-int SweepSeeds() {
-  static const int n = [] {
-    const char* env = getenv("SUNMT_SHAKEDOWN_SEEDS");
-    int v = env != nullptr ? atoi(env) : 0;
-    return v > 0 ? v : 64;
-  }();
-  return n;
-}
-
-std::string OpsString(uint32_t ops) {
-  std::string s;
-  auto add = [&](const char* name) {
-    if (!s.empty()) s += "|";
-    s += name;
-  };
-  if (ops & inject::kOpYield) add("yield");
-  if (ops & inject::kOpDelay) add("delay");
-  if (ops & inject::kOpSteal) add("steal");
-  if (ops & inject::kOpFault) add("fault");
-  if (ops & inject::kOpShort) add("short");
-  return s;
-}
-
-// Runs `body` once per seed under the given injection config. The body gets a
-// seed-derived RNG for its own workload jitter, so each seed explores both a
-// distinct perturbation stream and a distinct workload timing.
-void RunSweep(const char* name, double rate, uint32_t ops,
-              const std::function<void(SplitMix64&)>& body) {
-  for (int seed = 1; seed <= SweepSeeds(); ++seed) {
-    SCOPED_TRACE(std::string("[shakedown] body=") + name +
-                 " seed=" + std::to_string(seed));
-    inject::Configure(static_cast<uint64_t>(seed), rate, ops);
-    SplitMix64 rng(static_cast<uint64_t>(seed) * 0x9e3779b97f4a7c15ull);
-    body(rng);
-    inject::Disable();
-    if (::testing::Test::HasFailure()) {
-      fprintf(stderr,
-              "[shakedown] FAILED body=%s seed=%d -- replay with "
-              "SUNMT_INJECT=seed=%d,rate=%g,ops=%s\n",
-              name, seed, seed, rate, OpsString(ops).c_str());
-      return;
-    }
-  }
-}
 
 constexpr uint32_t kSchedOps =
     inject::kOpYield | inject::kOpDelay | inject::kOpSteal;
@@ -321,7 +276,7 @@ TEST(ShakedownRegression, ReinitResetsInternalQlock) {
 // ---- Sweep bodies ------------------------------------------------------------
 
 TEST(ShakedownSweep, MutexHammer) {
-  RunSweep("mutex", 0.15, kSchedOps, [](SplitMix64& rng) {
+  RunSweep("shakedown", "mutex", 0.15, kSchedOps, [](SplitMix64& rng) {
     mutex_t m;
     mutex_init(&m, 0, nullptr);
     constexpr int kThreads = 3;
@@ -353,7 +308,7 @@ TEST(ShakedownSweep, SharedSyncHammer) {
   // THREAD_SYNC_SHARED variants run futex protocols under KernelWaitScope;
   // the fault op feeds them spurious futex wakeups, which the protocol is
   // documented to absorb (waiters re-test).
-  RunSweep("shared-sync", 0.1,
+  RunSweep("shakedown", "shared-sync", 0.1,
            kSchedOps | inject::kOpFault, [](SplitMix64&) {
     mutex_t m;
     sema_t gate;
@@ -384,7 +339,7 @@ TEST(ShakedownSweep, SharedSyncHammer) {
 }
 
 TEST(ShakedownSweep, CvTimedProducerConsumer) {
-  RunSweep("cv-timed", 0.15, kSchedOps, [](SplitMix64& rng) {
+  RunSweep("shakedown", "cv-timed", 0.15, kSchedOps, [](SplitMix64& rng) {
     mutex_t m;
     condvar_t cv;
     mutex_init(&m, 0, nullptr);
@@ -434,7 +389,7 @@ TEST(ShakedownSweep, CvTimedProducerConsumer) {
 }
 
 TEST(ShakedownSweep, SemaTimedCreditConservation) {
-  RunSweep("sema-timed", 0.15, kSchedOps, [](SplitMix64& rng) {
+  RunSweep("shakedown", "sema-timed", 0.15, kSchedOps, [](SplitMix64& rng) {
     sema_t s;
     sema_init(&s, 0, 0, nullptr);
     constexpr int kWorkers = 3, kIters = 8, kCredits = 12;
@@ -469,7 +424,7 @@ TEST(ShakedownSweep, SemaTimedCreditConservation) {
 }
 
 TEST(ShakedownSweep, RwlockReadersSeeConsistentPairs) {
-  RunSweep("rwlock", 0.15, kSchedOps, [](SplitMix64&) {
+  RunSweep("shakedown", "rwlock", 0.15, kSchedOps, [](SplitMix64&) {
     rwlock_t rw;
     rw_init(&rw, 0, nullptr);
     long a = 0, b = 0;  // updated together under the write lock
@@ -516,7 +471,7 @@ TEST(ShakedownSweep, RwlockReadersSeeConsistentPairs) {
 }
 
 TEST(ShakedownSweep, MsgqMpmcExactDelivery) {
-  RunSweep("msgq", 0.15, kSchedOps, [](SplitMix64&) {
+  RunSweep("shakedown", "msgq", 0.15, kSchedOps, [](SplitMix64&) {
     constexpr uint32_t kCap = 4;
     constexpr int kProducers = 2, kPerProducer = 12;
     constexpr int kTotal = kProducers * kPerProducer;
@@ -573,7 +528,7 @@ TEST(ShakedownSweep, NetEchoUnderFaultsAndShortTransfers) {
   // Full fault family: injected EAGAIN-before-syscall, spurious readiness, and
   // short reads/writes. Both sides already loop on byte counts and tolerate
   // ETIME, so the invariant is exact end-to-end delivery.
-  RunSweep("net-echo", 0.08, inject::kOpAll, [](SplitMix64&) {
+  RunSweep("shakedown", "net-echo", 0.08, inject::kOpAll, [](SplitMix64&) {
     int fds[2];
     ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
     ASSERT_EQ(net_register(fds[0]), 0);
@@ -661,7 +616,7 @@ TEST(ShakedownSweep, NetDeadlineExpiresDuringFaultRetries) {
   // The deadline must still be honored while injected EAGAIN/spurious-ready
   // faults bounce the call around its retry loop (Deadline::Remaining restarts
   // the wait with the leftover budget each time).
-  RunSweep("net-deadline", 0.1,
+  RunSweep("shakedown", "net-deadline", 0.1,
            kSchedOps | inject::kOpFault, [](SplitMix64&) {
     int fds[2];
     ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
@@ -695,7 +650,7 @@ TEST(ShakedownSweep, SemaTimedRaceAtDeadline) {
   // sema_v aimed exactly at a waiter's deadline: whoever wins, the credit must
   // be conserved — a timeout that raced the hand-off may not eat it, and a
   // hand-off that raced the timeout may not double-deliver.
-  RunSweep("sema-deadline", 0.5,
+  RunSweep("shakedown", "sema-deadline", 0.5,
            inject::kOpYield | inject::kOpDelay, [](SplitMix64& rng) {
     for (int attempt = 0; attempt < 4; ++attempt) {
       sema_t s;
@@ -720,7 +675,7 @@ TEST(ShakedownSweep, SemaTimedRaceAtDeadline) {
 TEST(ShakedownSweep, CvSignalAtDeadline) {
   // cv_signal aimed at the waiter's deadline: a return of 0 (signaled) must
   // imply the predicate write that preceded the signal is visible.
-  RunSweep("cv-deadline", 0.5,
+  RunSweep("shakedown", "cv-deadline", 0.5,
            inject::kOpYield | inject::kOpDelay, [](SplitMix64& rng) {
     for (int attempt = 0; attempt < 4; ++attempt) {
       mutex_t m;
@@ -755,7 +710,7 @@ TEST(ShakedownSweep, CvSignalAtDeadline) {
 TEST(ShakedownSweep, StealChurnLosesNothing) {
   // Steal-bias diverts wakes off their affine shard so the box/steal/overflow
   // machinery churns; every child must still run exactly once.
-  RunSweep("steal-churn", 0.3, kSchedOps, [](SplitMix64&) {
+  RunSweep("shakedown", "steal-churn", 0.3, kSchedOps, [](SplitMix64&) {
     constexpr int kKids = 32;
     std::atomic<int> runs[kKids];
     for (auto& r : runs) {
@@ -788,7 +743,7 @@ TEST(ShakedownSweep, StopContinueRunsVictimOnce) {
   // Harassers stop and continue one yielding victim. Two continues that both
   // enqueued the stopped victim once ran it on two LWPs at the same time; the
   // victim must finish its loop exactly once, with every iteration counted.
-  RunSweep("stop-continue", 0.15, kSchedOps, [](SplitMix64& rng) {
+  RunSweep("shakedown", "stop-continue", 0.15, kSchedOps, [](SplitMix64& rng) {
     constexpr int kHarassers = 3;
     const int iters = 200 + static_cast<int>(rng.NextBounded(200));
     std::atomic<int> progress{0};

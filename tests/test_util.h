@@ -3,16 +3,23 @@
 #ifndef SUNMT_TESTS_TEST_UTIL_H_
 #define SUNMT_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+#include <stdio.h>
+#include <stdlib.h>
 #include <string.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/core/thread.h"
+#include "src/inject/inject.h"
 #include "src/introspect/introspect.h"
 #include "src/util/clock.h"
+#include "src/util/rng.h"
 
 // SUNMT_TEST_TSAN is 1 in a ThreadSanitizer build (fork1 tests skip there: a
 // TSan child of a multi-threaded parent may not start threads).
@@ -82,6 +89,58 @@ inline bool WaitForState(sunmt::thread_id_t id, const char* state, int64_t timeo
         return false;
       },
       timeout_ns);
+}
+
+// ---- Seeded injection sweeps ------------------------------------------------
+
+// Seeds per sweep: 64, or SUNMT_SHAKEDOWN_SEEDS when set to a positive count.
+inline int SweepSeeds() {
+  static const int n = [] {
+    const char* env = getenv("SUNMT_SHAKEDOWN_SEEDS");
+    int v = env != nullptr ? atoi(env) : 0;
+    return v > 0 ? v : 64;
+  }();
+  return n;
+}
+
+// An ops mask as SUNMT_INJECT spells it, e.g. "yield|delay|steal".
+inline std::string OpsString(uint32_t ops) {
+  std::string s;
+  auto add = [&](const char* name) {
+    if (!s.empty()) s += "|";
+    s += name;
+  };
+  if (ops & sunmt::inject::kOpYield) add("yield");
+  if (ops & sunmt::inject::kOpDelay) add("delay");
+  if (ops & sunmt::inject::kOpSteal) add("steal");
+  if (ops & sunmt::inject::kOpFault) add("fault");
+  if (ops & sunmt::inject::kOpShort) add("short");
+  return s;
+}
+
+// Runs `body` once per seed under inject::Configure(seed, rate, ops). The body
+// gets a seed-derived RNG for its own workload jitter, so each seed explores
+// both a distinct perturbation stream and a distinct workload timing. A
+// failure carries a SCOPED_TRACE naming the body and seed, and the sweep stops
+// at the first failing seed after printing, under `tag`, the SUNMT_INJECT
+// spec that replays it.
+inline void RunSweep(const char* tag, const char* name, double rate, uint32_t ops,
+                     const std::function<void(sunmt::SplitMix64&)>& body) {
+  for (int seed = 1; seed <= SweepSeeds(); ++seed) {
+    SCOPED_TRACE(std::string("[") + tag + "] body=" + name +
+                 " seed=" + std::to_string(seed));
+    sunmt::inject::Configure(static_cast<uint64_t>(seed), rate, ops);
+    sunmt::SplitMix64 rng(static_cast<uint64_t>(seed) * 0x9e3779b97f4a7c15ull);
+    body(rng);
+    sunmt::inject::Disable();
+    if (::testing::Test::HasFailure()) {
+      fprintf(stderr,
+              "[%s] FAILED body=%s seed=%d -- replay with "
+              "SUNMT_INJECT=seed=%d,rate=%g,ops=%s\n",
+              tag, name, seed, seed, rate, OpsString(ops).c_str());
+      return;
+    }
+  }
 }
 
 }  // namespace sunmt_test

@@ -12,6 +12,7 @@
 
 #include "src/core/runtime.h"
 #include "src/core/thread.h"
+#include "src/introspect/introspect.h"
 #include "src/lwp/lwp.h"
 #include "src/rlimit/rlimit.h"
 #include "src/signal/signal.h"
@@ -134,6 +135,97 @@ TEST(Timer, PeriodicFiresRepeatedlyUntilCancelled) {
   }
   EXPECT_LE(g_alarms.load(), after_cancel + 1);  // at most one in-flight fire
   signal_handler_set(SIG_ALRM, SIG_DEFAULT);
+}
+
+// Holds the service thread inside a timer callback until released.
+struct Hold {
+  std::atomic<bool> running{false};
+  std::atomic<bool> release{false};
+  std::atomic<bool> done{false};
+  void Reset() {
+    running.store(false);
+    release.store(false);
+    done.store(false);
+  }
+};
+
+void HoldServiceThread(void* cookie, uint64_t) {
+  auto* hold = static_cast<Hold*>(cookie);
+  hold->running.store(true);
+  while (!hold->release.load()) {
+    usleep(100);
+  }
+  hold->done.store(true);
+}
+
+// A cancel that lands while a periodic signal timer's fire is in flight
+// returns 0, and no signal follows it. Deterministic: after the timer's first
+// signal, a blocking callback holds the service thread while the timer's
+// second expiry and a second blocking callback, due earlier, fall due. The
+// next sweep claims both and runs the callback first, so the signal entry
+// stays claimed while this thread, which took the first signal, cancels.
+TEST(Timer, PeriodicSignalCancelledMidFireReturnsZero) {
+  constexpr int64_t kPeriod = 200'000'000;
+  g_alarms.store(0);
+  signal_handler_set(SIG_ALRM, &AlarmHandler);
+  // Static: a callback still pending after a failed assertion must not
+  // outlive its Hold.
+  static Hold hold, second;
+  hold.Reset();
+  second.Reset();
+  // Armed from one kernel thread, all three share one wheel shard, and the
+  // second callback falls due half a period before the timer's second expiry.
+  int64_t armed_at = MonotonicNowNs();
+  timer_id_t id = timer_arm(1'000'000, kPeriod, SIG_ALRM, 0);
+  ASSERT_NE(id, kInvalidTimerId);
+  ASSERT_NE(timer_arm_callback(2'000'000, &HoldServiceThread, &hold, 0),
+            kInvalidTimerId);
+  ASSERT_NE(timer_arm_callback(kPeriod / 2, &HoldServiceThread, &second, 0),
+            kInvalidTimerId);
+  EXPECT_TRUE(WaitUntil(
+      [] {
+        thread_poll();  // takes the first signal
+        return g_alarms.load() == 1 && hold.running.load();
+      },
+      5 * kSec));
+  // Past the second expiry (plus two ~1.05 ms wheel ticks), then let go.
+  while (MonotonicNowNs() < armed_at + 1'000'000 + kPeriod + 3'000'000) {
+    usleep(1000);
+  }
+  hold.release.store(true);
+  EXPECT_TRUE(WaitUntil([] { return second.running.load(); }, 5 * kSec));
+  EXPECT_EQ(timer_cancel(id), 0);
+  second.release.store(true);
+  EXPECT_TRUE(WaitUntil([] { return second.done.load(); }, 5 * kSec));
+  int64_t quiet_until = MonotonicNowNs() + 20'000'000;
+  while (MonotonicNowNs() < quiet_until) {
+    thread_poll();
+    usleep(1000);
+  }
+  EXPECT_EQ(g_alarms.load(), 1) << "a signal followed the cancel";
+  signal_handler_set(SIG_ALRM, SIG_DEFAULT);
+}
+
+// The service thread sends every timer signal, but it is no thread of the
+// package: a fire must not adopt it as one, or it would show up running a
+// thread on an LWP of its own.
+TEST(ServiceThread, SignalFireAdoptsNoThread) {
+  g_alarms.store(0);
+  signal_handler_set(SIG_ALRM, &AlarmHandler);
+  ASSERT_NE(timer_arm(1'000'000, 0, SIG_ALRM, 0), kInvalidTimerId);
+  EXPECT_TRUE(WaitUntil(
+      [] {
+        thread_poll();
+        return g_alarms.load() == 1;
+      },
+      5 * kSec));
+  signal_handler_set(SIG_ALRM, SIG_DEFAULT);
+  std::vector<LwpSnapshot> lwps;
+  SnapshotLwps(&lwps);
+  for (const LwpSnapshot& l : lwps) {
+    EXPECT_TRUE(l.pool || l.id == Lwp::Current()->id())
+        << "LWP " << l.id << " runs thread " << l.running_thread;
+  }
 }
 
 TEST(Timer, DirectedTimerTargetsSpecificThread) {

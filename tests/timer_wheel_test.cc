@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -36,6 +35,7 @@ namespace sunmt {
 namespace {
 
 using sunmt_test::Join;
+using sunmt_test::RunSweep;
 using sunmt_test::Spawn;
 
 constexpr int64_t kUs = 1000;
@@ -435,48 +435,6 @@ TEST(WheelEngine, Fork1RepairsShards) {
 
 // ---- Seed sweep over the timed-wait paths ------------------------------------
 
-int SweepSeeds() {
-  static const int n = [] {
-    const char* env = getenv("SUNMT_SHAKEDOWN_SEEDS");
-    int v = env != nullptr ? atoi(env) : 0;
-    return v > 0 ? v : 64;
-  }();
-  return n;
-}
-
-std::string OpsString(uint32_t ops) {
-  std::string s;
-  auto add = [&](const char* name) {
-    if (!s.empty()) s += "|";
-    s += name;
-  };
-  if (ops & inject::kOpYield) add("yield");
-  if (ops & inject::kOpDelay) add("delay");
-  if (ops & inject::kOpSteal) add("steal");
-  if (ops & inject::kOpFault) add("fault");
-  if (ops & inject::kOpShort) add("short");
-  return s;
-}
-
-void RunSweep(const char* name, double rate, uint32_t ops,
-              const std::function<void(SplitMix64&)>& body) {
-  for (int seed = 1; seed <= SweepSeeds(); ++seed) {
-    SCOPED_TRACE(std::string("[timer-wheel] body=") + name +
-                 " seed=" + std::to_string(seed));
-    inject::Configure(static_cast<uint64_t>(seed), rate, ops);
-    SplitMix64 rng(static_cast<uint64_t>(seed) * 0x9e3779b97f4a7c15ull);
-    body(rng);
-    inject::Disable();
-    if (::testing::Test::HasFailure()) {
-      fprintf(stderr,
-              "[timer-wheel] FAILED body=%s seed=%d -- replay with "
-              "SUNMT_INJECT=seed=%d,rate=%g,ops=%s\n",
-              name, seed, seed, rate, OpsString(ops).c_str());
-      return;
-    }
-  }
-}
-
 constexpr uint32_t kSchedOps =
     inject::kOpYield | inject::kOpDelay | inject::kOpSteal;
 
@@ -484,7 +442,7 @@ constexpr uint32_t kSchedOps =
 // consumed exactly once no matter how the wheel's fire/cancel interleaves with
 // the waiters (the kTimerWheel perturb point fires inside the sweep/cancel).
 TEST(WheelSweep, SemaTimedWaitsRaceTheWheel) {
-  RunSweep("sema-timed-wheel", 0.10, kSchedOps, [](SplitMix64& rng) {
+  RunSweep("timer-wheel", "sema-timed-wheel", 0.10, kSchedOps, [](SplitMix64& rng) {
     sema_t s;
     sema_init(&s, 0, 0, nullptr);
     constexpr int kWorkers = 3, kIters = 6, kCredits = 10;
@@ -519,7 +477,7 @@ TEST(WheelSweep, SemaTimedWaitsRaceTheWheel) {
 // cv_timedwait consumers under the paper's re-test rule: all items consumed,
 // timeouts are invisible.
 TEST(WheelSweep, CvTimedWaitsRaceTheWheel) {
-  RunSweep("cv-timed-wheel", 0.10, kSchedOps, [](SplitMix64& rng) {
+  RunSweep("timer-wheel", "cv-timed-wheel", 0.10, kSchedOps, [](SplitMix64& rng) {
     mutex_t m;
     condvar_t cv;
     mutex_init(&m, 0, nullptr);
@@ -575,7 +533,7 @@ TEST(WheelSweep, CvTimedWaitsRaceTheWheel) {
 // net_read_deadline rides NetTimeoutFire on the wheel: short deadlines race
 // the writer; ETIME retries must never lose or duplicate a byte.
 TEST(WheelSweep, NetDeadlinesRaceTheWheel) {
-  RunSweep("net-deadline-wheel", 0.10, kSchedOps, [](SplitMix64& rng) {
+  RunSweep("timer-wheel", "net-deadline-wheel", 0.10, kSchedOps, [](SplitMix64& rng) {
     int fds[2];
     ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
     ASSERT_EQ(net_register(fds[0]), 0);
