@@ -5,13 +5,11 @@
 // readiness; the pool stays at the configured concurrency) and asserts the
 // total LWP count stays below 2x thread_setconcurrency. Phase 2 serves the
 // same workload on the old blocking path, where every parked connection pins
-// an LWP in the kernel — the pool must be pre-sized to ~kConns (the honest
-// statement of SIGWAITING's end state; growing there one 500us watchdog period
-// at a time would take minutes). Both phases report req/s and p50/p99 request
+// an LWP in the kernel: its echo threads are bound, one LWP each, which is
+// SIGWAITING's end state without growing the pool one 500us watchdog period
+// at a time (that would take minutes, and the pool stops at
+// Runtime::max_pool_size()). Both phases report req/s and p50/p99 request
 // latency under the same 8-client serial request/response load.
-//
-// Phase order is load-bearing: the LWP pool never shrinks, so the poller phase
-// must run before the blocking phase inflates the pool.
 
 #include <string.h>
 #include <sys/socket.h>
@@ -120,7 +118,8 @@ PhaseResult RunPhase(bool use_poller) {
   }
   for (intptr_t i = 0; i < kConns; ++i) {
     sunmt::thread_create(nullptr, kEchoStack, &EchoMain,
-                         reinterpret_cast<void*>(i), 0);
+                         reinterpret_cast<void*>(i),
+                         use_poller ? 0 : sunmt::THREAD_BIND_LWP);
   }
   // Let the storm of echo threads start and park (or pin their LWPs).
   if (use_poller) {
@@ -189,7 +188,6 @@ PhaseResult RunPhase(bool use_poller) {
 int main() {
   sunmt::RuntimeConfig config;
   config.initial_pool_lwps = kConcurrency;
-  config.max_pool_lwps = kConns + 64;  // the blocking phase needs ~1 LWP/conn
   sunmt::Runtime::Configure(config);
   sunmt::thread_setconcurrency(kConcurrency);
 
@@ -212,10 +210,9 @@ int main() {
     return 1;
   }
 
-  // Blocking phase: every connection pins an LWP, so the pool must hold one
-  // LWP per connection (pre-sized here; SIGWAITING would grow to the same
-  // place one watchdog period per LWP).
-  sunmt::thread_setconcurrency(kConns + kClients);
+  // Blocking phase: every connection pins an LWP (its bound echo thread's),
+  // and each client pins a pool LWP while it waits for its reply.
+  sunmt::thread_setconcurrency(kClients);
   PhaseResult blocking = RunPhase(/*use_poller=*/false);
   printf("  blocking path: %9.0f req/s   p50 %7.1f us   p99 %7.1f us   %4zu LWPs\n",
          blocking.reqs_per_s, blocking.p50_us, blocking.p99_us, blocking.lwps);

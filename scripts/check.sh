@@ -16,10 +16,12 @@
 #      waits (plus the pthread and C++ layers over them) are the places a
 #      data race would live.
 #   3. SUNMT_SANITIZE=address build, running the `lifecycle` and `timer`
-#      labels plus thread_test and introspect_test — thread stacks recycled
-#      through the magazine cache or handed back to the application, the timer
-#      wheel's pooled entries, and snapshots taken while LWPs retire and are
-#      reaped, are where a use-after-free or stale redzone would show.
+#      labels plus thread_test, introspect_test and lockdep_test — thread
+#      stacks recycled through the magazine cache or handed back to the
+#      application, the timer wheel's pooled entries, snapshots taken while
+#      LWPs retire and are reaped, and threads left parked on shared-memory
+#      futex words at exit are where a use-after-free, stale redzone or
+#      unmapped wait would show.
 #   4. Lockdep lane: the `lockdep` label (order-inversion + deadlock detector,
 #      see src/debug) plain and under TSan, plus a full-suite pass with
 #      SUNMT_DEBUG=lockorder,panic to prove the detector stays
@@ -73,11 +75,11 @@ SUNMT_SHAKEDOWN_SEEDS=16 \
   ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" -L "net|http|stats|sched|lifecycle|timer|sync"
 
 echo
-echo "== asan: lifecycle + timer labels, thread_test, introspect_test =="
+echo "== asan: lifecycle + timer labels, thread_test, introspect_test, lockdep_test =="
 cmake -S "$repo" -B "$repo/build-asan" -DSUNMT_SANITIZE=address >/dev/null
 cmake --build "$repo/build-asan" -j "$jobs"
 ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs" -L "lifecycle|timer"
-ctest --test-dir "$repo/build-asan" --output-on-failure -R "thread_test|introspect_test"
+ctest --test-dir "$repo/build-asan" --output-on-failure -R "thread_test|introspect_test|lockdep_test"
 
 echo
 echo "== lockdep: lockdep label (plain + tsan) =="

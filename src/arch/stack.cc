@@ -4,10 +4,28 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/lsan_interface.h>
+#endif
+
 #include "src/util/check.h"
 
 namespace sunmt {
 namespace {
+
+// A thread that is blocked (or never finishes) keeps its live pointers in its
+// saved context, on a stack the leak checker does not know is one: it scans
+// only the kernel threads' own stacks. Each owned stack is a root region for
+// as long as it is mapped.
+void UnmapStack(void* map_base, size_t map_size, void* base, size_t size) {
+#if defined(__SANITIZE_ADDRESS__)
+  __lsan_unregister_root_region(base, size);
+#else
+  (void)base;
+  (void)size;
+#endif
+  SUNMT_CHECK(munmap(map_base, map_size) == 0);
+}
 
 size_t PageSize() {
   static const size_t kPageSize = static_cast<size_t>(sysconf(_SC_PAGESIZE));
@@ -35,9 +53,7 @@ struct StackCacheTraits {
   static constexpr size_t kMagazineCapacity = StackCache::kMagazineCapacity;
   static constexpr size_t kDepotCapacity = StackCache::kDepotCapacity;
   static constexpr size_t kRefillBatch = StackCache::kRefillBatch;
-  static void Evict(Entry& e) {
-    SUNMT_CHECK(munmap(e.map_base, e.map_size) == 0);
-  }
+  static void Evict(Entry& e) { UnmapStack(e.map_base, e.map_size, e.base, e.size); }
 };
 
 using Impl = ObjectCache<Entry, StackCacheTraits>;
@@ -75,6 +91,9 @@ Stack Stack::AllocateOwned(size_t usable_size) {
     SUNMT_PANIC_ERRNO("stack guard mprotect failed", errno);
   }
   void* base = static_cast<char*>(map) + guard;
+#if defined(__SANITIZE_ADDRESS__)
+  __lsan_register_root_region(base, usable);
+#endif
   return Stack(base, usable, map, total, /*owned=*/true);
 }
 
@@ -86,7 +105,7 @@ Stack Stack::WrapUnowned(void* base, size_t size) {
 
 void Stack::Release() {
   if (owned_ && map_base_ != nullptr) {
-    SUNMT_CHECK(munmap(map_base_, map_size_) == 0);
+    UnmapStack(map_base_, map_size_, base_, size_);
   }
   base_ = nullptr;
   size_ = 0;

@@ -13,6 +13,10 @@
 #include "src/core/scheduler.h"
 #include "src/core/tls_arena.h"
 #include "src/core/trace.h"
+#include "src/net/net.h"
+#include "src/net/poller.h"
+#include "src/signal/signal.h"
+#include "src/timer/timer.h"
 #include "src/util/check.h"
 #include "src/util/clock.h"
 #include "src/util/futex.h"
@@ -22,7 +26,6 @@ namespace sunmt {
 namespace {
 
 RuntimeConfig g_pending_config;
-std::atomic<const NetPollOps*> g_net_poll{nullptr};
 std::atomic<bool> g_initialized{false};
 std::atomic<Runtime*> g_runtime{nullptr};
 SpinLock g_runtime_create_lock;
@@ -36,20 +39,20 @@ int OnlineCpus() {
 // netpoll backstop while no LWP owns the poll.
 constexpr int64_t kWatchdogPeriodNs = 500 * 1000;
 
-// The service loop's futex word, bumped by RequestTimerSweep, and its
-// published wheel horizon.
+// The service loop's futex word, bumped by WakeServiceBy, and its published
+// wheel horizon.
 struct alignas(64) ServiceWake {
   std::atomic<uint32_t> word{0};
   std::atomic<int64_t> sweep_horizon_ns{INT64_MAX};
 };
 ServiceWake g_service;
-std::atomic<TimerSweep> g_timer_sweep{nullptr};
 
 // The process's one service thread. Each pass runs whichever duties are due,
 // then sleeps until the earliest next deadline or a sweep request. It sweeps
 // the wheel when its next event is due or a request arrived since the last
 // pass; a request landing during a pass bumps the word it is about to wait
-// on, so the wait returns at once and the next pass sweeps again.
+// on, so the wait returns at once and the next pass sweeps again. Until the
+// first timer is armed a sweep finds no wheel and builds none.
 void ServiceMain(Runtime* rt) {
   uint32_t seen = g_service.word.load(std::memory_order_acquire);
   int64_t next_watchdog = MonotonicNowNs() + kWatchdogPeriodNs;
@@ -74,12 +77,9 @@ void ServiceMain(Runtime* rt) {
       last_clock = now;
       next_clock = now + LwpRegistry::kClockTickNs;
     }
-    TimerSweep sweep = g_timer_sweep.load(std::memory_order_acquire);
-    if (sweep == nullptr) {
-      next_sweep = INT64_MAX;
-    } else if (word != seen || now >= next_sweep) {
+    if (word != seen || now >= next_sweep) {
       g_service.sweep_horizon_ns.store(INT64_MAX, std::memory_order_release);
-      next_sweep = sweep(now);
+      next_sweep = SweepTimerWheel(now);
       g_service.sweep_horizon_ns.store(next_sweep, std::memory_order_release);
     }
     seen = word;
@@ -192,17 +192,14 @@ void ApplyObservabilityEnv() {
 
 }  // namespace
 
-Runtime::Runtime() {
+Runtime::Runtime() : max_pool_lwps_(std::max(64, 4 * OnlineCpus())) {
   config_ = g_pending_config;
   ApplyEnvOverrides(&config_);
   ApplyObservabilityEnv();
   if (config_.initial_pool_lwps <= 0) {
     config_.initial_pool_lwps = OnlineCpus();
   }
-  if (config_.max_pool_lwps <= 0) {
-    config_.max_pool_lwps = std::max(64, 4 * OnlineCpus());
-  }
-  queues_.Init(config_.max_pool_lwps);
+  queues_.Init(max_pool_lwps_);
   g_initialized.store(true, std::memory_order_release);
   if (config_.preempt_timeslice_ns > 0) {
     Lwp::SetPreemptTimeslice(config_.preempt_timeslice_ns);  // keeps the clock on
@@ -228,7 +225,7 @@ void Runtime::SpawnPoolLwpLocked() {
 
 void Runtime::GrowPool(int delta) {
   SpinLockGuard guard(pool_lock_);
-  for (int i = 0; i < delta && pool_size() < config_.max_pool_lwps; ++i) {
+  for (int i = 0; i < delta && pool_size() < max_pool_lwps_; ++i) {
     SpawnPoolLwpLocked();
   }
 }
@@ -240,7 +237,7 @@ int Runtime::SetConcurrency(int n) {
   if (n == 0) {
     return 0;  // automatic mode: keep the current pool, let SIGWAITING grow it
   }
-  n = std::min(n, config_.max_pool_lwps);
+  n = std::min(n, max_pool_lwps_);
   while (ActivePoolCountLocked() < n) {
     SpawnPoolLwpLocked();
   }
@@ -327,7 +324,7 @@ bool Runtime::KickPollOwnerLocked() {
     return false;
   }
   poll_kicked_ = true;
-  g_net_poll.load(std::memory_order_acquire)->kick();
+  NetPoller::Get().Kick();
   return true;
 }
 
@@ -344,13 +341,12 @@ void Runtime::MaybeWakeMore() {
 }
 
 bool Runtime::EnterIdle(Lwp* lwp) {
-  const NetPollOps* net = g_net_poll.load(std::memory_order_acquire);
   SpinLockGuard guard(idle_lock_);
   // seq_cst pairs with a bound parker (parked count up, then HandOffPoll reads
   // idle_count_): either it sees this LWP idle, or this LWP sees the park.
   idle_count_.fetch_add(1, std::memory_order_seq_cst);
-  if (net != nullptr && poll_owner_.load(std::memory_order_relaxed) == nullptr &&
-      net->parked() > 0) {
+  if (poll_owner_.load(std::memory_order_relaxed) == nullptr &&
+      net_parked_count() > 0) {
     poll_owner_.store(lwp, std::memory_order_seq_cst);
     return true;
   }
@@ -374,15 +370,7 @@ void Runtime::ExitIdle(Lwp* lwp) {
   wake_pending_.store(false, std::memory_order_release);
 }
 
-void Runtime::InstallNetPoll(const NetPollOps* ops) {
-  g_net_poll.store(ops, std::memory_order_release);
-}
-
-void Runtime::InstallTimerSweep(TimerSweep sweep) {
-  g_timer_sweep.store(sweep, std::memory_order_release);
-}
-
-void Runtime::RequestTimerSweep(int64_t deadline_ns) {
+void Runtime::WakeServiceBy(int64_t deadline_ns) {
   // An arm the running sweep missed was inserted after the sweep released
   // that shard's lock, so it reads "sweeping" or the horizon computed
   // without it: it is swept again either way.
@@ -392,23 +380,19 @@ void Runtime::RequestTimerSweep(int64_t deadline_ns) {
   }
 }
 
-void Runtime::PollAsOwner() {
-  g_net_poll.load(std::memory_order_acquire)->poll(/*timeout_ms=*/-1);
-}
+void Runtime::PollAsOwner() { NetPoller::Get().Poll(/*timeout_ms=*/-1); }
 
 bool Runtime::PollIfUnowned() {
-  const NetPollOps* net = g_net_poll.load(std::memory_order_acquire);
-  if (net == nullptr || poll_owner_.load(std::memory_order_acquire) != nullptr ||
-      net->parked() == 0) {
+  if (poll_owner_.load(std::memory_order_acquire) != nullptr ||
+      net_parked_count() == 0) {
     return false;
   }
-  return net->poll(/*timeout_ms=*/0) > 0;
+  return NetPoller::Get().Poll(/*timeout_ms=*/0) > 0;
 }
 
 void Runtime::HandOffPoll() {
-  const NetPollOps* net = g_net_poll.load(std::memory_order_acquire);
-  if (net == nullptr || poll_owner_.load(std::memory_order_seq_cst) != nullptr ||
-      idle_count_.load(std::memory_order_seq_cst) == 0 || net->parked() == 0) {
+  if (poll_owner_.load(std::memory_order_seq_cst) != nullptr ||
+      idle_count_.load(std::memory_order_seq_cst) == 0 || net_parked_count() == 0) {
     return;  // owned, every LWP is busy (and sees the park when idle), or moot
   }
   SpinLockGuard guard(idle_lock_);
@@ -636,7 +620,7 @@ void Runtime::WatchdogTick() {
     return;
   }
   SpinLockGuard guard(pool_lock_);
-  if (pool_size() >= config_.max_pool_lwps) {
+  if (pool_size() >= max_pool_lwps_) {
     return;
   }
   if (pool_lwps_.empty() || !AllPoolLwpsIndefinitelyBlocked()) {
@@ -646,15 +630,10 @@ void Runtime::WatchdogTick() {
   // threads exist: this is the SIGWAITING condition. Grow the pool.
   sigwaiting_count_.fetch_add(1, std::memory_order_relaxed);
   Trace::Record(TraceEvent::kSigwaiting, 0, static_cast<uint64_t>(pool_size() + 1));
-  if (sigwaiting_hook_ != nullptr) {
-    sigwaiting_hook_(sigwaiting_cookie_);
+  if (raise_sigwaiting_.load(std::memory_order_relaxed)) {
+    signal_raise_process(SIG_WAITING);
   }
   SpawnPoolLwpLocked();
-}
-
-void Runtime::SetSigwaitingHook(SigwaitingHook hook, void* cookie) {
-  sigwaiting_cookie_ = cookie;
-  sigwaiting_hook_ = hook;
 }
 
 }  // namespace sunmt

@@ -47,30 +47,9 @@ struct SchedStats {
 
 SchedStats& GlobalSchedStats();
 
-// The netpoller as the pool sees it. src/net sits above src/core, so it hands
-// these entry points to the Runtime when the poller is created; see the
-// poll-owner protocol at Runtime::EnterIdle and docs/internals.md §7.
-struct NetPollOps {
-  // Threads parked on fd readiness; the pool polls only while this is > 0.
-  int (*parked)();
-  // One epoll_wait with `timeout_ms` (-1 blocks) plus the wakes it delivers.
-  // Returns the number of threads woken.
-  int (*poll)(int timeout_ms);
-  // Makes a blocking poll return.
-  void (*kick)();
-};
-
-// The timer wheel as the service loop sees it. src/timer sits above src/core,
-// so it installs its sweep on first arm, as src/net installs NetPollOps. The
-// sweep fires every timer due at `now_ns` and returns the wheel's next event
-// time (INT64_MAX when the wheel is empty).
-using TimerSweep = int64_t (*)(int64_t now_ns);
-
 struct RuntimeConfig {
   // Pool LWPs created at initialization. 0 = one per online CPU.
   int initial_pool_lwps = 0;
-  // Hard cap on pool LWPs (SIGWAITING growth stops here). 0 = max(64, 4 * CPUs).
-  int max_pool_lwps = 0;
   // Grow the pool when all pool LWPs block in indefinite kernel waits while
   // runnable threads exist (the library's SIGWAITING response). Matches the
   // paper: "the threads package can use the receipt of SIGWAITING to cause
@@ -128,7 +107,9 @@ class Runtime {
   void GrowPool(int delta);
 
   int pool_size() const { return pool_size_.load(std::memory_order_acquire); }
-  int max_pool_size() const { return config_.max_pool_lwps; }
+  // Hard cap on pool LWPs, max(64, 4 * online CPUs): SIGWAITING growth,
+  // GrowPool and thread_setconcurrency stop here.
+  int max_pool_size() const { return max_pool_lwps_; }
   uint64_t sigwaiting_count() const {
     return sigwaiting_count_.load(std::memory_order_relaxed);
   }
@@ -154,9 +135,9 @@ class Runtime {
   void ExitIdle(Lwp* lwp);
 
   // ---- Netpoll ownership ----------------------------------------------------
-  // Called once by src/net when the poller is created. Static: the poller may
-  // exist before the runtime does.
-  static void InstallNetPoll(const NetPollOps* ops);
+  // The pool polls the netpoller only while threads are parked on fds
+  // (net_parked_count() > 0), so a process that registers no fd never builds
+  // one. See docs/internals.md §7.
 
   // The owner's wait: epoll_wait with no timeout. The threads it wakes land in
   // the owner's own next box (wake affinity), so it runs them itself. This is
@@ -176,13 +157,11 @@ class Runtime {
   void HandOffPoll();
 
   // ---- Timer wheel ------------------------------------------------------------
-  // Static, like InstallNetPoll: timers may be armed before the runtime exists.
-  static void InstallTimerSweep(TimerSweep sweep);
-
   // Called after arming a timer due at `deadline_ns`: wakes the service loop
   // to sweep the wheel if the deadline beats the loop's published horizon
-  // (its next sweep; INT64_MAX while a sweep runs). Lock-free.
-  static void RequestTimerSweep(int64_t deadline_ns);
+  // (its next sweep; INT64_MAX while a sweep runs). Lock-free and static:
+  // timers may be armed before the runtime exists.
+  static void WakeServiceBy(int64_t deadline_ns);
 
   // ---- LWP lifecycle -------------------------------------------------------
   // Spawns a dedicated LWP bound to `tcb` (publishes tcb->bound_lwp first).
@@ -235,9 +214,11 @@ class Runtime {
   // loop, exposed for deterministic tests.
   void WatchdogTick();
 
-  // Optional observer fired whenever SIGWAITING triggers (before pool growth).
-  using SigwaitingHook = void (*)(void* cookie);
-  void SetSigwaitingHook(SigwaitingHook hook, void* cookie);
+  // From now on each SIGWAITING response also raises SIG_WAITING to the
+  // process, before it grows the pool (signal_enable_sigwaiting()).
+  void RaiseSigwaitingSignal() {
+    raise_sigwaiting_.store(true, std::memory_order_relaxed);
+  }
 
   // The pool LWP holding the blocking netpoll (see EnterIdle), or nullptr.
   const Lwp* poll_owner() const { return poll_owner_.load(std::memory_order_acquire); }
@@ -254,6 +235,7 @@ class Runtime {
   void WakeOneWaiterLocked(ThreadId exited_id);
 
   RuntimeConfig config_;
+  const int max_pool_lwps_;
   ShardedRunQueue queues_;
 
   mutable SpinLock pool_lock_;
@@ -285,8 +267,7 @@ class Runtime {
   std::vector<Lwp*> dead_lwps_;
 
   std::atomic<uint64_t> sigwaiting_count_{0};
-  SigwaitingHook sigwaiting_hook_ = nullptr;
-  void* sigwaiting_cookie_ = nullptr;
+  std::atomic<bool> raise_sigwaiting_{false};
 };
 
 }  // namespace sunmt

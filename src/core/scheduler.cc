@@ -14,7 +14,9 @@
 #include "src/inject/inject.h"
 #include "src/lwp/lwp.h"
 #include "src/lwp/onproc.h"
+#include "src/signal/signal.h"
 #include "src/stats/stats.h"
+#include "src/tls/tsd.h"
 #include "src/util/check.h"
 #include "src/util/clock.h"
 
@@ -36,25 +38,6 @@ struct SwitchCommit {
   Tcb* prev;
   SpinLock* unlock;  // kBlock only
 };
-
-std::atomic<SignalDeliveryHook> g_signal_hook{nullptr};
-std::atomic<ThreadExitHook> g_exit_hook{nullptr};
-
-// Lockdep node provider: user threads carry their lockdep state in the TCB so
-// reports name them by thread id. Raw kernel threads (the timer engine,
-// dispatch contexts) return null and fall back to lockdep's thread_local node.
-lockdep::ThreadNode* LockdepNode() {
-  Tcb* self = CurrentTcb();
-  if (self == nullptr) {
-    return nullptr;
-  }
-  self->lockdep_node.tid.store(static_cast<uint64_t>(self->id),
-                               std::memory_order_relaxed);
-  return &self->lockdep_node;
-}
-struct LockdepProviderInit {
-  LockdepProviderInit() { lockdep::SetNodeProvider(&LockdepNode); }
-} g_lockdep_provider_init;
 
 // The thread `lwp` (the caller's own LWP, or null off-LWP) is running.
 Tcb* RunningOn(Lwp* lwp) {
@@ -182,10 +165,6 @@ Tcb* CurrentTcbOrAdopt() {
   return AdoptCurrentKernelThread();
 }
 
-void SetSignalDeliveryHook(SignalDeliveryHook hook) {
-  g_signal_hook.store(hook, std::memory_order_release);
-}
-
 void SafePoint() {
   Lwp* lwp = Lwp::Current();
   Tcb* self = RunningOn(lwp);
@@ -214,11 +193,10 @@ void SafePoint() {
       Deschedule(lwp, self, &commit);  // re-dispatch starts a fresh slice
     }
   }
-  SignalDeliveryHook hook = g_signal_hook.load(std::memory_order_acquire);
-  if (hook != nullptr && !self->handling_signal &&
+  if (!self->handling_signal &&
       (self->pending_signals.load(std::memory_order_acquire) &
        ~self->sigmask.load(std::memory_order_acquire)) != 0) {
-    hook(self);
+    DeliverPendingSignals(self);
   }
 }
 
@@ -272,19 +250,12 @@ void StopSelf() {
   Deschedule(lwp, self, &commit);
 }
 
-void SetThreadExitHook(ThreadExitHook hook) {
-  g_exit_hook.store(hook, std::memory_order_release);
-}
-
 void ExitCurrent() {
   Tcb* self = CurrentTcb();
   SUNMT_CHECK(self != nullptr);
-  ThreadExitHook exit_hook = g_exit_hook.load(std::memory_order_acquire);
-  if (exit_hook != nullptr) {
-    exit_hook(self);  // runs on the exiting thread's stack; may call user code
-  }
+  RunTsdDestructors();  // on the exiting thread's stack; may call user code
   SwitchCommit commit{CommitKind::kExit, self, nullptr};
-  Deschedule(Lwp::Current(), self, &commit);  // the hook may have migrated us
+  Deschedule(Lwp::Current(), self, &commit);  // the destructors may have migrated us
   SUNMT_PANIC("exited thread was dispatched again");
 }
 

@@ -47,14 +47,15 @@ void Yield();
 // commit after the context save. Returns when another thread calls Wake().
 void Block(SpinLock* queue_lock);
 
-// Terminates the current thread; never returns.
+// Terminates the current thread after running its thread-specific-data
+// destructors on its own stack; never returns.
 [[noreturn]] void ExitCurrent();
 
 // Stops the current thread until thread_continue (never returns until continued).
 void StopSelf();
 
-// Honors pending stop requests and (via the hook) signal delivery. Called at
-// every scheduling safe point; cheap when nothing is pending.
+// Honors pending stop requests and delivers pending, unmasked signals. Called
+// at every scheduling safe point; cheap when nothing is pending.
 void SafePoint();
 
 // ---- Waker-side operations (any thread) -------------------------------------
@@ -84,18 +85,6 @@ void RunThread(Lwp* lwp, Tcb* tcb);
 
 // Entry point for new-thread contexts (installed by thread_create).
 void ThreadTrampoline(void* arg);
-
-// ---- Hooks -------------------------------------------------------------------
-
-// Installed by src/signal: called from SafePoint when the current thread has
-// deliverable pending signals.
-using SignalDeliveryHook = void (*)(Tcb* self);
-void SetSignalDeliveryHook(SignalDeliveryHook hook);
-
-// Installed by src/tls: called on the exiting thread's own stack just before it
-// leaves its LWP, so thread-specific-data destructors can run user code.
-using ThreadExitHook = void (*)(Tcb* self);
-void SetThreadExitHook(ThreadExitHook hook);
 
 }  // namespace sched
 }  // namespace sunmt

@@ -54,31 +54,6 @@ size_t RoundUpPow2(size_t n) {
   return p;
 }
 
-// The injector is a leaf library and cannot link against Trace; it calls
-// whatever recorder is registered. Registering here (static init of any binary
-// that links the trace subsystem) closes the loop without an upward edge.
-void RecordInjectEvent(inject::Point p, uint32_t op) {
-  Trace::Record(TraceEvent::kInject, /*thread_id=*/0,
-                (static_cast<uint64_t>(op) << 32) | p);
-}
-
-struct InjectTraceInit {
-  InjectTraceInit() { inject::internal::SetRecordHook(&RecordInjectEvent); }
-} g_inject_trace_init;
-
-// Same leaf-discipline loop closure for lockdep: its reports land in the ring
-// as LOCKDEP events without the debug library linking upward.
-void RecordLockdepReport(uint8_t report_kind, uint16_t from_cls,
-                         uint16_t to_cls, uint64_t tid) {
-  Trace::Record(TraceEvent::kLockdep, tid,
-                (static_cast<uint64_t>(report_kind) << 32) |
-                    (static_cast<uint64_t>(from_cls) << 16) | to_cls);
-}
-
-struct LockdepTraceInit {
-  LockdepTraceInit() { lockdep::SetReportHook(&RecordLockdepReport); }
-} g_lockdep_trace_init;
-
 }  // namespace
 
 void Trace::Enable(size_t capacity) {

@@ -11,8 +11,9 @@
 //
 // Disabled by default; Record() is one relaxed load when off.
 //
-// NOTE: this header stays a leaf (standard includes only) so lower layers
-// (src/lwp) may record events without creating a cycle with src/core.
+// NOTE: this header includes only standard headers, so any file of the
+// library may record events (src/lwp's kernel-wait scope, the injector,
+// lockdep) without pulling in the scheduler's headers.
 
 #ifndef SUNMT_SRC_CORE_TRACE_H_
 #define SUNMT_SRC_CORE_TRACE_H_

@@ -25,6 +25,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "src/core/scheduler.h"
+#include "src/core/trace.h"
 #include "src/inject/inject.h"
 
 namespace sunmt {
@@ -302,9 +304,6 @@ std::atomic<uint32_t> g_report_lock{0};
 char g_report[kReportCap];
 std::atomic<uint32_t> g_report_len{0};
 
-std::atomic<ReportHookFn> g_report_hook{nullptr};
-std::atomic<NodeProviderFn> g_node_provider{nullptr};
-
 void LockReport() {
   while (g_report_lock.exchange(1, std::memory_order_acquire) != 0) {
     Relax();
@@ -317,16 +316,19 @@ void UnlockReport() { g_report_lock.store(0, std::memory_order_release); }
 
 thread_local ThreadNode t_fallback_node;
 
+// User threads carry their node in the TCB, so reports name them by thread
+// id. A kernel thread running no thread (a dispatch context, the service
+// thread, a raw pthread) falls back to a thread_local node with an id
+// synthesized out of thread-id space.
 ThreadNode* CurrentNode() {
-  NodeProviderFn p = g_node_provider.load(std::memory_order_acquire);
-  ThreadNode* n = (p != nullptr) ? p() : nullptr;
-  if (n == nullptr) {
-    n = &t_fallback_node;
-    if (n->tid.load(std::memory_order_relaxed) == 0) {
-      // No TCB (dispatcher stack, timer engine, raw pthread): synthesize an id
-      // out of thread-id space.
-      n->tid.store((1ull << 48) | KernelTid(), std::memory_order_relaxed);
-    }
+  if (Tcb* self = sched::CurrentTcb()) {
+    self->lockdep_node.tid.store(static_cast<uint64_t>(self->id),
+                                 std::memory_order_relaxed);
+    return &self->lockdep_node;
+  }
+  ThreadNode* n = &t_fallback_node;
+  if (n->tid.load(std::memory_order_relaxed) == 0) {
+    n->tid.store((1ull << 48) | KernelTid(), std::memory_order_relaxed);
   }
   return n;
 }
@@ -512,10 +514,9 @@ size_t FormatNodeInto(const ThreadNode* n, char* buf, size_t cap, size_t off) {
 }
 
 void EmitReport(uint8_t report_kind, uint16_t from, uint16_t to, uint64_t tid) {
-  ReportHookFn hook = g_report_hook.load(std::memory_order_acquire);
-  if (hook != nullptr) {
-    hook(report_kind, from, to, tid);
-  }
+  Trace::Record(TraceEvent::kLockdep, tid,
+                (static_cast<uint64_t>(report_kind) << 32) |
+                    (static_cast<uint64_t>(from) << 16) | to);
   LockReport();
   fprintf(stderr, "%s", g_report);
   fflush(stderr);
@@ -971,16 +972,6 @@ void ResetForTest() {
   g_report[0] = '\0';
   g_report_len.store(0, std::memory_order_relaxed);
   UnlockReport();
-}
-
-// ---- Downward-registered callbacks.
-
-void SetNodeProvider(NodeProviderFn fn) {
-  g_node_provider.store(fn, std::memory_order_release);
-}
-
-void SetReportHook(ReportHookFn fn) {
-  g_report_hook.store(fn, std::memory_order_release);
 }
 
 }  // namespace lockdep

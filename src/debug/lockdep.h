@@ -29,14 +29,13 @@
 //     deadlock and is reported with the held-lock sets of every local
 //     participant.
 //
-// Reports go to stderr, to the trace ring (TraceEvent::kLockdep via the report
-// hook, registered by trace.cc at static-init so this library stays a leaf),
-// and are kept for FormatProcessState()'s LOCKDEP section.
+// Reports go to stderr, to the trace ring (TraceEvent::kLockdep) and are kept
+// for FormatProcessState()'s LOCKDEP section.
 //
-// Layering: this library sits at the very bottom (next to src/inject) — it
-// links only libpthread, because spinlock.h includes this header and spinlocks
-// are used everywhere. Upper layers register callbacks downward (node provider
-// from the scheduler, report hook from the trace ring).
+// Layering: spinlock.h includes this header and spinlocks are used everywhere,
+// so it includes only standard headers. lockdep.cc is part of the one sunmt
+// library and calls the scheduler (a thread's node lives in its TCB) and the
+// trace ring directly.
 
 #ifndef SUNMT_SRC_DEBUG_LOCKDEP_H_
 #define SUNMT_SRC_DEBUG_LOCKDEP_H_
@@ -203,15 +202,8 @@ void Disable();
 // could race the wipe — in-tree tests only.
 void ResetForTest();
 
-// ---- Downward-registered callbacks (leaf discipline).
-
-using NodeProviderFn = ThreadNode* (*)();
-void SetNodeProvider(NodeProviderFn fn);  // scheduler.cc: &Tcb::lockdep_node
-
+// Report kind, as the kLockdep trace event's arg carries it.
 enum ReportKind : uint8_t { kReportInversion = 1, kReportDeadlock = 2 };
-using ReportHookFn = void (*)(uint8_t report_kind, uint16_t from_cls,
-                              uint16_t to_cls, uint64_t tid);
-void SetReportHook(ReportHookFn fn);  // trace.cc: TraceEvent::kLockdep
 
 }  // namespace lockdep
 }  // namespace sunmt

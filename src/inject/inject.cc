@@ -7,6 +7,7 @@
 #include <cstring>
 #include <string>
 
+#include "src/core/trace.h"
 #include "src/util/rng.h"
 #include "src/util/spinlock.h"
 
@@ -15,14 +16,6 @@ namespace inject {
 namespace internal {
 
 std::atomic<uint32_t> g_ops{0};
-
-namespace {
-std::atomic<RecordHookFn> g_record_hook{nullptr};
-}  // namespace
-
-void SetRecordHook(RecordHookFn fn) {
-  g_record_hook.store(fn, std::memory_order_release);
-}
 
 }  // namespace internal
 
@@ -81,12 +74,10 @@ bool Draw(ThreadStream& ts, uint32_t* extra) {
   return static_cast<uint32_t>(r) < g_threshold.load(std::memory_order_relaxed);
 }
 
+// INJECT trace events carry (op bit, point).
 void RecordInject(Point p, uint32_t op) {
-  internal::RecordHookFn hook =
-      internal::g_record_hook.load(std::memory_order_acquire);
-  if (hook != nullptr) {
-    hook(p, op);
-  }
+  Trace::Record(TraceEvent::kInject, /*thread_id=*/0,
+                (static_cast<uint64_t>(op) << 32) | p);
 }
 
 }  // namespace
@@ -313,8 +304,8 @@ Counters Snapshot() {
 
 namespace {
 
-// SUNMT_INJECT takes effect at load time (this library is linked into every
-// binary via the hooks), so injection covers runtime bring-up as well.
+// SUNMT_INJECT takes effect at load time (every binary links inject.cc via
+// the hooks), so injection covers runtime bring-up as well.
 struct EnvInit {
   EnvInit() {
     const char* env = getenv("SUNMT_INJECT");

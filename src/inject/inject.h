@@ -29,12 +29,10 @@
 // failing seed replays the same decision stream per thread.
 //
 // Compiled in always, zero-cost when disabled: every hook is one relaxed load
-// of a global ops mask and a predicted-not-taken branch. This header is a leaf
-// (standard includes only) so src/util/spinlock.h can hook Lock()/Unlock();
-// the slow paths live in inject.cc (library sunmt_inject, itself a leaf with
-// no upward link edges — the trace subsystem registers a record callback via
-// internal::SetRecordHook at static-init time, so binaries that never link
-// sunmt_core still link cleanly and simply record no trace events).
+// of a global ops mask and a predicted-not-taken branch. This header includes
+// only standard headers so src/util/spinlock.h can hook Lock()/Unlock(); the
+// slow paths live in inject.cc, which records each delivered perturbation or
+// fault in the trace ring (TraceEvent::kInject) itself.
 
 #ifndef SUNMT_SRC_INJECT_INJECT_H_
 #define SUNMT_SRC_INJECT_INJECT_H_
@@ -94,12 +92,6 @@ void PerturbSlow(Point p);
 bool StealBiasSlow(Point p);
 bool FaultSlow(Point p);
 size_t ShortTransferSlow(Point p, size_t count);
-
-// Downward-only layering: the trace subsystem (a higher layer) registers its
-// recorder here instead of the injector calling Trace::Record directly.
-// Delivered events carry (point, op bit) for the INJECT trace stream.
-using RecordHookFn = void (*)(Point p, uint32_t op);
-void SetRecordHook(RecordHookFn fn);
 
 inline uint32_t Ops() { return g_ops.load(std::memory_order_relaxed); }
 

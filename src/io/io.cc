@@ -5,10 +5,9 @@
 #include <time.h>
 #include <unistd.h>
 
-#include <atomic>
-
 #include "src/inject/inject.h"
 #include "src/lwp/kernel_wait.h"
+#include "src/net/net.h"
 #include "src/tls/thread_local.h"
 
 namespace sunmt {
@@ -25,18 +24,6 @@ template <typename T>
 T SaveErrno(T result) {
   tls_errno.Get() = result < 0 ? errno : 0;
   return result;
-}
-
-std::atomic<const IoNetRouter*> g_net_router{nullptr};
-
-// The netpoller's claim on this fd, if any. Routed calls park the thread on
-// readiness instead of blocking the LWP, and set thread_errno themselves.
-const IoNetRouter* RouterFor(int fd) {
-  const IoNetRouter* router = g_net_router.load(std::memory_order_acquire);
-  if (router != nullptr && router->is_managed(fd)) {
-    return router;
-  }
-  return nullptr;
 }
 
 // Untimed transfer syscalls retry EINTR: the package delivers its own signals
@@ -65,13 +52,11 @@ auto RetrySyscall(Fn fn) -> decltype(fn()) {
 
 int& thread_errno() { return tls_errno.Get(); }
 
-void io_set_net_router(const IoNetRouter* router) {
-  g_net_router.store(router, std::memory_order_release);
-}
-
+// On a registered fd (io_read, io_write, io_accept) the net_* call parks the
+// thread on readiness instead of blocking the LWP, and sets thread_errno.
 ssize_t io_read(int fd, void* buf, size_t count) {
-  if (const IoNetRouter* router = RouterFor(fd)) {
-    return router->read(fd, buf, count);
+  if (net_is_registered(fd)) {
+    return net_read(fd, buf, count);
   }
   count = inject::ShortTransfer(inject::kIoSyscall, count);
   KernelWaitScope wait(/*indefinite=*/true);
@@ -79,8 +64,8 @@ ssize_t io_read(int fd, void* buf, size_t count) {
 }
 
 ssize_t io_write(int fd, const void* buf, size_t count) {
-  if (const IoNetRouter* router = RouterFor(fd)) {
-    return router->write(fd, buf, count);
+  if (net_is_registered(fd)) {
+    return net_write(fd, buf, count);
   }
   count = inject::ShortTransfer(inject::kIoSyscall, count);
   KernelWaitScope wait(/*indefinite=*/true);
@@ -105,8 +90,8 @@ int io_poll(struct pollfd* fds, unsigned long nfds, int timeout_ms) {
 }
 
 int io_accept(int sockfd, struct sockaddr* addr, socklen_t* addrlen) {
-  if (const IoNetRouter* router = RouterFor(sockfd)) {
-    return router->accept(sockfd, addr, addrlen);
+  if (net_is_registered(sockfd)) {
+    return net_accept(sockfd, addr, addrlen);
   }
   KernelWaitScope wait(/*indefinite=*/true);
   return SaveErrno(RetrySyscall([&] { return accept(sockfd, addr, addrlen); }));

@@ -28,7 +28,11 @@
 
 namespace sunmt {
 
-// Stream reads/writes (pipes, sockets, ttys): indefinite waits.
+// Stream reads/writes (pipes, sockets, ttys): indefinite waits. On an fd
+// registered with the netpoller (src/net), io_read, io_write and io_accept
+// call net_read, net_write and net_accept instead: the thread parks on
+// readiness and its LWP runs other threads, so blocking-style call sites get
+// event-driven economics without being rewritten.
 ssize_t io_read(int fd, void* buf, size_t count);
 ssize_t io_write(int fd, const void* buf, size_t count);
 
@@ -58,20 +62,6 @@ inline void io_sleep_ms(int64_t ms) { io_sleep_ns(ms * 1000 * 1000); }
 // other threads." Every io_* wrapper stores the failing call's errno here; the
 // reference is to the calling thread's private copy.
 int& thread_errno();
-
-// ---- Netpoller routing (installed by src/net) -------------------------------
-// When a router is installed and claims an fd, io_read/io_write/io_accept on
-// that fd go through the netpoller's park-on-readiness path instead of
-// blocking the LWP in the kernel — blocking-style call sites get event-driven
-// economics without being rewritten. Routed calls maintain thread_errno()
-// themselves.
-struct IoNetRouter {
-  bool (*is_managed)(int fd);
-  ssize_t (*read)(int fd, void* buf, size_t count);
-  ssize_t (*write)(int fd, const void* buf, size_t count);
-  int (*accept)(int sockfd, struct sockaddr* addr, socklen_t* addrlen);
-};
-void io_set_net_router(const IoNetRouter* router);
 
 }  // namespace sunmt
 

@@ -7,10 +7,8 @@
 //
 // The scope also feeds observability: when stats or tracing are on, the wait's
 // wall duration lands in the kernel_wait histogram and the trace ring (subject =
-// LWP id, since this layer cannot see TCBs). trace.h and stats.h are leaf
-// headers, so including them here does not cycle back into src/core — the
-// recording symbols resolve when the consumer (sync/io/timer) links sunmt_core
-// and sunmt_stats.
+// LWP id: the LWP is what waits in the kernel). trace.h and stats.h include
+// only standard headers, so this header pulls nothing of src/core beyond them.
 
 #ifndef SUNMT_SRC_LWP_KERNEL_WAIT_H_
 #define SUNMT_SRC_LWP_KERNEL_WAIT_H_

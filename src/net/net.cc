@@ -10,7 +10,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 
 #include "src/inject/inject.h"
 #include "src/io/io.h"
@@ -45,22 +44,6 @@ bool InjectedEagainHolds(int fd, uint32_t events) {
   short poll_events = events == NET_READABLE ? POLLIN : POLLOUT;
   struct pollfd p = {fd, poll_events, 0};
   return poll(&p, 1, 0) == 0;
-}
-
-// Routes io_read/io_write/io_accept on registered fds through the parking
-// path, so blocking-style call sites inherit the poller's LWP economics.
-// Installed lazily at first registration (before that no fd is managed).
-void EnsureIoRouter() {
-  static const IoNetRouter kRouter = {
-      &net_is_registered,
-      &net_read,
-      &net_write,
-      static_cast<int (*)(int, struct sockaddr*, socklen_t*)>(&net_accept),
-  };
-  static std::atomic<bool> installed{false};
-  if (!installed.exchange(true, std::memory_order_acq_rel)) {
-    io_set_net_router(&kRouter);
-  }
 }
 
 // The one park-and-retry loop behind every parking read, write, writev and
@@ -154,7 +137,6 @@ bool net_poller_running() {
 }
 
 int net_register(int fd) {
-  EnsureIoRouter();
   int rc = NetPoller::Get().Register(fd);
   return NetResult(rc, rc == 0 ? 0 : errno);
 }
@@ -172,7 +154,9 @@ bool net_is_registered(int fd) {
 }
 
 int net_parked_count() {
-  return NetPoller::Exists() ? NetPoller::Get().ParkedCount() : 0;
+  // A stopped poller, or a fork1() child that dropped its parent's, has
+  // nothing parked as far as the pool's poll checks are concerned.
+  return net_poller_running() ? NetPoller::Get().ParkedCount() : 0;
 }
 
 int net_wait_ready(int fd, uint32_t events, int64_t timeout_ns) {

@@ -69,7 +69,8 @@ int net_unregister(int fd);
 // True if `fd` is currently registered.
 bool net_is_registered(int fd);
 
-// Number of threads currently parked on fd readiness (tests/introspection).
+// Number of threads currently parked on fd readiness; 0 while the poller is
+// stopped or was never built. The LWP pool polls only while it is > 0.
 int net_parked_count();
 
 // ---- Parking I/O on registered fds -----------------------------------------

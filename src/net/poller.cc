@@ -37,30 +37,6 @@ SpinLock g_poller_create_lock;
 // fork handler can reset it without touching a half-built singleton.
 std::atomic<bool> g_stopped{false};
 
-// The pool's view of the poller (Runtime::InstallNetPoll). Each entry point
-// goes through g_poller, so a fork1() child that abandons the parent's poller
-// sees "nothing parked" until it builds its own.
-int PoolParked() {
-  NetPoller* poller = g_poller.load(std::memory_order_acquire);
-  return poller != nullptr && !g_stopped.load(std::memory_order_acquire)
-             ? poller->ParkedCount()
-             : 0;
-}
-
-int PoolPoll(int timeout_ms) {
-  NetPoller* poller = g_poller.load(std::memory_order_acquire);
-  return poller != nullptr ? poller->Poll(timeout_ms) : 0;
-}
-
-void PoolKick() {
-  NetPoller* poller = g_poller.load(std::memory_order_acquire);
-  if (poller != nullptr) {
-    poller->Kick();
-  }
-}
-
-constexpr NetPollOps kPoolOps = {&PoolParked, &PoolPoll, &PoolKick};
-
 // Wake reasons delivered through Tcb::park_result.
 enum : uint8_t {
   kWakeReady = 0,
@@ -136,7 +112,6 @@ NetPoller::NetPoller() {
   ev.events = EPOLLIN;
   ev.data.fd = wakeup_fd_;
   SUNMT_CHECK(epoll_ctl(epfd_, EPOLL_CTL_ADD, wakeup_fd_, &ev) == 0);
-  Runtime::InstallNetPoll(&kPoolOps);
 }
 
 NetPoller::FdEntry* NetPoller::GetEntry(int fd) const {

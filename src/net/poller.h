@@ -41,8 +41,8 @@ class NetPoller {
   // threads may reference it for the process lifetime).
   static NetPoller& Get();
 
-  // True if Get() has ever run — lets cold paths (io routing, fork repair)
-  // skip without instantiating the poller.
+  // True if Get() has ever run — lets cold paths (io routing, the pool's
+  // poll checks) skip without instantiating the poller.
   static bool Exists();
 
   // ---- Lifecycle ------------------------------------------------------------
@@ -66,8 +66,8 @@ class NetPoller {
   // registered). timeout_ns < 0 waits forever; 0 returns without parking.
   int WaitReady(int fd, uint32_t events, int64_t timeout_ns);
 
-  // Threads currently parked on readiness (the pool's "poll needed" test,
-  // tests and introspection).
+  // Threads currently parked on readiness, stopped or not (introspection;
+  // the pool's "poll needed" test is net_parked_count()).
   int ParkedCount() const { return parked_count_.load(std::memory_order_seq_cst); }
 
   // Fds currently registered (introspection via net_backend_snapshot).
@@ -75,7 +75,7 @@ class NetPoller {
     return registered_count_.load(std::memory_order_relaxed);
   }
 
-  // ---- Polling (run by pool LWPs and the watchdog, see NetPollOps) ----------
+  // ---- Polling (by pool LWPs and the watchdog, see Runtime::EnterIdle) ------
   // One epoll_wait with `timeout_ms` (-1 blocks: the poll owner only) and the
   // wakes it delivers. Returns the number of threads woken, or -1 on an
   // epoll_wait error other than EINTR.

@@ -47,10 +47,6 @@ SignalState& State() {
 
 bool ValidSig(int sig) { return sig >= 1 && sig <= SIG_MAX; }
 
-void DeliverPending(Tcb* self);
-
-void DeliveryHook(Tcb* self) { DeliverPending(self); }
-
 // fork1() child repair: drop the (plain-array) state lock if a parent thread
 // held it at fork. Handlers and pending sets are preserved, matching fork
 // semantics for signal dispositions.
@@ -59,7 +55,6 @@ void SignalForkChildRepair() { State().lock.Unlock(); }
 void EnsureInit() {
   static std::atomic<bool> once{false};
   if (!once.exchange(true, std::memory_order_acq_rel)) {
-    sched::SetSignalDeliveryHook(&DeliveryHook);
     Runtime::RegisterForkChildHandler(&SignalForkChildRepair);
   }
 }
@@ -163,24 +158,6 @@ void DispatchOne(Tcb* self, int sig) {
   }
 }
 
-void DeliverPending(Tcb* self) {
-  if (self->handling_signal) {
-    return;  // serial handling per thread
-  }
-  self->handling_signal = true;
-  for (;;) {
-    uint64_t deliverable = self->pending_signals.load(std::memory_order_acquire) &
-                           ~self->sigmask.load(std::memory_order_acquire);
-    if (deliverable == 0) {
-      break;
-    }
-    int sig = __builtin_ctzll(deliverable) + 1;
-    self->pending_signals.fetch_and(~SigBit(sig), std::memory_order_acq_rel);
-    DispatchOne(self, sig);
-  }
-  self->handling_signal = false;
-}
-
 // Claims process-pending signals that `tcb`'s (new) mask allows and moves them
 // to the thread. Call after unmasking.
 void ClaimProcessPending(Tcb* tcb) {
@@ -201,12 +178,25 @@ void ClaimProcessPending(Tcb* tcb) {
   }
 }
 
-void SigwaitingRuntimeHook(void* cookie) {
-  (void)cookie;
-  signal_raise_process(SIG_WAITING);
-}
-
 }  // namespace
+
+void DeliverPendingSignals(Tcb* self) {
+  if (self->handling_signal) {
+    return;  // serial handling per thread
+  }
+  self->handling_signal = true;
+  for (;;) {
+    uint64_t deliverable = self->pending_signals.load(std::memory_order_acquire) &
+                           ~self->sigmask.load(std::memory_order_acquire);
+    if (deliverable == 0) {
+      break;
+    }
+    int sig = __builtin_ctzll(deliverable) + 1;
+    self->pending_signals.fetch_and(~SigBit(sig), std::memory_order_acq_rel);
+    DispatchOne(self, sig);
+  }
+  self->handling_signal = false;
+}
 
 SignalHandler signal_handler_set(int sig, SignalHandler handler) {
   SUNMT_CHECK(ValidSig(sig));
@@ -333,8 +323,7 @@ int signal_raise_trap(int sig) {
 
 void signal_poll() {
   EnsureInit();
-  Tcb* self = sched::CurrentTcbOrAdopt();
-  DeliverPending(self);
+  DeliverPendingSignals(sched::CurrentTcbOrAdopt());
 }
 
 bool signal_is_trap(int sig) {
@@ -351,7 +340,7 @@ bool signal_is_trap(int sig) {
 
 void signal_enable_sigwaiting() {
   EnsureInit();
-  Runtime::Get().SetSigwaitingHook(&SigwaitingRuntimeHook, nullptr);
+  Runtime::Get().RaiseSigwaitingSignal();
 }
 
 uint64_t signal_coalesced_count() {

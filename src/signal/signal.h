@@ -119,8 +119,8 @@ void signal_poll();
 // True if `sig` is a trap (synchronous) rather than an interrupt.
 bool signal_is_trap(int sig);
 
-// Connects SIGWAITING to the runtime's watchdog so that the library's pool
-// growth also raises a observable SIG_WAITING to the process. Idempotent.
+// Makes the runtime's SIGWAITING response (pool growth) also raise an
+// observable SIG_WAITING to the process. Idempotent.
 void signal_enable_sigwaiting();
 
 // Count of process-pending signals dropped due to coalescing (for tests:
@@ -137,6 +137,12 @@ int signal_altstack(void* base, size_t size);
 
 // True while the caller is executing a handler on its alternate stack.
 bool signal_on_altstack();
+
+// ---- Package-internal --------------------------------------------------------
+// Runs the dispositions of `self`'s pending, unmasked signals on its own
+// stack, one at a time. The scheduler calls it at every safe point.
+struct Tcb;
+void DeliverPendingSignals(Tcb* self);
 
 }  // namespace sunmt
 

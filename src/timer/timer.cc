@@ -8,15 +8,15 @@
 //     shards) takes its shard's spinlock once, pops a pooled entry, buckets it
 //     in the shard's wheel, and publishes the Armed tag. No malloc, and a
 //     futex kick only when the new deadline beats the service loop's
-//     published sweep horizon (Runtime::RequestTimerSweep).
+//     published sweep horizon (Runtime::WakeServiceBy).
 //   * Cancel is lock-free: decode the id, CAS the entry's tag word from
 //     Armed to Tombstone. The wheel is never touched — the tombstone is
 //     reaped when its slot turns over (or by a wholesale sweep once enough
 //     accumulate), so the dominant rearm-before-fire churn of deadline-heavy
 //     servers never takes any wheel lock twice. The generation stamp packed
 //     into the same tag word makes the CAS immune to entry reuse (ABA).
-//   * The runtime's service loop sweeps each shard through the entry point
-//     installed on first arm (SweepWheel): advance the wheel, splice the due
+//   * The runtime's service loop sweeps each shard (SweepTimerWheel, a no-op
+//     until the first arm): advance the wheel, splice the due
 //     batch, claim each entry Armed->Firing (a batch claim BEFORE any
 //     callback runs, so a cancel racing the fire fails — the timed-wait ack
 //     protocol in timed_wait.h depends on that), then fire outside all
@@ -353,33 +353,21 @@ uint64_t ProcessShard(TimerShard& sh, uint64_t now_tick) {
   return next_tick;
 }
 
-// The service loop's wheel duty: sweeps every shard and returns the wheel's
-// next event time (INT64_MAX when it is empty).
-int64_t SweepWheel(int64_t now_ns) {
-  uint64_t now_tick = static_cast<uint64_t>(now_ns) >> kTickShift;
-  int64_t next_ns = INT64_MAX;
-  for (TimerShard& sh : Wheel().shards) {
-    uint64_t next_tick = ProcessShard(sh, now_tick);
-    if (next_tick != TimingWheel::kNoEvent) {
-      next_ns = std::min(next_ns, static_cast<int64_t>(next_tick << kTickShift));
-    }
-  }
-  return next_ns;
-}
+// Set by the first arm. Until then the service loop's sweeps find nothing to
+// do and build no wheel.
+std::atomic<bool> g_armed{false};
 
-void EnsureInstalled() {
-  static std::atomic<bool> once{false};
-  if (!once.load(std::memory_order_acquire) &&
-      !once.exchange(true, std::memory_order_acq_rel)) {
+void EnsureArmed() {
+  if (!g_armed.load(std::memory_order_acquire) &&
+      !g_armed.exchange(true, std::memory_order_acq_rel)) {
     Runtime::RegisterForkChildHandler(&TimerForkChildRepair);
-    Runtime::InstallTimerSweep(&SweepWheel);
   }
 }
 
 timer_id_t ArmEntry(int64_t delay_ns, int64_t period_ns, FireKind kind, int sig,
                     thread_id_t target, void (*fn)(void*, uint64_t),
                     void* cookie, uint64_t arg) {
-  EnsureInstalled();
+  EnsureArmed();
   Runtime::Get();  // its service loop sweeps the wheel
   WheelState& st = Wheel();
   int64_t deadline = MonotonicNowNs() + delay_ns;
@@ -416,7 +404,7 @@ timer_id_t ArmEntry(int64_t delay_ns, int64_t period_ns, FireKind kind, int sig,
     break;
   }
   SUNMT_CHECK(id != kInvalidTimerId);
-  Runtime::RequestTimerSweep(deadline);
+  Runtime::WakeServiceBy(deadline);
   return id;
 }
 
@@ -443,6 +431,21 @@ void SleepFire(void* cookie, uint64_t) {
 }
 
 }  // namespace
+
+int64_t SweepTimerWheel(int64_t now_ns) {
+  if (!g_armed.load(std::memory_order_acquire)) {
+    return INT64_MAX;
+  }
+  uint64_t now_tick = static_cast<uint64_t>(now_ns) >> kTickShift;
+  int64_t next_ns = INT64_MAX;
+  for (TimerShard& sh : Wheel().shards) {
+    uint64_t next_tick = ProcessShard(sh, now_tick);
+    if (next_tick != TimingWheel::kNoEvent) {
+      next_ns = std::min(next_ns, static_cast<int64_t>(next_tick << kTickShift));
+    }
+  }
+  return next_ns;
+}
 
 timer_id_t timer_arm(int64_t first_delay_ns, int64_t period_ns, int sig,
                      thread_id_t target) {
@@ -487,7 +490,7 @@ int timer_cancel(timer_id_t id) {
         uint32_t t = sh.tombstones.fetch_add(1, std::memory_order_relaxed) + 1;
         if (t % kReapThreshold == 0) {
           // Batch boundary: worth a wholesale sweep, unless one is due anyway.
-          Runtime::RequestTimerSweep(MonotonicNowNs());
+          Runtime::WakeServiceBy(MonotonicNowNs());
         }
         return 0;
       }

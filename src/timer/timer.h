@@ -92,6 +92,11 @@ struct TimerEngineStats {
 };
 TimerEngineStats timer_engine_stats();
 
+// Package-internal: the runtime service loop's wheel duty. Fires every timer
+// due at `now_ns` and returns the wheel's next event time: INT64_MAX when it
+// is empty, or when no timer was ever armed (then it builds no wheel).
+int64_t SweepTimerWheel(int64_t now_ns);
+
 }  // namespace sunmt
 
 #endif  // SUNMT_SRC_TIMER_TIMER_H_

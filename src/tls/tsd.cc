@@ -6,8 +6,6 @@
 #include <atomic>
 
 #include "src/core/runtime.h"
-#include "src/core/scheduler.h"
-#include "src/core/tcb.h"
 #include "src/tls/thread_local.h"
 #include "src/util/spinlock.h"
 
@@ -33,8 +31,27 @@ ThreadLocal<void**> g_tsd_slot;
 
 ThreadLocal<void**>& Slot() { return g_tsd_slot; }
 
-void RunDestructors(Tcb* self) {
-  (void)self;
+void** EnsureValues() {
+  void**& values = Slot().Get();
+  if (values == nullptr) {
+    values = static_cast<void**>(calloc(kMaxTsdKeys, sizeof(void*)));
+    SUNMT_CHECK(values != nullptr);
+  }
+  return values;
+}
+
+bool KeyValid(tsd_key_t key) {
+  if (key == kInvalidTsdKey || key >= kMaxTsdKeys) {
+    return false;
+  }
+  KeyTable& keys = Keys();
+  SpinLockGuard guard(keys.lock);
+  return key < keys.next;
+}
+
+}  // namespace
+
+void RunTsdDestructors() {
   void** values = Slot().Get();
   if (values == nullptr) {
     return;
@@ -66,28 +83,6 @@ void RunDestructors(Tcb* self) {
   free(values);
   Slot().Get() = nullptr;
 }
-
-void** EnsureValues() {
-  void**& values = Slot().Get();
-  if (values == nullptr) {
-    values = static_cast<void**>(calloc(kMaxTsdKeys, sizeof(void*)));
-    SUNMT_CHECK(values != nullptr);
-    // First use on this thread: arm the exit hook (idempotent process-wide).
-    sched::SetThreadExitHook(&RunDestructors);
-  }
-  return values;
-}
-
-bool KeyValid(tsd_key_t key) {
-  if (key == kInvalidTsdKey || key >= kMaxTsdKeys) {
-    return false;
-  }
-  KeyTable& keys = Keys();
-  SpinLockGuard guard(keys.lock);
-  return key < keys.next;
-}
-
-}  // namespace
 
 // fork1() child repair: keys stay valid in the child (plain array), only the
 // lock needs releasing.

@@ -29,6 +29,11 @@ tsd_key_t tsd_key_create(void (*destructor)(void* value));
 int tsd_set(tsd_key_t key, void* value);
 void* tsd_get(tsd_key_t key);
 
+// Package-internal: runs the calling thread's destructors for its non-null
+// values and frees its value array. The scheduler calls it on every exiting
+// thread's own stack, so destructors may run user code.
+void RunTsdDestructors();
+
 }  // namespace sunmt
 
 #endif  // SUNMT_SRC_TLS_TSD_H_

@@ -25,6 +25,9 @@ namespace {
 
 using sunmt_test::Join;
 using sunmt_test::Spawn;
+using sunmt_test::WaitForState;
+
+constexpr int64_t kSec = 1000 * 1000 * 1000;
 
 TEST(SignalDefaults, StopThenContinueAffectsAllThreads) {
   // SIG_STOP's default action stops every thread; SIG_CONT's resumes them.
@@ -154,8 +157,9 @@ TEST(CvTimedwait, BroadcastReleasesMixedWaiters) {
       (rc == 0 ? timed_woken : timed_out).fetch_add(1);
     }));
   }
-  for (int i = 0; i < 50; ++i) {
-    thread_yield();
+  // Every waiter has blocked before the broadcast.
+  for (thread_id_t id : ids) {
+    ASSERT_TRUE(WaitForState(id, "BLOCKED", 5 * kSec));
   }
   mutex_enter(&mu);
   go = true;
@@ -170,7 +174,7 @@ TEST(CvTimedwait, BroadcastReleasesMixedWaiters) {
 }
 
 TEST(Runtime, MaxPoolCapBoundsGrowth) {
-  // GrowPool respects max_pool_lwps (default: max(64, 4*cpus)).
+  // GrowPool respects max_pool_size(), max(64, 4 * CPUs).
   Runtime& rt = Runtime::Get();
   int cap = rt.max_pool_size();
   ASSERT_GT(cap, 0);
@@ -192,9 +196,7 @@ TEST(Stats, CountersMoveWithActivity) {
     sema_p(&gate);  // block + wake
     thread_yield();
   });
-  for (int i = 0; i < 20; ++i) {
-    thread_yield();
-  }
+  ASSERT_TRUE(WaitForState(worker, "BLOCKED", 5 * kSec));
   sema_v(&gate);
   EXPECT_TRUE(Join(worker));
   SchedStatsSnapshot after = SnapshotSchedStats();

@@ -439,13 +439,18 @@ TEST_F(Lockdep, CrossProcessDeadlockReported) {
     // label is excluded from the TSan lane for the same reason.
     GTEST_SKIP() << "fork-based test is not TSan-safe";
   }
-  SharedArena arena = SharedArena::CreateAnonymous(64 * 1024);
+  // Mapped for the rest of the process, never unmapped: the parent's thread
+  // below stays parked in FUTEX_WAIT on xp-M2, which the child held when it
+  // exited, and a wait restarted after EINTR (LSan's stop-the-world at exit
+  // is one source) reads that word again.
+  static SharedArena* const arena =
+      new SharedArena(SharedArena::CreateAnonymous(64 * 1024));
   struct Shared {
     mutex_t m1;
     mutex_t m2;
     std::atomic<int> ready;
   };
-  auto* sh = arena.New<Shared>();
+  auto* sh = arena->New<Shared>();
   mutex_init(&sh->m1, THREAD_SYNC_SHARED, nullptr);
   mutex_init(&sh->m2, THREAD_SYNC_SHARED, nullptr);
   mutex_set_name(&sh->m1, "xp-M1");

@@ -1,8 +1,8 @@
 // Netpoller tests: park/wake on readiness, deadlines, concurrent waiters on
-// one fd, io_* routing, the pool's poll-owner protocol (watchdog backstop,
-// bound-thread hand-off, SIGWAITING and shrink with an owner in epoll_wait),
-// the SIGWAITING contrast (poller keeps the pool flat where the blocking path
-// must grow it), and shutdown under parked threads.
+// one fd, io_read/io_write/io_accept routing, the pool's poll-owner protocol
+// (watchdog backstop, bound-thread hand-off, SIGWAITING and shrink with an
+// owner in epoll_wait), the SIGWAITING contrast (poller keeps the pool flat
+// where the blocking path must grow it), and shutdown under parked threads.
 //
 // Test order is load-bearing (gtest runs tests in declaration order within a
 // binary): the first tests run before any net_poller_start() call, the
@@ -377,6 +377,88 @@ TEST(NetPoller, IoWrappersRouteRegisteredFdsThroughPoller) {
   net_unregister(fds[0]);
   close(fds[0]);
   close(fds[1]);
+}
+
+// io_write on a registered fd whose socket is full parks the thread through
+// the netpoller instead of pinning its LWP in write(2).
+TEST(NetPoller, IoWriteOnRegisteredFdParksThroughPoller) {
+  int fds[2];
+  MakeSocketpair(fds);
+  ASSERT_EQ(net_register(fds[0]), 0);
+  int sndbuf = 4 * 1024;
+  setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
+  char fill[1024] = {};
+  size_t filled = 0;
+  ssize_t n;
+  while ((n = write(fds[0], fill, sizeof(fill))) > 0) {
+    filled += static_cast<size_t>(n);
+  }
+  ASSERT_EQ(errno, EAGAIN);  // registering made fds[0] nonblocking
+  uint64_t parks_before = GlobalSchedStats().net_parks.Load();
+  static std::atomic<int> wrote;
+  wrote.store(-1);
+  thread_id_t writer = Spawn([&] {
+    char ch = 'w';
+    ssize_t w = io_write(fds[0], &ch, 1);
+    wrote.store(w == 1 && thread_errno() == 0 ? 1 : -2);
+  });
+  ASSERT_TRUE(WaitUntil([] { return net_parked_count() == 1; }, 5 * kSec))
+      << "io_write did not park via the netpoller";
+  EXPECT_EQ(wrote.load(), -1);
+  EXPECT_GT(GlobalSchedStats().net_parks.Load(), parks_before);
+  std::vector<char> got(filled + 1);
+  size_t off = 0;
+  while (off < got.size()) {  // draining makes room for the parked byte
+    ssize_t r = read(fds[1], got.data() + off, got.size() - off);
+    ASSERT_GT(r, 0);
+    off += static_cast<size_t>(r);
+  }
+  EXPECT_TRUE(Join(writer));
+  EXPECT_EQ(wrote.load(), 1);
+  EXPECT_EQ(got[filled], 'w');
+  net_unregister(fds[0]);
+  close(fds[0]);
+  close(fds[1]);
+}
+
+// io_accept on a registered listener parks the thread through the netpoller
+// until a connection arrives, and still fills in the peer address.
+TEST(NetPoller, IoAcceptOnRegisteredListenerParksThroughPoller) {
+  int listener = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(listen(listener, 8), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  ASSERT_EQ(net_register(listener), 0);
+  uint64_t parks_before = GlobalSchedStats().net_parks.Load();
+  static std::atomic<int> accepted;
+  static sockaddr_in peer;
+  accepted.store(-1);
+  peer = {};
+  thread_id_t acceptor = Spawn([&] {
+    socklen_t peer_len = sizeof(peer);
+    int fd = io_accept(listener, reinterpret_cast<sockaddr*>(&peer), &peer_len);
+    accepted.store(fd >= 0 && thread_errno() == 0 ? fd : -2);
+  });
+  ASSERT_TRUE(WaitUntil([] { return net_parked_count() == 1; }, 5 * kSec))
+      << "io_accept did not park via the netpoller";
+  EXPECT_EQ(accepted.load(), -1);
+  EXPECT_GT(GlobalSchedStats().net_parks.Load(), parks_before);
+  int client = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(client, 0);
+  ASSERT_EQ(connect(client, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  EXPECT_TRUE(Join(acceptor));
+  ASSERT_GE(accepted.load(), 0);
+  EXPECT_EQ(peer.sin_family, AF_INET);
+  EXPECT_EQ(peer.sin_addr.s_addr, htonl(INADDR_LOOPBACK));
+  close(accepted.load());
+  close(client);
+  net_unregister(listener);
+  close(listener);
 }
 
 TEST(NetPoller, WritevGathersAcrossEntries) {

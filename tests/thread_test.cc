@@ -19,6 +19,9 @@ namespace {
 
 using sunmt_test::Join;
 using sunmt_test::Spawn;
+using sunmt_test::WaitForState;
+
+constexpr int64_t kSec = 1000 * 1000 * 1000;
 
 TEST(ThreadCreate, RunsAndJoins) {
   std::atomic<int> ran{0};
@@ -256,15 +259,10 @@ TEST(ThreadStop, StopBlockedThreadDefersWakeup) {
         s->resumed->store(1);
       },
       &shared, THREAD_WAIT);
-  // Let the worker block on the semaphore.
-  for (int i = 0; i < 20; ++i) {
-    thread_yield();
-  }
+  ASSERT_TRUE(WaitForState(id, "BLOCKED", 5 * kSec));
   EXPECT_EQ(thread_stop(id), 0);  // blocked == not running: returns immediately
   sema_v(&gate);                  // wake it: the wakeup must pend, not run it
-  for (int i = 0; i < 50; ++i) {
-    thread_yield();
-  }
+  EXPECT_TRUE(WaitForState(id, "STOPPED", 5 * kSec));
   EXPECT_EQ(resumed.load(), 0);
   EXPECT_EQ(thread_continue(id), 0);
   EXPECT_TRUE(Join(id));

@@ -11,6 +11,7 @@
 
 #include "src/core/thread.h"
 #include "src/core/trace.h"
+#include "src/inject/inject.h"
 #include "src/sync/sync.h"
 #include "src/timer/timer.h"
 #include "src/util/clock.h"
@@ -225,6 +226,29 @@ TEST(Trace, WraparoundTornReadsAreFilteredOut) {
   }
   Trace::Disable();
   EXPECT_GT(collected, 0);
+}
+
+// The injector records each perturbation it delivers in the ring itself: an
+// INJECT event whose arg is (op bit << 32) | point.
+TEST(Trace, InjectedPerturbationIsRecorded) {
+  inject::Counters env = inject::Snapshot();  // SUNMT_INJECT may be set
+  Trace::Enable(4096);
+  inject::Configure(/*seed=*/1, /*rate=*/1.0, inject::kOpYield);
+  inject::Perturb(inject::kSchedWake);
+  inject::Disable();
+  std::vector<TraceRecord> records;
+  Trace::Collect(&records);
+  Trace::Disable();
+  if (env.enabled) {
+    inject::Configure(env.seed, env.rate, env.ops);
+  }
+  const uint64_t want =
+      (static_cast<uint64_t>(inject::kOpYield) << 32) | inject::kSchedWake;
+  bool found = false;
+  for (const TraceRecord& r : records) {
+    found |= r.event == TraceEvent::kInject && r.arg == want;
+  }
+  EXPECT_TRUE(found);
 }
 
 // ---- waitid alternate interface -----------------------------------------------
