@@ -1,8 +1,8 @@
 // HTTP server: the paper's many-connections workload end to end.
 //
 // Default mode runs one process: an HttpServer (src/http) on a loopback
-// ephemeral port — sharded response cache, msgq access log, one unbound
-// thread per connection — plus in-process keep-alive clients driving it.
+// ephemeral port — sharded response cache, access log, one unbound thread
+// per connection — plus in-process keep-alive clients driving it.
 // The LWP pool stays at its configured size while connections come and go;
 // that is the architecture's claim, and the exit code checks it.
 //

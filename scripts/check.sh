@@ -9,18 +9,19 @@
 #      never selects stays correct.
 #   2. SUNMT_SANITIZE=thread build, running the `net`, `http`, `stats`,
 #      `sched`, `lifecycle`, `timer` and `sync` labels — the netpoller's
-#      park/wake path, the HTTP server's connection/cache/logger fan-out, the
-#      trace/stats seqlock, the sharded run queue's steal/box migration, the
-#      magazine stack cache + sharded registry, the timing wheel's lock-free
-#      cancel/claim protocol, and the sync variables' hand-offs and timed
-#      waits (plus the pthread and C++ layers over them) are the places a
-#      data race would live.
+#      park/wake path, the HTTP server's connection/cache/access-log
+#      fan-out, the trace/stats seqlock, the sharded run queue's steal/box
+#      migration, the magazine stack cache + sharded registry, the timing
+#      wheel's lock-free cancel/claim protocol, and the sync variables'
+#      hand-offs and timed waits (plus the pthread and C++ layers over them)
+#      are the places a data race would live.
 #   3. SUNMT_SANITIZE=address build, running the `lifecycle` and `timer`
-#      labels plus thread_test, introspect_test and lockdep_test — thread
-#      stacks recycled through the magazine cache or handed back to the
-#      application, the timer wheel's pooled entries, snapshots taken while
-#      LWPs retire and are reaped, and threads left parked on shared-memory
-#      futex words at exit are where a use-after-free, stale redzone or
+#      labels plus thread_test, introspect_test, lockdep_test and http_test —
+#      thread stacks recycled through the magazine cache or handed back to
+#      the application, the timer wheel's pooled entries, snapshots taken
+#      while LWPs retire and are reaped, threads left parked on shared-memory
+#      futex words at exit, and connection threads writing access-log lines
+#      from their own stacks are where a use-after-free, stale redzone or
 #      unmapped wait would show.
 #   4. Lockdep lane: the `lockdep` label (order-inversion + deadlock detector,
 #      see src/debug) plain and under TSan, plus a full-suite pass with
@@ -75,11 +76,11 @@ SUNMT_SHAKEDOWN_SEEDS=16 \
   ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" -L "net|http|stats|sched|lifecycle|timer|sync"
 
 echo
-echo "== asan: lifecycle + timer labels, thread_test, introspect_test, lockdep_test =="
+echo "== asan: lifecycle + timer labels, thread_test, introspect_test, lockdep_test, http_test =="
 cmake -S "$repo" -B "$repo/build-asan" -DSUNMT_SANITIZE=address >/dev/null
 cmake --build "$repo/build-asan" -j "$jobs"
 ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs" -L "lifecycle|timer"
-ctest --test-dir "$repo/build-asan" --output-on-failure -R "thread_test|introspect_test|lockdep_test"
+ctest --test-dir "$repo/build-asan" --output-on-failure -R "thread_test|introspect_test|lockdep_test|http_test"
 
 echo
 echo "== lockdep: lockdep label (plain + tsan) =="

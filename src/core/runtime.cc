@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <new>
 #include <thread>
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -135,8 +136,8 @@ void Runtime::ResetAfterFork() {
   //
   // Package-internal locks may have been copied in a locked state (the paper's
   // fork1 hazard, applied to the library itself); every layer repairs its own
-  // state here. The LWP registry goes first, so a service thread a repair
-  // restarts never sees the parent's LWPs.
+  // state here. The LWP registry and ON-PROC table go first, so no repair
+  // sees the parent's LWPs.
   Lwp::DropCurrentAfterFork();
   int count = g_fork_handler_count.load(std::memory_order_acquire);
   for (int i = 0; i < count && i < kMaxForkHandlers; ++i) {
@@ -149,6 +150,7 @@ void Runtime::ResetAfterFork() {
   // cxx closures): rebuild depots/registries, bump the epoch.
   ObjectCacheResetAfterForkAll();
   TlsArena::ResetLockAfterFork();
+  new (&g_runtime_create_lock) SpinLock();
   // The service thread did not survive the fork; the rebuilt runtime starts
   // its own, which sweeps the (repaired) wheel on its first pass.
   g_initialized.store(false, std::memory_order_release);
@@ -232,11 +234,10 @@ void Runtime::GrowPool(int delta) {
 
 int Runtime::SetConcurrency(int n) {
   SUNMT_CHECK(n >= 0);
-  SpinLockGuard guard(pool_lock_);
-  concurrency_target_ = n;
   if (n == 0) {
-    return 0;  // automatic mode: keep the current pool, let SIGWAITING grow it
+    return 0;  // keep the current pool; SIGWAITING growth is auto_grow's call
   }
+  SpinLockGuard guard(pool_lock_);
   n = std::min(n, max_pool_lwps_);
   while (ActivePoolCountLocked() < n) {
     SpawnPoolLwpLocked();

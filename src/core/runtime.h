@@ -99,8 +99,9 @@ class Runtime {
   // via MaybeWakeMore.
   void RequeueFromDispatch(Tcb* tcb);
 
-  // thread_setconcurrency(): sets the unbound-thread concurrency level (bound
-  // LWPs excluded, per the paper). n == 0 restores automatic mode. Returns 0.
+  // thread_setconcurrency(): n > 0 sets the pool LWP count now (bound LWPs
+  // excluded, per the paper); n == 0 leaves the pool as it is. SIGWAITING
+  // growth applies either way, as RuntimeConfig::auto_grow says. Returns 0.
   int SetConcurrency(int n);
 
   // Adds `delta` pool LWPs (THREAD_NEW_LWP / SIGWAITING growth).
@@ -241,7 +242,6 @@ class Runtime {
   mutable SpinLock pool_lock_;
   std::vector<Lwp*> pool_lwps_;
   std::atomic<int> pool_size_{0};
-  int concurrency_target_ = 0;  // 0 = automatic
   std::atomic<int> next_lwp_id_{1};
 
   SpinLock idle_lock_;

@@ -47,8 +47,9 @@ thread_id_t thread_create(void* stack_addr, size_t stack_size, void (*func)(void
                           void* arg, int flags);
 
 // Sets the number of LWPs available to run unbound threads (bound LWPs are not
-// counted). n == 0 restores automatic mode, in which the library creates LWPs
-// as required to avoid deadlock (SIGWAITING). Returns 0.
+// counted) to n; n == 0 leaves it as it is. Either way the library still
+// creates LWPs as required to avoid deadlock (SIGWAITING) unless
+// RuntimeConfig::auto_grow is off. Returns 0.
 int thread_setconcurrency(int n);
 
 // Terminates the calling thread and releases package-allocated resources.

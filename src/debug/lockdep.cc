@@ -734,6 +734,10 @@ struct EnvInit {
     g_pid.store(static_cast<uint32_t>(getpid()), std::memory_order_relaxed);
     pthread_atfork(nullptr, nullptr, +[] {
       g_pid.store(static_cast<uint32_t>(getpid()), std::memory_order_relaxed);
+      // A kernel thread that held either lock across the fork does not exist
+      // in the child.
+      g_graph_lock.store(0, std::memory_order_relaxed);
+      g_report_lock.store(0, std::memory_order_relaxed);
     });
     const char* spec = getenv("SUNMT_DEBUG");
     if (spec == nullptr) return;

@@ -1,13 +1,14 @@
-// Access logging on a dedicated logger thread.
+// Access logging on the connection threads themselves.
 //
-// The paper's server sketch (and Pike's threaded HTTPLoop) hands log lines to
-// one logging thread over a mailbox so request threads never serialize on the
-// log file descriptor. Here the mailbox is a bounded src/msgq MessageQueue:
-// connection threads format the line and Send() it; one unbound logger thread
-// Recv()s and writes to the sink fd through the io_* wrappers.
+// The paper's server is "written in a straightforward fashion": one thread per
+// connection, and that thread writes its own access-log line. Log() formats
+// the line outside any lock, then writes it to the sink fd through io_write
+// under one adaptive mutex, so lines stay whole and each thread's lines stay
+// in its own order. A slow sink blocks one LWP in the kernel (the writer's)
+// while the other writers wait on the mutex at user level.
 //
-// Backpressure: a full queue throttles request threads, so every line logged
-// before Stop() lands unless the sink fails.
+// Lines logged after Stop() or after a failed write are dropped and counted;
+// logging never crashes or wedges the server.
 
 #ifndef SUNMT_SRC_HTTP_ACCESS_LOG_H_
 #define SUNMT_SRC_HTTP_ACCESS_LOG_H_
@@ -16,8 +17,7 @@
 #include <cstdint>
 #include <string_view>
 
-#include "src/core/thread.h"
-#include "src/msgq/message_queue.h"
+#include "src/sync/sync.h"
 
 namespace sunmt {
 
@@ -30,13 +30,14 @@ class HttpAccessLog {
   HttpAccessLog(const HttpAccessLog&) = delete;
   HttpAccessLog& operator=(const HttpAccessLog&) = delete;
 
-  // Formats and enqueues one line:
+  // Formats and writes one line:
   //   conn=<id> "<method> <target>" <status> <bytes>B <duration>us
   void Log(uint64_t conn_id, std::string_view method, std::string_view target,
            int status, size_t response_bytes, int64_t duration_us);
 
-  // Drains the queue, stops the logger thread, joins it. Idempotent; further
-  // Log() calls are dropped.
+  // Drops every later Log() call. A Log() racing Stop() is either written in
+  // full or dropped, and lines_written() is final once Stop() returns.
+  // Idempotent.
   void Stop();
 
   uint64_t lines_written() const {
@@ -48,20 +49,12 @@ class HttpAccessLog {
   }
 
  private:
-  static void LoggerMain(void* arg);
-
   static constexpr uint32_t kMaxLine = 512;
-  static constexpr uint32_t kCapacity = 1024;  // mailbox slots
 
   int fd_;
-  std::atomic<bool> stopping_{false};
-  // Producers inside Log() past the stopping_ check; Stop() waits for this to
-  // reach zero before the sentinel, so a blocking Send() always has a live
-  // consumer.
-  std::atomic<uint32_t> in_flight_{0};
-  char* queue_memory_ = nullptr;
-  MessageQueue* queue_ = nullptr;
-  thread_id_t logger_ = 0;
+  mutex_t lock_;  // serializes the writes and guards the two flags
+  bool stopping_ = false;
+  bool sink_failed_ = false;
   std::atomic<uint64_t> lines_written_{0};
   std::atomic<uint64_t> lines_dropped_{0};
 };

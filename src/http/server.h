@@ -16,8 +16,8 @@
 //   * optional sharded HttpCache consulted for GET before the handler runs
 //     (hits are served straight from the shared entry via net_writev) and
 //     filled from 200-status handler responses;
-//   * optional HttpAccessLog fed after each response (msgq to a logger
-//     thread).
+//   * optional HttpAccessLog: the connection thread writes one line after
+//     each response.
 //
 // The handler runs on the connection's thread and responds through
 // HttpExchange: Respond() for Content-Length bodies, BeginChunked() for

@@ -217,10 +217,10 @@ std::string FormatProcessState() {
     snprintf(line, sizeof(line), " overflow:%zu\n", overflow_depth);
     out += line;
   }
-  // One header plus one line per registered magazine cache (stack, timed-wait
-  // ctxs, HTTP conn args, cxx closures, ...). fallback_allocs is the process-
-  // wide count of hot-path misses that hit a real allocator — the number the
-  // zero-alloc steady-state tests pin at zero.
+  // One header plus one line per registered magazine cache (stack, HTTP conn
+  // args, cxx closures, ...). fallback_allocs is the process-wide count of
+  // hot-path misses that hit a real allocator — the number the zero-alloc
+  // steady-state tests pin at zero.
   ObjectCacheStats caches[16];
   size_t cache_count =
       ObjectCacheSnapshotAll(caches, sizeof(caches) / sizeof(caches[0]));

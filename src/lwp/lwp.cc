@@ -88,10 +88,12 @@ void Lwp::ThreadMain(MainFn main, void* arg) {
 Lwp* Lwp::Current() { return g_current_lwp; }
 
 void Lwp::DropCurrentAfterFork() {
-  // The registry still lists the parent's LWPs; rebuild it empty. Entries are
-  // stale copies whose kernel threads do not exist in this process.
+  // The registry still lists the parent's LWPs and the ON-PROC table still
+  // holds their slots; rebuild both empty. Entries are stale copies whose
+  // kernel threads do not exist in this process.
   RegistryState& r = Registry();
   new (&r) RegistryState();
+  onproc::ResetAfterFork();
   g_clock_uses.store(0, std::memory_order_relaxed);
   g_current_lwp = nullptr;
 }

@@ -1,5 +1,7 @@
 #include "src/lwp/onproc.h"
 
+#include <new>
+
 #include "src/util/spinlock.h"
 
 namespace sunmt {
@@ -48,6 +50,13 @@ void FreeSlot(int slot) {
   SlotTable& t = Table();
   SpinLockGuard guard(t.lock);
   t.used[slot / 64] &= ~(uint64_t{1} << (slot % 64));
+}
+
+void ResetAfterFork() {
+  new (&Table()) SlotTable();
+  for (std::atomic<uint64_t>& published : internal::g_onproc) {
+    published.store(0, std::memory_order_relaxed);
+  }
 }
 
 }  // namespace onproc

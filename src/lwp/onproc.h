@@ -43,6 +43,11 @@ extern std::atomic<uint64_t> g_onproc[kSlots];
 int AllocSlot();
 void FreeSlot(int slot);
 
+// fork1() child-side reset: frees every slot and clears what each publishes.
+// The parent's LWPs do not exist in the child, and the allocator's lock may
+// have been copied held by a kernel thread constructing or destroying one.
+void ResetAfterFork();
+
 // Publishes the thread currently executing on `slot`'s LWP (0 = none).
 // Called by the dispatcher around every thread run segment.
 inline void Publish(int slot, uint64_t thread_id) {

@@ -1,6 +1,6 @@
 // HTTP subsystem tests: parser robustness (malformed lines/headers, split
 // reads, pipelining, chunked framing), the response writers, the sharded
-// cache, the msgq access log, and the server end to end over real loopback
+// cache, the access log, and the server end to end over real loopback
 // sockets — keep-alive, pipelined responses in order, idle-timeout close,
 // 408 for stalled requests, chunked round-trip, cache hits, Stop() waking
 // parked connections — plus the pre-fork shared-statistics stretch (fork1 +
@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <stdio.h>
 #include <stdlib.h>
@@ -19,6 +20,7 @@
 
 #include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/runtime.h"
@@ -407,6 +409,94 @@ TEST(HttpAccessLog, LinesReachTheSinkInOrder) {
   EXPECT_EQ(content,
             "conn=1 \"GET /a\" 200 13B 42us\n"
             "conn=2 \"POST /b\" 404 0B 7us\n");
+}
+
+// The connection thread writes its own line: the log runs no thread of its own.
+TEST(HttpAccessLog, StartsNoThread) {
+  int devnull = open("/dev/null", O_WRONLY | O_CLOEXEC);
+  ASSERT_GE(devnull, 0);
+  size_t before = Runtime::Get().ThreadCount();
+  {
+    HttpAccessLog log(devnull);
+    for (int i = 0; i < 3; ++i) {
+      log.Log(1, "GET", "/", 200, 1, 1);
+    }
+    EXPECT_EQ(Runtime::Get().ThreadCount(), before);
+    log.Stop();
+    EXPECT_EQ(log.lines_written(), 3u);
+  }
+  close(devnull);
+}
+
+// Writers share one sink: every line arrives whole, and each writer's lines
+// arrive in the order it logged them.
+TEST(HttpAccessLog, ConcurrentLinesArriveWhole) {
+  constexpr int kWriters = 8;
+  constexpr int kLines = 200;
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  std::string content;
+  std::thread reader([&] {
+    char buf[4096];
+    ssize_t n;
+    while ((n = read(fds[0], buf, sizeof(buf))) > 0) {
+      content.append(buf, static_cast<size_t>(n));
+    }
+  });
+  HttpAccessLog log(fds[1]);
+  std::vector<thread_id_t> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.push_back(Spawn([&log, w] {
+      for (int i = 0; i < kLines; ++i) {
+        log.Log(w, "GET", "/w" + std::to_string(w), 200, i, i);
+      }
+    }));
+  }
+  for (thread_id_t id : writers) {
+    EXPECT_TRUE(Join(id));
+  }
+  log.Stop();
+  close(fds[1]);
+  reader.join();
+  close(fds[0]);
+  EXPECT_EQ(log.lines_written(), uint64_t{kWriters * kLines});
+  EXPECT_EQ(log.lines_dropped(), 0u);
+
+  int next[kWriters] = {};
+  int lines = 0;
+  size_t start = 0;
+  for (size_t end; (end = content.find('\n', start)) != std::string::npos;
+       start = end + 1) {
+    std::string line = content.substr(start, end + 1 - start);
+    ASSERT_EQ(line.rfind("conn=", 0), 0u) << line;
+    int w = atoi(line.c_str() + strlen("conn="));
+    ASSERT_TRUE(w >= 0 && w < kWriters) << line;
+    int i = next[w]++;
+    std::string want = "conn=" + std::to_string(w) + " \"GET /w" +
+                       std::to_string(w) + "\" 200 " + std::to_string(i) +
+                       "B " + std::to_string(i) + "us\n";
+    ASSERT_EQ(line, want);
+    ++lines;
+  }
+  EXPECT_EQ(start, content.size());  // no partial line at the end
+  EXPECT_EQ(lines, kWriters * kLines);
+}
+
+// A sink whose writes fail (EBADF: /dev/null opened read-only) drops every
+// line, and Stop() still returns.
+TEST(HttpAccessLog, FailedSinkDropsAndStopReturns) {
+  int sink = open("/dev/null", O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(sink, 0);
+  {
+    HttpAccessLog log(sink);
+    for (int i = 0; i < 5; ++i) {
+      log.Log(1, "GET", "/", 200, 1, 1);
+    }
+    log.Stop();
+    EXPECT_EQ(log.lines_written(), 0u);
+    EXPECT_EQ(log.lines_dropped(), 5u);
+  }
+  close(sink);
 }
 
 // ---- Server end to end ------------------------------------------------------

@@ -4,17 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <stdlib.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "src/core/runtime.h"
 #include "src/core/thread.h"
 #include "src/ipc/fork1.h"
 #include "src/ipc/shared_arena.h"
+#include "src/lwp/lwp.h"
 #include "src/sync/sync.h"
 #include "tests/test_util.h"
 
@@ -23,13 +24,7 @@ namespace {
 
 using sunmt_test::Join;
 using sunmt_test::Spawn;
-
-int WaitForChild(pid_t pid) {
-  int status = 0;
-  EXPECT_EQ(waitpid(pid, &status, 0), pid);
-  EXPECT_TRUE(WIFEXITED(status));
-  return WEXITSTATUS(status);
-}
+using sunmt_test::WaitForChild;
 
 TEST(SharedArena, AllocatorIsStableAndAligned) {
   SharedArena arena = SharedArena::CreateAnonymous(64 * 1024);
@@ -261,9 +256,12 @@ TEST(Fork1, EnvConfigAppliesInChildRuntime) {
 }
 
 TEST(Fork1, PackageLocksAreRepairedInChild) {
-  // Hammer the stack cache (thread create/exit) in background threads while
-  // fork1()ing: the child must still be able to create threads even if the
-  // parent forked mid-lock. Repeating amplifies the race window.
+  // Hammer package locks in background threads while fork1()ing: the child
+  // must still be able to create threads even if the parent forked mid-lock.
+  // Two threads create and exit threads (the stack cache); a plain kernel
+  // thread constructs and destroys unstarted LWPs, as the service thread does
+  // when it reaps one (the ON-PROC slot table). Repeating amplifies the race
+  // window.
   static std::atomic<bool> stop;
   stop.store(false);
   std::vector<thread_id_t> churners;
@@ -275,17 +273,26 @@ TEST(Fork1, PackageLocksAreRepairedInChild) {
       }
     }));
   }
-  for (int round = 0; round < 10; ++round) {
+  std::thread lwp_churner([] {
+    while (!stop.load()) {
+      Lwp unstarted(0);
+    }
+  });
+  for (int round = 0; round < 10 && !HasFailure(); ++round) {
     pid_t pid = fork1();
-    ASSERT_GE(pid, 0);
     if (pid == 0) {
-      // Child: creating a thread exercises the stack cache + registry locks.
+      // Child: creating a thread exercises the stack cache, registry and
+      // ON-PROC slot locks.
       thread_id_t t = Spawn([] {});
       _exit(Join(t) ? 0 : 13);
     }
-    ASSERT_EQ(WaitForChild(pid), 0) << "round " << round;
+    EXPECT_GT(pid, 0);
+    if (pid > 0) {
+      EXPECT_EQ(WaitForChild(pid), 0) << "round " << round;
+    }
   }
   stop.store(true);
+  lwp_churner.join();
   for (thread_id_t id : churners) {
     EXPECT_TRUE(Join(id));
   }

@@ -5,7 +5,6 @@
 // shards under the same seed-sweep protocol as shakedown_test.
 
 #include <gtest/gtest.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -33,19 +32,13 @@ namespace {
 using sunmt_test::Join;
 using sunmt_test::RunSweep;
 using sunmt_test::Spawn;
+using sunmt_test::WaitForChild;
 
 constexpr int64_t kUs = 1000;
 constexpr int64_t kMs = 1000 * kUs;
 
 constexpr uint32_t kSchedOps =
     inject::kOpYield | inject::kOpDelay | inject::kOpSteal;
-
-int WaitForChild(pid_t pid) {
-  int status = 0;
-  EXPECT_EQ(waitpid(pid, &status, 0), pid);
-  EXPECT_TRUE(WIFEXITED(status));
-  return WEXITSTATUS(status);
-}
 
 // ---- Magazine protocol invariants --------------------------------------------
 

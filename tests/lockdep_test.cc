@@ -7,7 +7,6 @@
 
 #include <errno.h>
 #include <gtest/gtest.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -34,6 +33,7 @@ namespace {
 
 using sunmt_test::Join;
 using sunmt_test::Spawn;
+using sunmt_test::WaitForChild;
 
 std::string Report() {
   char buf[4096];
@@ -72,12 +72,6 @@ __attribute__((noinline)) void InitSameClassUnannotated(mutex_t* mp) {
   // Defeat tail-call optimization: a `jmp mutex_init` epilogue would make the
   // init pc the *caller's* return address, splitting the single init site.
   asm volatile("" ::: "memory");
-}
-
-int WaitForChild(pid_t pid) {
-  int status = 0;
-  EXPECT_EQ(waitpid(pid, &status, 0), pid);
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 class Lockdep : public ::testing::Test {

@@ -849,7 +849,7 @@ TEST(NetPoller, ShrinkRetiresThePollOwner) {
   EXPECT_TRUE(WaitUntil([] { return done.load(); }, 5 * kSec));
   EXPECT_TRUE(Join(reader));
   thread_setconcurrency(2);
-  thread_setconcurrency(0);  // back to automatic mode
+  thread_setconcurrency(0);
   net_unregister(fds[0]);
   close(fds[0]);
   close(fds[1]);

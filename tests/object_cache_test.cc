@@ -13,7 +13,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -44,19 +43,13 @@ namespace {
 using sunmt_test::Join;
 using sunmt_test::RunSweep;
 using sunmt_test::Spawn;
+using sunmt_test::WaitForChild;
 
 constexpr int64_t kUs = 1000;
 constexpr int64_t kMs = 1000 * kUs;
 
 constexpr uint32_t kSchedOps =
     inject::kOpYield | inject::kOpDelay | inject::kOpSteal;
-
-int WaitForChild(pid_t pid) {
-  int status = 0;
-  EXPECT_EQ(waitpid(pid, &status, 0), pid);
-  EXPECT_TRUE(WIFEXITED(status));
-  return WEXITSTATUS(status);
-}
 
 // ---- A purpose-built tiny cache ----------------------------------------------
 // Capacities small enough that a handful of operations crosses every tier

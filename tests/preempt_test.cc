@@ -3,7 +3,6 @@
 // safe-point preemption without any voluntary thread_yield().
 
 #include <gtest/gtest.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -24,6 +23,7 @@ namespace {
 
 using sunmt_test::Join;
 using sunmt_test::Spawn;
+using sunmt_test::WaitForChild;
 
 TEST(Preempt, CpuBoundThreadsShareOneLwp) {
   thread_setconcurrency(1);
@@ -181,13 +181,6 @@ TEST(RlimitExt, SoftCpuLimitDeliversSigXcpu) {
     thread_poll();  // the delivered signal lands at a safe point
   }
   _exit(g_xcpu.load() == 1 ? 0 : 10);
-}
-
-int WaitForChild(pid_t pid) {
-  int status = 0;
-  EXPECT_EQ(waitpid(pid, &status, 0), pid);
-  EXPECT_TRUE(WIFEXITED(status));
-  return WEXITSTATUS(status);
 }
 
 // A fork1() child rebuilds the runtime from the same configuration (one pool

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -22,6 +21,7 @@ namespace {
 
 using sunmt_test::Join;
 using sunmt_test::Spawn;
+using sunmt_test::WaitForChild;
 
 class RecordStoreTest : public ::testing::Test {
  protected:
@@ -34,13 +34,6 @@ class RecordStoreTest : public ::testing::Test {
 
   char path_[128];
 };
-
-int WaitForChild(pid_t pid) {
-  int status = 0;
-  EXPECT_EQ(waitpid(pid, &status, 0), pid);
-  EXPECT_TRUE(WIFEXITED(status));
-  return WEXITSTATUS(status);
-}
 
 TEST_F(RecordStoreTest, CreateValidatesArguments) {
   EXPECT_FALSE(RecordStore::Create(path_, 0, 10).valid());

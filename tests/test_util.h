@@ -4,9 +4,11 @@
 #define SUNMT_TESTS_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
+#include <signal.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -89,6 +91,28 @@ inline bool WaitForState(sunmt::thread_id_t id, const char* state, int64_t timeo
         return false;
       },
       timeout_ns);
+}
+
+// Waits for child `pid` and returns its exit status, or -1 if it did not exit
+// normally. A child still running after `timeout_ns` (well above the slowest
+// fork test's child) is SIGKILLed and fails the test, naming the pid, instead
+// of hanging the binary until the ctest timeout.
+inline int WaitForChild(pid_t pid, int64_t timeout_ns = 60'000'000'000) {
+  int64_t deadline = sunmt::MonotonicNowNs() + timeout_ns;
+  int status = 0;
+  pid_t r;
+  while ((r = waitpid(pid, &status, WNOHANG)) == 0) {
+    if (sunmt::MonotonicNowNs() >= deadline) {
+      kill(pid, SIGKILL);
+      waitpid(pid, &status, 0);
+      ADD_FAILURE() << "child " << pid << " still running after "
+                    << timeout_ns / 1000000 << " ms; killed";
+      return -1;
+    }
+    usleep(1000);
+  }
+  EXPECT_EQ(r, pid) << "waitpid(" << pid << "): " << strerror(errno);
+  return r == pid && WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 // ---- Seeded injection sweeps ------------------------------------------------

@@ -401,7 +401,7 @@ TEST(ThreadSetConcurrency, GrowAndShrink) {
     nanosleep(&ts, nullptr);
   }
   EXPECT_EQ(Runtime::Get().pool_size(), 1);
-  thread_setconcurrency(0);  // back to automatic
+  thread_setconcurrency(0);
   EXPECT_EQ(thread_setconcurrency(-3), -1);
 }
 

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -37,6 +36,7 @@ namespace {
 using sunmt_test::Join;
 using sunmt_test::RunSweep;
 using sunmt_test::Spawn;
+using sunmt_test::WaitForChild;
 
 constexpr int64_t kUs = 1000;
 constexpr int64_t kMs = 1000 * kUs;
@@ -385,13 +385,6 @@ TEST(WheelEngine, StatsLineInProcessState) {
 }
 
 // ---- fork1() shard repair ----------------------------------------------------
-
-int WaitForChild(pid_t pid) {
-  int status = 0;
-  EXPECT_EQ(waitpid(pid, &status, 0), pid);
-  EXPECT_TRUE(WIFEXITED(status));
-  return WEXITSTATUS(status);
-}
 
 void ForkChildExitCb(void* cookie, uint64_t) {
   static_cast<std::atomic<int>*>(cookie)->store(1);
