@@ -10,7 +10,8 @@
 //           population of 1000 live 10s-out timers per thread — the
 //           rearm-before-fire fast path with the live-deadline census a real
 //           server carries (every connection holds a pending timeout). Each
-//           pair is an O(1) bucket insert plus a lock-free tag CAS.
+//           pair is an O(1) unlink plus an O(1) bucket insert, each under
+//           one shard lock.
 //   expire  100k short one-shots (1..50ms), measuring delivered fires/s
 //           through the engine's fire path.
 //   burst   arm 1M live 30s-out timers, then cancel all 1M.

@@ -12,7 +12,7 @@
 #      park/wake path, the HTTP server's connection/cache/access-log
 #      fan-out, the trace/stats seqlock, the sharded run queue's steal/box
 #      migration, the magazine stack cache + sharded registry, the timing
-#      wheel's lock-free cancel/claim protocol, and the sync variables'
+#      wheel's cancel/claim/fire hand-off, and the sync variables'
 #      hand-offs and timed waits (plus the pthread and C++ layers over them)
 #      are the places a data race would live.
 #   3. SUNMT_SANITIZE=address build, running the `lifecycle` and `timer`
@@ -32,13 +32,18 @@
 #      own for visibility — warm caches, churn sema/cv/net deadline waits and
 #      HTTP connections, and require the process-wide cache-fallback counter
 #      (hot-path `new` calls that missed every magazine/depot) to stay flat.
-#   6. Shakedown lane: the `inject` label (seeded perturbation sweep, see
+#   6. Timer-churn lane: one bench/abl_timer_churn run (1M cancel + re-arm
+#      pairs, 100k expiries, a 1M-live arm/cancel burst), judged by its exit
+#      status only: it exits nonzero on any failed cancel of an armed timer,
+#      any lost expiry or any failed burst arm or cancel. No throughput gate
+#      here; scripts/bench.sh gates its numbers.
+#   7. Shakedown lane: the `inject` label (seeded perturbation sweep, see
 #      src/inject) in both builds, plus an env-injected run of the net/http/
 #      stats/sched/lifecycle/timer labels (schedule ops only — fault/short would
 #      violate those tests' exact-timing expectations; the http test layers its
 #      own fault/short sweep internally). A failing sweep prints the seed that
 #      reproduces it; the env lane's banner records its seed in the log.
-#   7. Benchmark lane: builds perfbench/ (a separate CMake project over the
+#   8. Benchmark lane: builds perfbench/ (a separate CMake project over the
 #      same src/) and runs each workload briefly, untraced, so a change that
 #      breaks the benchmark's build or its health checks fails here; then the
 #      benchmark's own smoke test (metric names and units, traced counts,
@@ -102,6 +107,11 @@ echo "== zero-alloc: object-cache steady-state assertion =="
 # allocation regression fail loudly under its own banner instead of hiding in
 # the tier-1 wall of green.
 ctest --test-dir "$repo/build" --output-on-failure -R object_cache_test
+
+echo
+echo "== timer churn: abl_timer_churn (exit status only) =="
+# No tier-1 test drives the cancel path at this scale.
+"$repo/build/bench/abl_timer_churn"
 
 echo
 echo "== shakedown: inject label (plain + tsan) =="

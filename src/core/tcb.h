@@ -129,8 +129,8 @@ struct Tcb {
   std::atomic<void*> waiting_for_mutex{nullptr};
 
   // Lockdep per-thread state: held-lock stack + waiting_on for the wait-for
-  // graph (see src/debug/lockdep.h). The scheduler registers a node provider
-  // returning this, so reports can name user threads by their thread id.
+  // graph (see src/debug/lockdep.h). Lockdep reads it through
+  // sched::CurrentTcb(), so reports can name user threads by their thread id.
   lockdep::ThreadNode lockdep_node;
 
   // ---- Signal state (consumed by src/signal) -------------------------------

@@ -66,7 +66,7 @@ enum Point : uint8_t {
   kObjectCache,          // object-cache magazine refill/flush (depot hand-off)
   kRegistryShard,        // thread-registry shard lookup/iteration entry
   kLockdep,              // lockdep order-check / pre-block walk (SUNMT_DEBUG)
-  kTimerWheel,           // timer-wheel shard sweep & lock-free cancel CAS
+  kTimerWheel,           // timer-wheel sweep (shard lock held) & cancel entry
   kPointCount,
 };
 

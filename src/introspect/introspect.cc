@@ -239,14 +239,14 @@ std::string FormatProcessState() {
   }
   TimerEngineStats ts = timer_engine_stats();
   snprintf(line, sizeof(line),
-           "TIMER shards=%d live=%" PRIu64 " tombstones=%" PRIu64
-           " pool_free=%" PRIu64 " pool_alloc=%" PRIu64 "\n",
-           ts.shards, ts.live, ts.tombstones, ts.pool_free, ts.pool_allocated);
+           "TIMER shards=%d live=%" PRIu64 " pool_free=%" PRIu64
+           " pool_alloc=%" PRIu64 "\n",
+           ts.shards, ts.live, ts.pool_free, ts.pool_allocated);
   out += line;
   snprintf(line, sizeof(line),
            "      arms=%" PRIu64 " cancels=%" PRIu64 " fires=%" PRIu64
-           " reaps=%" PRIu64 " sweeps=%" PRIu64 " cascades=%" PRIu64 "\n",
-           ts.arms, ts.cancels, ts.fires, ts.reaps, ts.sweeps, ts.cascades);
+           " reaps=%" PRIu64 " cascades=%" PRIu64 "\n",
+           ts.arms, ts.cancels, ts.fires, ts.reaps, ts.cascades);
   out += line;
   NetBackendStats ns;
   if (net_backend_snapshot(&ns)) {

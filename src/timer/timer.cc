@@ -1,43 +1,41 @@
 // The timer engine: per-LWP-sharded hierarchical timing wheels (wheel.h) with
-// pooled entries and lock-free lazy cancellation.
+// pooled entries. Every change to an entry's state happens under its shard's
+// spinlock.
 //
 // Engine shape:
 //
 //   * Arm is O(1) and touches only per-shard state: the calling kernel thread
 //     (i.e. LWP — shards are keyed by the same round-robin token as the stats
-//     shards) takes its shard's spinlock once, pops a pooled entry, buckets it
-//     in the shard's wheel, and publishes the Armed tag. No malloc, and a
-//     futex kick only when the new deadline beats the service loop's
-//     published sweep horizon (Runtime::WakeServiceBy).
-//   * Cancel is lock-free: decode the id, CAS the entry's tag word from
-//     Armed to Tombstone. The wheel is never touched — the tombstone is
-//     reaped when its slot turns over (or by a wholesale sweep once enough
-//     accumulate), so the dominant rearm-before-fire churn of deadline-heavy
-//     servers never takes any wheel lock twice. The generation stamp packed
-//     into the same tag word makes the CAS immune to entry reuse (ABA).
+//     shards) takes its shard's spinlock once, pops a pooled entry and buckets
+//     it in the shard's wheel. No malloc, and a futex kick only when the new
+//     deadline beats the service loop's published sweep horizon
+//     (Runtime::WakeServiceBy).
+//   * Cancel is O(1) too: decode the id, lock that shard, and unlink an armed
+//     entry from its wheel slot straight onto the free list. Nothing is left
+//     behind for a later sweep to reap.
 //   * The runtime's service loop sweeps each shard (SweepTimerWheel, a no-op
-//     until the first arm): advance the wheel, splice the due
-//     batch, claim each entry Armed->Firing (a batch claim BEFORE any
-//     callback runs, so a cancel racing the fire fails — the timed-wait ack
-//     protocol in timed_wait.h depends on that), then fire outside all
-//     locks. A claimed fire always runs even if a cancel lands mid-flight
-//     (the -1 return told the caller the fire owns the context); the
-//     mid-flight cancel only suppresses a periodic re-arm.
+//     until the first arm): in one critical section it advances the wheel and
+//     claims every due entry Armed->Firing, BEFORE any callback runs, so a
+//     cancel racing the fire fails (the timed-wait ack protocol in
+//     timed_wait.h depends on that). It fires outside all locks, then
+//     re-arms or frees the fired entries under the lock. A claimed callback
+//     fire always runs even if a cancel lands mid-flight (the -1 return told
+//     the caller the fire owns the context); the mid-flight cancel only
+//     suppresses a periodic re-arm.
 //
-// Tag word protocol (one atomic uint64 per entry):
+// Entry states (all transitions under the shard lock):
 //
-//     tag = (generation << 3) | state
-//     Free ->(arm, shard lock held)-> Armed
-//     Armed ->(cancel CAS, lock-free)-> Tombstone        cancel returns 0
+//     Free ->(arm)-> Armed
+//     Armed ->(cancel)-> Free with generation+1          cancel returns 0
 //     Armed ->(sweep claim)-> Firing
-//     Firing ->(cancel CAS)-> FiringCancelled            cancel returns -1
+//     Firing ->(cancel)-> FiringCancelled                cancel returns -1
 //                                   (0 for a periodic signal timer)
 //     Firing ->(sweep, periodic)-> Armed (same generation: the id stays valid)
-//     Firing/FiringCancelled/Tombstone ->(reap)-> Free with generation+1
+//     Firing/FiringCancelled ->(sweep)-> Free with generation+1
 //
 // timer ids pack (generation << 24) | (pool index << 4) | shard, so cancel
-// finds the entry without any map and validates the incarnation in the same
-// CAS that transitions it.
+// finds the entry without any map, and a stale id from a recycled entry fails
+// the generation check instead of cancelling a stranger.
 
 #include "src/timer/timer.h"
 
@@ -65,26 +63,24 @@ enum class FireKind : uint8_t {
   kCallback,       // fn(cookie, arg) on the service thread — timed waits, sleeps
 };
 
-// ---- Entry & tag word --------------------------------------------------------
+enum class EntryState : uint8_t { kFree, kArmed, kFiring, kFiringCancelled };
 
-constexpr uint64_t kStFree = 0;
-constexpr uint64_t kStArmed = 1;
-constexpr uint64_t kStFiring = 2;
-constexpr uint64_t kStTombstone = 3;
-constexpr uint64_t kStFiringCancelled = 4;
-constexpr uint64_t kStateMask = 7;
-constexpr int kGenShift = 3;
+// ---- Entry -------------------------------------------------------------------
 
 struct TimerEntry {
   WheelNode node;  // must stay first: the sweep casts WheelNode* back
-  // (generation << kGenShift) | state; generation starts at 1 so no packed id
-  // ever equals kInvalidTimerId.
-  std::atomic<uint64_t> tag{(1ull << kGenShift) | kStFree};
-  uint32_t index = 0;                // pool index within the owning shard
-  TimerEntry* free_next = nullptr;   // shard free list / local reap batches
+  // Written under the shard lock. The fire pass reads it without the lock to
+  // see a mid-flight cancel; every other field is read and written under the
+  // lock, or by the fire pass while the entry is claimed.
+  std::atomic<EntryState> state{EntryState::kFree};
+  // Bumped each time the entry goes back on the free list; starts at 1 so no
+  // packed id ever equals kInvalidTimerId.
+  uint64_t gen = 1;
+  uint32_t index = 0;               // pool index within the owning shard
+  TimerEntry* free_next = nullptr;  // shard free list
   int64_t deadline_ns = 0;
-  std::atomic<int64_t> period_ns{0};  // 0 = one-shot (atomic: engine vs cancel)
-  std::atomic<FireKind> kind{FireKind::kCallback};  // atomic: arm vs cancel
+  int64_t period_ns = 0;  // 0 = one-shot
+  FireKind kind = FireKind::kCallback;
   int sig = 0;
   thread_id_t target = 0;
   void (*callback)(void*, uint64_t) = nullptr;
@@ -110,7 +106,6 @@ inline uint64_t TickForDeadline(int64_t deadline_ns) {
 constexpr int kShards = 8;
 constexpr uint32_t kChunkSize = 1024;   // entries per lazily allocated chunk
 constexpr uint32_t kMaxChunks = 1024;   // 1M pooled entries per shard
-constexpr uint32_t kReapThreshold = 1024;  // tombstones that trigger a sweep
 
 // id layout: (generation << 24) | (index << 4) | shard.
 constexpr int kIdShardBits = 4;
@@ -122,31 +117,26 @@ static_assert(kChunkSize * kMaxChunks == (1u << kIdIndexBits),
               "pool capacity must match the id's index field");
 static_assert(kShards <= (1 << kIdShardBits), "shard field too small");
 
+// Everything in a shard is guarded by its lock.
 struct alignas(64) TimerShard {
   SpinLock lock;
   TimingWheel wheel;
   TimerEntry* free_list = nullptr;
   uint32_t chunk_count = 0;
   uint32_t carved = 0;  // next never-used pool index
-  std::atomic<TimerEntry*> chunks[kMaxChunks];  // acquire-loaded by cancel
-  std::atomic<uint32_t> tombstones{0};
-  std::atomic<uint64_t> arms{0};
-  std::atomic<uint64_t> cancels{0};
-  std::atomic<uint64_t> reaps{0};
-  std::atomic<uint64_t> sweeps{0};
-  std::atomic<uint64_t> pool_free{0};
-  std::atomic<uint64_t> pool_alloc{0};
-
-  TimerShard() {
-    for (auto& c : chunks) {
-      c.store(nullptr, std::memory_order_relaxed);
-    }
-  }
+  TimerEntry* chunks[kMaxChunks] = {};
+  uint64_t arms = 0;
+  uint64_t cancels = 0;
+  uint64_t reaps = 0;
+  uint64_t pool_free = 0;
+  uint64_t pool_alloc = 0;
 };
 
 struct WheelState {
   TimerShard shards[kShards];
   std::atomic<uint64_t> fires{0};
+  // Guards the interval timer's period and id. Lock order: interval_lock,
+  // then a shard lock; no fire path takes it.
   SpinLock interval_lock;
   timer_id_t process_interval_timer = kInvalidTimerId;
   int64_t process_interval_ns = 0;
@@ -170,17 +160,16 @@ WheelState& Wheel() {
 // a service loop that sweeps the fresh wheel.
 void TimerForkChildRepair() { new (&Wheel()) WheelState(); }
 
-void FireEntry(TimerEntry* entry) {
+// Delivers one expiry. Returns false when the timer must not re-arm: the
+// thread its signal targets has exited.
+bool FireEntry(const TimerEntry* entry) {
   // Delays here race timer delivery against concurrent waker/cancel paths —
   // the timeout-vs-wake window of the timed sync waits.
   inject::Perturb(inject::kTimerCallback);
   Wheel().fires.fetch_add(1, std::memory_order_relaxed);
-  switch (entry->kind.load(std::memory_order_relaxed)) {
+  switch (entry->kind) {
     case FireKind::kSignalThread:
-      if (thread_kill(entry->target, entry->sig) != 0) {
-        entry->period_ns.store(0, std::memory_order_relaxed);  // target gone
-      }
-      break;
+      return thread_kill(entry->target, entry->sig) == 0;
     case FireKind::kSignalProcess:
       signal_raise_process(entry->sig);
       break;
@@ -188,6 +177,7 @@ void FireEntry(TimerEntry* entry) {
       entry->callback(entry->cookie, entry->callback_arg);
       break;
   }
+  return true;
 }
 
 // ---- Arm / cancel / sweep ----------------------------------------------------
@@ -203,8 +193,7 @@ TimerEntry* PopFreeLocked(TimerShard& sh) {
   if (sh.free_list != nullptr) {
     TimerEntry* e = sh.free_list;
     sh.free_list = e->free_next;
-    e->free_next = nullptr;
-    sh.pool_free.fetch_sub(1, std::memory_order_relaxed);
+    --sh.pool_free;
     return e;
   }
   if (sh.carved >= kChunkSize * sh.chunk_count) {
@@ -212,144 +201,97 @@ TimerEntry* PopFreeLocked(TimerShard& sh) {
       return nullptr;
     }
     auto* chunk = new TimerEntry[kChunkSize];
-    uint32_t ci = sh.chunk_count;
     for (uint32_t i = 0; i < kChunkSize; ++i) {
-      chunk[i].index = ci * kChunkSize + i;
+      chunk[i].index = sh.chunk_count * kChunkSize + i;
     }
-    // Release-publish: cancel reads the chunk directory without the lock.
-    sh.chunks[ci].store(chunk, std::memory_order_release);
-    sh.chunk_count = ci + 1;
+    sh.chunks[sh.chunk_count++] = chunk;
   }
-  TimerEntry* chunk =
-      sh.chunks[sh.carved / kChunkSize].load(std::memory_order_relaxed);
-  TimerEntry* e = &chunk[sh.carved % kChunkSize];
+  TimerEntry* e = &sh.chunks[sh.carved / kChunkSize][sh.carved % kChunkSize];
   ++sh.carved;
-  sh.pool_alloc.fetch_add(1, std::memory_order_relaxed);
+  ++sh.pool_alloc;
   return e;
 }
 
-// Sweeps one shard: advance its wheel, claim the due batch, fire outside the
-// lock, then re-bucket periodics and recycle everything else in one relock.
-// Returns the shard's next event tick (kNoEvent when empty).
-uint64_t ProcessShard(TimerShard& sh, uint64_t now_tick) {
-  auto is_tombstone = [](WheelNode* node) {
-    return (EntryFromNode(node)->tag.load(std::memory_order_acquire) &
-            kStateMask) == kStTombstone;
-  };
+// Ends an entry's incarnation: a later cancel of its id finds another
+// generation and fails.
+void FreeLocked(TimerShard& sh, TimerEntry* e) {
+  ++e->gen;
+  e->state.store(EntryState::kFree, std::memory_order_relaxed);
+  e->free_next = sh.free_list;
+  sh.free_list = e;
+  ++sh.pool_free;
+  ++sh.reaps;
+}
 
+// Sweeps one shard: advance its wheel and claim the due batch in one critical
+// section, fire outside the lock, then re-arm periodics and free everything
+// else in one relock. Returns the shard's next event tick (kNoEvent when
+// empty).
+uint64_t ProcessShard(TimerShard& sh, uint64_t now_tick) {
   WheelNode due;
   WheelListInit(&due);
   sh.lock.Lock();
   // Delays here hold the shard mid-sweep: the window where arms pile into a
-  // slot being turned over and cancels race the claim CAS below.
+  // slot being turned over and cancels wait to find their entry claimed.
   inject::Perturb(inject::kTimerWheel);
-  if (sh.tombstones.load(std::memory_order_relaxed) >= kReapThreshold) {
-    // Enough lazily cancelled entries piled up ahead of their slots: sweep
-    // them wholesale instead of letting them pin pool entries for the
-    // remainder of their (possibly long) original deadlines.
-    sh.wheel.RemoveIf(is_tombstone, &due);
-    sh.sweeps.fetch_add(1, std::memory_order_relaxed);
+  sh.wheel.Advance(now_tick, &due);
+  // Claim — BEFORE any callback runs. From the moment an entry leaves the
+  // wheel a cancel must fail (return -1), because the timed-wait ack protocol
+  // keys off that: a failed cancel sends the waiter into TimedWait::AwaitFire
+  // to spin for the fire's timeout_fire_seq ack.
+  for (WheelNode* node = due.next; node != &due; node = node->next) {
+    EntryFromNode(node)->state.store(EntryState::kFiring,
+                                     std::memory_order_relaxed);
   }
-  sh.wheel.Advance(now_tick, &due, is_tombstone);
   sh.lock.Unlock();
 
-  // Claim pass — BEFORE any callback runs. From the moment an entry leaves
-  // the wheel a cancel must fail (return -1), because the timed-wait ack
-  // protocol keys off that: a failed cancel sends the waiter into
-  // TimedWait::AwaitFire to spin for the fire's timeout_fire_seq ack.
-  TimerEntry* reap_head = nullptr;
-  uint32_t reaped = 0;
-  uint32_t reaped_tombstones = 0;
-  WheelNode fire_list;
-  WheelListInit(&fire_list);
+  // Fire pass — outside every lock; delivery takes package locks of its own.
+  // A cancel landing now flips Firing->FiringCancelled; a claimed callback
+  // fire still runs (the timed-wait ack protocol: the cancelling waiter is
+  // already spinning in TimedWait::AwaitFire for the fire's timeout_fire_seq
+  // bump, and the fire owns the callback context). Signal fires carry no ack
+  // and ARE suppressed on a mid-flight cancel: the claim-to-fire window can
+  // stretch across a descheduled sweep, and a disarmed interval timer's
+  // signal landing after the caller restored SIG_DEFAULT would terminate the
+  // process.
+  WheelNode rearm;
+  WheelListInit(&rearm);
+  WheelNode done;
+  WheelListInit(&done);
   while (!WheelListEmpty(&due)) {
     WheelNode* node = due.next;
     WheelListRemove(node);
     TimerEntry* e = EntryFromNode(node);
-    uint64_t tag = e->tag.load(std::memory_order_acquire);
-    uint64_t gen = tag >> kGenShift;
-    if (tag != ((gen << kGenShift) | kStArmed) ||
-        !e->tag.compare_exchange_strong(
-            tag, (gen << kGenShift) | kStFiring, std::memory_order_acq_rel,
-            std::memory_order_acquire)) {
-      // A cancel won: the entry is a tombstone — retire this incarnation.
-      e->tag.store(((gen + 1) << kGenShift) | kStFree,
-                   std::memory_order_release);
-      e->free_next = reap_head;
-      reap_head = e;
-      ++reaped;
-      ++reaped_tombstones;
-      continue;
+    bool cancelled_in_flight = e->state.load(std::memory_order_relaxed) ==
+                               EntryState::kFiringCancelled;
+    bool again = e->period_ns > 0;
+    if (e->kind == FireKind::kCallback || !cancelled_in_flight) {
+      again = FireEntry(e) && again;
     }
-    WheelListPushBack(&fire_list, node);
-  }
-
-  // Fire pass — outside every lock; delivery takes package locks of its own.
-  // A cancel landing now flips Firing->FiringCancelled and returns -1; a
-  // claimed wake/callback fire still runs (the timed-wait ack protocol: the
-  // cancelling waiter is already spinning in TimedWait::AwaitFire for the
-  // fire's timeout_fire_seq bump, and the fire owns the callback context).
-  // Signal fires carry no ack and ARE suppressed on a mid-flight cancel: the
-  // claim-to-fire window can stretch across a descheduled sweep, and a
-  // disarmed interval timer's signal landing after the caller restored
-  // SIG_DEFAULT would terminate the process.
-  WheelNode rearm_list;
-  WheelListInit(&rearm_list);
-  while (!WheelListEmpty(&fire_list)) {
-    WheelNode* node = fire_list.next;
-    WheelListRemove(node);
-    TimerEntry* e = EntryFromNode(node);
-    bool cancelled_in_flight =
-        (e->tag.load(std::memory_order_acquire) & kStateMask) ==
-        kStFiringCancelled;
-    bool signal_fire =
-        e->kind.load(std::memory_order_relaxed) != FireKind::kCallback;
-    if (!(cancelled_in_flight && signal_fire)) {
-      FireEntry(e);
-    }
-    uint64_t gen = e->tag.load(std::memory_order_relaxed) >> kGenShift;
-    int64_t period = e->period_ns.load(std::memory_order_relaxed);
-    uint64_t firing = (gen << kGenShift) | kStFiring;
-    if (period > 0 &&
-        e->tag.compare_exchange_strong(
-            firing, (gen << kGenShift) | kStArmed, std::memory_order_acq_rel,
-            std::memory_order_acquire)) {
-      // Periodic and not cancelled mid-fire: same generation, so the caller's
-      // id stays valid across re-arms.
-      e->deadline_ns += period;
-      e->node.expiry_tick = TickForDeadline(e->deadline_ns);
-      WheelListPushBack(&rearm_list, node);
-    } else {
-      // One-shot done, or a mid-fire cancel suppressed the re-arm.
-      e->tag.store(((gen + 1) << kGenShift) | kStFree,
-                   std::memory_order_release);
-      e->free_next = reap_head;
-      reap_head = e;
-      ++reaped;
-    }
+    WheelListPushBack(again ? &rearm : &done, node);
   }
 
   sh.lock.Lock();
-  while (!WheelListEmpty(&rearm_list)) {
-    WheelNode* node = rearm_list.next;
-    WheelListRemove(node);
-    sh.wheel.Insert(node);
-  }
-  while (reap_head != nullptr) {
-    TimerEntry* e = reap_head;
-    reap_head = e->free_next;
-    e->free_next = sh.free_list;
-    sh.free_list = e;
+  for (WheelNode* list : {&rearm, &done}) {
+    while (!WheelListEmpty(list)) {
+      WheelNode* node = list->next;
+      WheelListRemove(node);
+      TimerEntry* e = EntryFromNode(node);
+      if (list == &rearm &&
+          e->state.load(std::memory_order_relaxed) == EntryState::kFiring) {
+        // Periodic and not cancelled mid-fire: same generation, so the
+        // caller's id stays valid across re-arms.
+        e->deadline_ns += e->period_ns;
+        node->expiry_tick = TickForDeadline(e->deadline_ns);
+        sh.wheel.Insert(node);
+        e->state.store(EntryState::kArmed, std::memory_order_relaxed);
+      } else {
+        FreeLocked(sh, e);  // one-shot done, or no re-arm wanted
+      }
+    }
   }
   uint64_t next_tick = sh.wheel.NextEventTick();
   sh.lock.Unlock();
-  if (reaped > 0) {
-    sh.pool_free.fetch_add(reaped, std::memory_order_relaxed);
-    sh.reaps.fetch_add(reaped, std::memory_order_relaxed);
-  }
-  if (reaped_tombstones > 0) {
-    sh.tombstones.fetch_sub(reaped_tombstones, std::memory_order_relaxed);
-  }
   return next_tick;
 }
 
@@ -377,19 +319,17 @@ timer_id_t ArmEntry(int64_t delay_ns, int64_t period_ns, FireKind kind, int sig,
   // for kInvalidTimerId (an arm that "fails" would strand its waiter spinning
   // for a fire that never comes), so arming is infallible up to the absurd
   // 8M-live-timer design capacity.
-  for (int probe = 0; probe < kShards; ++probe) {
+  for (int probe = 0; probe < kShards && id == kInvalidTimerId; ++probe) {
     int shard_idx = (home + probe) % kShards;
     TimerShard& sh = st.shards[shard_idx];
-    sh.lock.Lock();
+    SpinLockGuard guard(sh.lock);
     TimerEntry* e = PopFreeLocked(sh);
     if (e == nullptr) {
-      sh.lock.Unlock();
       continue;
     }
-    uint64_t gen = e->tag.load(std::memory_order_relaxed) >> kGenShift;
     e->deadline_ns = deadline;
-    e->period_ns.store(period_ns, std::memory_order_relaxed);
-    e->kind.store(kind, std::memory_order_relaxed);
+    e->period_ns = period_ns;
+    e->kind = kind;
     e->sig = sig;
     e->target = target;
     e->callback = fn;
@@ -397,11 +337,9 @@ timer_id_t ArmEntry(int64_t delay_ns, int64_t period_ns, FireKind kind, int sig,
     e->callback_arg = arg;
     e->node.expiry_tick = TickForDeadline(deadline);
     sh.wheel.Insert(&e->node);
-    e->tag.store((gen << kGenShift) | kStArmed, std::memory_order_release);
-    sh.arms.fetch_add(1, std::memory_order_relaxed);
-    sh.lock.Unlock();
-    id = MakeId(gen, e->index, shard_idx);
-    break;
+    e->state.store(EntryState::kArmed, std::memory_order_relaxed);
+    ++sh.arms;
+    id = MakeId(e->gen, e->index, shard_idx);
   }
   SUNMT_CHECK(id != kInvalidTimerId);
   Runtime::WakeServiceBy(deadline);
@@ -457,89 +395,58 @@ timer_id_t timer_arm(int64_t first_delay_ns, int64_t period_ns, int sig,
 }
 
 int timer_cancel(timer_id_t id) {
-  WheelState& st = Wheel();
   uint64_t shard_idx = id & kIdShardMask;
   uint32_t index = static_cast<uint32_t>((id >> kIdShardBits) & kIdIndexMask);
   uint64_t gen = id >> kIdGenShift;
   if (gen == 0 || shard_idx >= static_cast<uint64_t>(kShards)) {
     return -1;
   }
-  TimerShard& sh = st.shards[shard_idx];
-  TimerEntry* chunk =
-      sh.chunks[index / kChunkSize].load(std::memory_order_acquire);
-  if (chunk == nullptr) {
-    return -1;
-  }
-  TimerEntry* e = &chunk[index % kChunkSize];
-  // Stretches the cancel-vs-claim race: the sweep may be splicing this very
-  // entry's slot right now.
+  TimerShard& sh = Wheel().shards[shard_idx];
+  // Stretches the cancel-vs-claim race: the sweep may be claiming this very
+  // entry right now.
   inject::Perturb(inject::kTimerWheel);
-  uint64_t tag = e->tag.load(std::memory_order_acquire);
-  for (;;) {
-    if ((tag >> kGenShift) != gen) {
-      return -1;  // this incarnation already fired and was recycled
-    }
-    uint64_t state = tag & kStateMask;
-    if (state == kStArmed) {
-      // Lazy cancellation: tombstone in place, never touch the wheel. The
-      // slot turnover (or a threshold sweep) recycles the entry.
-      if (e->tag.compare_exchange_weak(
-              tag, (gen << kGenShift) | kStTombstone,
-              std::memory_order_acq_rel, std::memory_order_acquire)) {
-        sh.cancels.fetch_add(1, std::memory_order_relaxed);
-        uint32_t t = sh.tombstones.fetch_add(1, std::memory_order_relaxed) + 1;
-        if (t % kReapThreshold == 0) {
-          // Batch boundary: worth a wholesale sweep, unless one is due anyway.
-          Runtime::WakeServiceBy(MonotonicNowNs());
-        }
-        return 0;
-      }
-    } else if (state == kStFiring) {
+  SpinLockGuard guard(sh.lock);
+  if (index >= sh.carved) {
+    return -1;  // never armed
+  }
+  TimerEntry* e = &sh.chunks[index / kChunkSize][index % kChunkSize];
+  if (e->gen != gen) {
+    return -1;  // this incarnation already fired or was cancelled
+  }
+  switch (e->state.load(std::memory_order_relaxed)) {
+    case EntryState::kArmed:
+      sh.wheel.Remove(&e->node);
+      FreeLocked(sh, e);
+      ++sh.cancels;
+      return 0;
+    case EntryState::kFiring:
       // The sweep claimed it first: the fire owns the callback context and
       // will run; all we can suppress is a periodic re-arm. A periodic signal
       // timer's id is still live and its fire owns no caller memory, so that
       // cancel succeeds; a callback's -1 tells its caller the fire is in flight.
-      // Read before the CAS, whose success proves they are this incarnation's:
-      // once the entry is recycled, another arm may rewrite them.
-      bool periodic_signal =
-          e->kind.load(std::memory_order_relaxed) != FireKind::kCallback &&
-          e->period_ns.load(std::memory_order_relaxed) > 0;
-      if (e->tag.compare_exchange_weak(
-              tag, (gen << kGenShift) | kStFiringCancelled,
-              std::memory_order_acq_rel, std::memory_order_acquire)) {
-        if (!periodic_signal) {
-          return -1;
-        }
-        sh.cancels.fetch_add(1, std::memory_order_relaxed);
-        return 0;
+      e->state.store(EntryState::kFiringCancelled, std::memory_order_relaxed);
+      if (e->kind == FireKind::kCallback || e->period_ns == 0) {
+        return -1;
       }
-    } else {
-      return -1;  // free, already tombstoned, or already cancelled mid-fire
-    }
+      ++sh.cancels;
+      return 0;
+    default:
+      return -1;  // already cancelled mid-fire
   }
 }
 
 int64_t timer_set_process_interval(int64_t period_ns, int sig) {
   WheelState& st = Wheel();
-  int64_t previous;
-  timer_id_t old_id;
-  {
-    SpinLockGuard guard(st.interval_lock);
-    previous = st.process_interval_ns;
-    old_id = st.process_interval_timer;
-    st.process_interval_ns = period_ns;
-    st.process_interval_timer = kInvalidTimerId;
-  }
-  if (old_id != kInvalidTimerId) {
-    timer_cancel(old_id);
-  }
-  if (period_ns > 0) {
-    timer_id_t id =
-        ArmEntry(period_ns, period_ns, FireKind::kSignalProcess,
-                 sig > 0 ? sig : SIG_ALRM, 0, nullptr, nullptr, 0);
-    SpinLockGuard guard(st.interval_lock);
-    st.process_interval_timer = id;
-  }
+  // Cancel, arm and store under one lock: two callers that both armed would
+  // overwrite one id, and that timer could never be cancelled.
+  SpinLockGuard guard(st.interval_lock);
+  int64_t previous = st.process_interval_ns;
+  timer_cancel(st.process_interval_timer);
+  st.process_interval_ns = period_ns;
+  st.process_interval_timer =
+      period_ns > 0 ? ArmEntry(period_ns, period_ns, FireKind::kSignalProcess,
+                               sig > 0 ? sig : SIG_ALRM, 0, nullptr, nullptr, 0)
+                    : kInvalidTimerId;
   return previous;
 }
 
@@ -589,15 +496,13 @@ TimerEngineStats timer_engine_stats() {
   s.fires = st.fires.load(std::memory_order_relaxed);
   s.shards = kShards;
   for (TimerShard& sh : st.shards) {
-    s.tombstones += sh.tombstones.load(std::memory_order_relaxed);
-    s.pool_free += sh.pool_free.load(std::memory_order_relaxed);
-    s.pool_allocated += sh.pool_alloc.load(std::memory_order_relaxed);
-    s.arms += sh.arms.load(std::memory_order_relaxed);
-    s.cancels += sh.cancels.load(std::memory_order_relaxed);
-    s.reaps += sh.reaps.load(std::memory_order_relaxed);
-    s.sweeps += sh.sweeps.load(std::memory_order_relaxed);
     SpinLockGuard guard(sh.lock);
     s.live += sh.wheel.size();
+    s.pool_free += sh.pool_free;
+    s.pool_allocated += sh.pool_alloc;
+    s.arms += sh.arms;
+    s.cancels += sh.cancels;
+    s.reaps += sh.reaps;
     s.cascades += sh.wheel.cascades();
   }
   return s;

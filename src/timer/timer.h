@@ -79,15 +79,14 @@ uint64_t timer_fire_count();
 // engine itself).
 struct TimerEngineStats {
   int shards;                // wheel shard count
-  uint64_t live;             // nodes resident in the wheels, incl. tombstones
-  uint64_t tombstones;       // lazily cancelled entries awaiting reap
+  uint64_t live;             // armed timers resident in the wheels
+  uint64_t tombstones;       // always 0: a cancel unlinks its entry at once
   uint64_t pool_free;        // pooled entries on shard free lists
   uint64_t pool_allocated;   // entries ever carved from shard chunks
   uint64_t arms;             // successful arm operations
   uint64_t cancels;          // cancels that returned 0
   uint64_t fires;            // expirations delivered (== timer_fire_count())
   uint64_t reaps;            // entries recycled onto free lists
-  uint64_t sweeps;           // wholesale tombstone sweeps
   uint64_t cascades;         // wheel slot cascades
 };
 TimerEngineStats timer_engine_stats();

@@ -23,9 +23,8 @@
 //     and re-bucket as the horizon reaches them.
 //   * Advance fast-forwards over empty tick runs via NextEventTick, so an
 //     idle wheel costs O(levels) per sweep no matter how long it slept.
-//   * is_dead(node) nodes (lazily cancelled tombstones) are dropped to the
-//     out list during cascades instead of being re-bucketed, and RemoveIf
-//     lets the engine sweep them wholesale once enough pile up.
+//   * Remove is O(1) and keeps the occupancy bitmaps, and so NextEventTick,
+//     exact.
 
 #ifndef SUNMT_SRC_TIMER_WHEEL_H_
 #define SUNMT_SRC_TIMER_WHEEL_H_
@@ -117,20 +116,23 @@ class TimingWheel {
     ++size_;
   }
 
-  // Detaches an armed node (cancellation that already holds the shard lock —
-  // used by the fork-repair path and tests; the engine's hot cancel path
-  // tombstones instead and never calls this).
+  // Detaches a bucketed node (the engine's cancel) in O(1). A removal that
+  // leaves a slot's sentinel alone clears that slot's occupancy bit.
   void Remove(WheelNode* node) {
+    WheelNode* rest = node->next;
+    bool emptied = node->prev == rest;  // true only for {sentinel, node}
     WheelListRemove(node);
     --size_;
-    RebuildOccupancy();
+    if (emptied) {
+      // `rest` is the sentinel; its index in slots_ names level and slot.
+      auto i = static_cast<size_t>(rest - &slots_[0][0]);
+      occupied_[i / kSlots] &= ~(1ull << (i % kSlots));
+    }
   }
 
-  // Advances to `now_tick`, splicing every due node — and every node for
-  // which is_dead(node) returned true during a cascade — onto `out`. Empty
-  // tick runs are skipped via NextEventTick.
-  template <typename IsDead>
-  void Advance(uint64_t now_tick, WheelNode* out, IsDead&& is_dead) {
+  // Advances to `now_tick`, splicing every due node onto `out`. Empty tick
+  // runs are skipped via NextEventTick.
+  void Advance(uint64_t now_tick, WheelNode* out) {
     while (cur_tick_ < now_tick) {
       uint64_t next = NextEventTick();
       if (next > now_tick) {
@@ -138,7 +140,7 @@ class TimingWheel {
         return;
       }
       cur_tick_ = next;
-      ProcessCurrentTick(out, is_dead);
+      ProcessCurrentTick(out);
     }
   }
 
@@ -169,32 +171,6 @@ class TimingWheel {
     return best;
   }
 
-  // Unlinks every node matching `pred` onto `out`. O(live nodes); the engine
-  // runs it when enough tombstones accumulate to be worth a wholesale sweep.
-  template <typename Pred>
-  void RemoveIf(Pred&& pred, WheelNode* out) {
-    for (int level = 0; level < kLevels; ++level) {
-      uint64_t occ = occupied_[level];
-      while (occ != 0) {
-        int slot = __builtin_ctzll(occ);
-        occ &= occ - 1;
-        WheelNode* sentinel = &slots_[level][slot];
-        for (WheelNode* node = sentinel->next; node != sentinel;) {
-          WheelNode* next = node->next;
-          if (pred(node)) {
-            WheelListRemove(node);
-            WheelListPushBack(out, node);
-            --size_;
-          }
-          node = next;
-        }
-        if (WheelListEmpty(sentinel)) {
-          occupied_[level] &= ~(1ull << slot);
-        }
-      }
-    }
-  }
-
  private:
   void PickBucket(uint64_t bucket, int* level, int* slot) const {
     for (int l = 0; l < kLevels; ++l) {
@@ -213,8 +189,7 @@ class TimingWheel {
     *slot = static_cast<int>(((cur_tick_ >> shift) + kSlots - 1) & kSlotMask);
   }
 
-  template <typename IsDead>
-  void ProcessCurrentTick(WheelNode* out, IsDead&& is_dead) {
+  void ProcessCurrentTick(WheelNode* out) {
     // Cascade top-down so a level-L node can fall through multiple levels —
     // or straight to `out` when its exact expiry is this very tick.
     for (int level = kLevels - 1; level >= 1; --level) {
@@ -235,7 +210,7 @@ class TimingWheel {
         WheelNode* node = drain.next;
         WheelListRemove(node);
         --size_;
-        if (is_dead(node) || node->expiry_tick <= cur_tick_) {
+        if (node->expiry_tick <= cur_tick_) {
           WheelListPushBack(out, node);
         } else {
           Insert(node);  // re-increments size_
@@ -253,18 +228,6 @@ class TimingWheel {
       }
       WheelListSpliceTail(out, sentinel);
       occupied_[0] &= ~(1ull << slot);
-    }
-  }
-
-  void RebuildOccupancy() {
-    for (int level = 0; level < kLevels; ++level) {
-      uint64_t occ = 0;
-      for (int slot = 0; slot < kSlots; ++slot) {
-        if (!WheelListEmpty(&slots_[level][slot])) {
-          occ |= 1ull << slot;
-        }
-      }
-      occupied_[level] = occ;
     }
   }
 

@@ -43,6 +43,8 @@ namespace {
 using sunmt_test::Join;
 using sunmt_test::RunSweep;
 using sunmt_test::Spawn;
+using sunmt_test::WaitForState;
+using sunmt_test::WaitUntil;
 
 constexpr int64_t kUs = 1000;
 constexpr int64_t kMs = 1000 * kUs;
@@ -121,25 +123,47 @@ TEST(Inject, CountersShowUpInProcessState) {
 
 // ---- Deterministic regressions ----------------------------------------------
 
-// Blocks the timer engine thread inside a callback for `arg` milliseconds.
-// Deliberately violates the "callbacks must be short" rule: holding the engine
-// between popping a due timer and running its callback is exactly the window
-// the stale-timer regressions below need to widen deterministically.
-void SleepCallback(void*, uint64_t ms) {
+// Blocks the service thread inside a timer callback for `ms` milliseconds,
+// first setting *started when it is non-null. Deliberately violates the
+// "callbacks must be short" rule: holding the service thread between claiming
+// a due timer and running its callback is exactly the window the stale-timer
+// regressions below need to widen deterministically. It sleeps in the kernel
+// (usleep), NOT thread_sleep_ns, because holding the service thread is the
+// point and package sleeps ride the same wheel.
+void SleepCallback(void* started, uint64_t ms) {
+  if (started != nullptr) {
+    static_cast<std::atomic<bool>*>(started)->store(true);
+  }
   usleep(static_cast<useconds_t>(ms) * 1000);
 }
 
+// Right before its first timed wait, thread A arms two sleeping callbacks
+// (from A's LWP, so they share a wheel shard with A's own timer). The first
+// holds the service thread past A's deadline; the next sweep then claims the
+// second callback and A's timer together and runs the second first, so while
+// it sleeps A's timer is claimed but has not fired. Returns at once; the
+// caller's timed wait must use kStaleWaitNs. The test clears
+// g_second_sleeper_running before it starts A.
+std::atomic<bool> g_second_sleeper_running{false};
+constexpr int64_t kStaleWaitNs = 45 * kMs;
+
+void ArmStaleFireWindow() {
+  // Service thread held ~10..70 ms; the 40 ms callback and A's 45 ms timer
+  // are claimed at ~70 ms and the callback holds it again until ~170 ms.
+  timer_arm_callback(10 * kMs, &SleepCallback, nullptr, 60);
+  timer_arm_callback(40 * kMs, &SleepCallback, &g_second_sleeper_running, 100);
+}
+
 // A timed waiter whose wake races its own timeout fire must keep its FIFO
-// position: the stale fire (generation mismatch) must not touch the queue.
-// The broken variant removed-and-re-pushed the waiter at the tail, so the next
-// hand-off went to the wrong thread.
+// position: the stale fire (its waiter is gone, or waits again under a new
+// generation) must not touch the queue. The broken variant removed and
+// re-pushed the waiter at the tail, so the next hand-off went to the wrong
+// thread.
 //
-// Deterministic construction: two sleeping timers block the engine so that the
-// waiter's timer is popped (making timer_cancel fail, so the fire path really
-// runs) but its callback only executes ~30ms later — after the waiter has been
-// handed a credit, re-entered a second timed wait, and thread B has queued
-// behind it. All sleeps are usleep (kernel), NOT thread_sleep_ns, because the
-// engine being blocked is the point and package sleeps ride the same engine.
+// Main hands A a credit inside the window ArmStaleFireWindow builds, so A's
+// cancel fails and its timer fires after the wake: the fire count grows by 3.
+// Main then waits for A to block in its second wait and for B to queue behind
+// it before the credits that must reach A first.
 TEST(ShakedownRegression, SemaStaleTimerKeepsFifoPosition) {
   sema_t s;
   sema_init(&s, 0, 0, nullptr);
@@ -147,35 +171,29 @@ TEST(ShakedownRegression, SemaStaleTimerKeepsFifoPosition) {
   char order[3] = {0, 0, 0};
   std::atomic<bool> a_in_second{false};
   std::atomic<int> rc1{-1}, rc2{-1};
-
-  // Engine busy ~52..62ms, then ~62..122ms; A's 55ms timer is popped at ~62ms
-  // together with the second sleeper and fires at ~122ms. The 70ms sleep below
-  // has to land inside that busy window even when a loaded machine oversleeps
-  // it, so the window is generous.
-  timer_arm_callback(52 * kMs, &SleepCallback, nullptr, 10);
-  timer_arm_callback(53 * kMs, &SleepCallback, nullptr, 60);
+  uint64_t fires_before = timer_fire_count();
+  g_second_sleeper_running.store(false);
 
   thread_id_t a = Spawn([&] {
-    rc1.store(sema_p_timed(&s, 55 * kMs));  // woken by the t=70ms credit
+    ArmStaleFireWindow();
+    rc1.store(sema_p_timed(&s, kStaleWaitNs));  // woken by main's credit
     a_in_second.store(true);
     rc2.store(sema_p_timed(&s, 2000 * kMs));
     order[seq.fetch_add(1)] = 'A';
   });
+  EXPECT_TRUE(WaitUntil([] { return g_second_sleeper_running.load(); },
+                        5000 * kMs));
+  sema_v(&s);  // A's timer is claimed: its cancel will fail
+  EXPECT_TRUE(WaitUntil([&] { return a_in_second.load(); }, 5000 * kMs));
+  EXPECT_TRUE(WaitForState(a, "BLOCKED", 5000 * kMs));
   thread_id_t b = Spawn([&] {
-    while (!a_in_second.load()) {
-      usleep(500);
-    }
-    usleep(2000);  // let A finish enqueueing its second wait
     sema_p(&s);
     order[seq.fetch_add(1)] = 'B';
   });
-
-  usleep(70 * 1000);   // t=70ms: engine holds A's popped timer; cancel will fail
-  sema_v(&s);          // direct hand-off to A's first wait
-  usleep(65 * 1000);   // t=135ms: the stale fire (~122ms) has run
-  sema_v(&s);          // must wake A — the FIFO head
-  usleep(10 * 1000);
-  sema_v(&s);          // wakes B
+  EXPECT_TRUE(WaitForState(b, "BLOCKED", 5000 * kMs));
+  sema_v(&s);  // must wake A — the FIFO head
+  EXPECT_TRUE(WaitUntil([&] { return seq.load() >= 1; }, 5000 * kMs));
+  sema_v(&s);  // wakes B
   EXPECT_TRUE(Join(a));
   EXPECT_TRUE(Join(b));
 
@@ -183,6 +201,8 @@ TEST(ShakedownRegression, SemaStaleTimerKeepsFifoPosition) {
   EXPECT_EQ(rc2.load(), 1);
   EXPECT_EQ(order[0], 'A') << "stale timer fire cost A its FIFO position";
   EXPECT_EQ(order[1], 'B');
+  EXPECT_EQ(timer_fire_count() - fires_before, 3u)
+      << "A's timer did not fire stale";
 }
 
 // cv_timedwait twin of the above.
@@ -195,13 +215,13 @@ TEST(ShakedownRegression, CvStaleTimerKeepsFifoPosition) {
   char order[3] = {0, 0, 0};
   std::atomic<bool> a_in_second{false};
   std::atomic<int> rc1{-1}, rc2{-1}, rcb{-1};
-
-  timer_arm_callback(52 * kMs, &SleepCallback, nullptr, 10);
-  timer_arm_callback(53 * kMs, &SleepCallback, nullptr, 60);
+  uint64_t fires_before = timer_fire_count();
+  g_second_sleeper_running.store(false);
 
   thread_id_t a = Spawn([&] {
     mutex_enter(&m);
-    rc1.store(cv_timedwait(&cv, &m, 55 * kMs));  // signaled at t=70ms
+    ArmStaleFireWindow();
+    rc1.store(cv_timedwait(&cv, &m, kStaleWaitNs));  // signaled by main
     mutex_exit(&m);
     a_in_second.store(true);
     mutex_enter(&m);
@@ -209,22 +229,20 @@ TEST(ShakedownRegression, CvStaleTimerKeepsFifoPosition) {
     order[seq.fetch_add(1)] = 'A';
     mutex_exit(&m);
   });
+  EXPECT_TRUE(WaitUntil([] { return g_second_sleeper_running.load(); },
+                        5000 * kMs));
+  cv_signal(&cv);  // wakes A's first wait; its claimed timer fires later, stale
+  EXPECT_TRUE(WaitUntil([&] { return a_in_second.load(); }, 5000 * kMs));
+  EXPECT_TRUE(WaitForState(a, "BLOCKED", 5000 * kMs));
   thread_id_t b = Spawn([&] {
-    while (!a_in_second.load()) {
-      usleep(500);
-    }
-    usleep(2000);
     mutex_enter(&m);
     rcb.store(cv_timedwait(&cv, &m, 2000 * kMs));
     order[seq.fetch_add(1)] = 'B';
     mutex_exit(&m);
   });
-
-  usleep(70 * 1000);
-  cv_signal(&cv);  // wakes A's first wait; its popped timer fires later, stale
-  usleep(65 * 1000);
+  EXPECT_TRUE(WaitForState(b, "BLOCKED", 5000 * kMs));
   cv_signal(&cv);  // must wake A — the FIFO head
-  usleep(10 * 1000);
+  EXPECT_TRUE(WaitUntil([&] { return seq.load() >= 1; }, 5000 * kMs));
   cv_signal(&cv);  // wakes B
   EXPECT_TRUE(Join(a));
   EXPECT_TRUE(Join(b));
@@ -234,6 +252,8 @@ TEST(ShakedownRegression, CvStaleTimerKeepsFifoPosition) {
   EXPECT_EQ(rcb.load(), 0);
   EXPECT_EQ(order[0], 'A') << "stale timer fire cost A its FIFO signal position";
   EXPECT_EQ(order[1], 'B');
+  EXPECT_EQ(timer_fire_count() - fires_before, 3u)
+      << "A's timer did not fire stale";
 }
 
 // Re-initializing a previously used (even mid-use-corrupted) variable must

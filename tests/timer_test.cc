@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include "src/core/runtime.h"
@@ -275,6 +276,30 @@ TEST(Timer, ProcessIntervalTimerRaisesProcessInterrupt) {
     thread_yield();
   }
   signal_handler_set(SIG_ALRM, SIG_DEFAULT);
+}
+
+// "There is only one real-time interval timer per process", even when callers
+// race: two kernel threads arm and disarm it for about a second, and once the
+// last disarm returns no interval fire may follow. Two racing arms that both
+// stored an id would leave one 1 ms periodic timer nobody can cancel.
+// SIG_CHLD's default action ignores it, so the fires need no handler.
+TEST(Timer, RacingIntervalSetsLeaveNoTimerArmed) {
+  auto hammer = [] {
+    int64_t until = MonotonicNowNs() + kSec;
+    while (MonotonicNowNs() < until) {
+      timer_set_process_interval(1'000'000, SIG_CHLD);
+      timer_set_process_interval(0, SIG_CHLD);
+    }
+  };
+  std::thread t1(hammer);
+  std::thread t2(hammer);
+  t1.join();
+  t2.join();
+  timer_set_process_interval(0, SIG_CHLD);
+  usleep(20'000);  // lets a fire claimed before the last disarm finish
+  uint64_t fires = timer_fire_count();
+  usleep(50'000);
+  EXPECT_EQ(timer_fire_count(), fires) << "an interval timer outlived its disarm";
 }
 
 TEST(Timer, ThreadSleepBlocksOnlyTheThread) {

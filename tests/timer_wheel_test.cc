@@ -1,7 +1,7 @@
 // Timing-wheel tests: deterministic unit tests on the clock-free TimingWheel
-// (cascade boundaries, exact fire ticks, tombstone drops), engine-level
-// regressions on the sharded wheel (fired-one-shot cancel == -1, lazy-cancel
-// reap & pool reuse, periodic self-disarm), fork1() shard repair, and a seed
+// (cascade boundaries, exact fire ticks, O(1) removal), engine-level
+// regressions on the sharded wheel (fired-one-shot cancel == -1, cancel
+// recycling & pool reuse, periodic self-disarm), fork1() shard repair, and a seed
 // sweep hammering the timed-wait paths (sema_p_timed / cv_timedwait /
 // net_read_deadline) whose stale-fire ack protocol rides on the wheel.
 
@@ -47,12 +47,7 @@ constexpr int64_t kMs = 1000 * kUs;
 struct TestNode {
   WheelNode node;
   uint64_t armed_expiry = 0;
-  bool dead = false;
 };
-
-bool NodeDead(const WheelNode* n) {
-  return reinterpret_cast<const TestNode*>(n)->dead;
-}
 
 // Drains `out`'s sentinel list into a vector of TestNode pointers.
 std::vector<TestNode*> Collect(WheelNode* out) {
@@ -74,10 +69,10 @@ TEST(TimingWheel, LevelZeroFiresAtExactTick) {
 
   WheelNode out;
   WheelListInit(&out);
-  w.Advance(104, &out, NodeDead);
+  w.Advance(104, &out);
   EXPECT_TRUE(WheelListEmpty(&out));
   EXPECT_EQ(w.cur_tick(), 104u);
-  w.Advance(105, &out, NodeDead);
+  w.Advance(105, &out);
   ASSERT_EQ(Collect(&out).size(), 1u);
   EXPECT_EQ(w.size(), 0u);
   EXPECT_EQ(w.NextEventTick(), TimingWheel::kNoEvent);
@@ -92,7 +87,7 @@ TEST(TimingWheel, PastExpiryClampsToNextTick) {
   EXPECT_EQ(w.NextEventTick(), 1001u);
   WheelNode out;
   WheelListInit(&out);
-  w.Advance(1001, &out, NodeDead);
+  w.Advance(1001, &out);
   auto fired = Collect(&out);
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0]->node.expiry_tick, 17u);
@@ -115,10 +110,10 @@ TEST(TimingWheel, CascadeBoundariesFireExactly) {
     WheelNode out;
     WheelListInit(&out);
     // One tick short: nothing may fire.
-    w.Advance(kStart + delta - 1, &out, NodeDead);
+    w.Advance(kStart + delta - 1, &out);
     EXPECT_TRUE(WheelListEmpty(&out)) << "fired early";
     // The exact tick: the node must come out.
-    w.Advance(kStart + delta, &out, NodeDead);
+    w.Advance(kStart + delta, &out);
     EXPECT_EQ(Collect(&out).size(), 1u) << "missed its tick";
     EXPECT_EQ(w.size(), 0u);
   }
@@ -140,42 +135,79 @@ TEST(TimingWheel, BeyondHorizonParksAndReBuckets) {
   uint64_t park = w.NextEventTick();
   EXPECT_NE(park, TimingWheel::kNoEvent);
   EXPECT_LT(park, kHorizon + 5000);
-  w.Advance(kHorizon + 4999, &out, NodeDead);
+  w.Advance(kHorizon + 4999, &out);
   EXPECT_TRUE(WheelListEmpty(&out)) << "fired early from the park slot";
-  w.Advance(kHorizon + 5000, &out, NodeDead);
+  w.Advance(kHorizon + 5000, &out);
   EXPECT_EQ(Collect(&out).size(), 1u);
 }
 
-// Dead (tombstoned) nodes are dropped to the out list at cascade time instead
-// of being re-inserted, and RemoveIf sweeps them wholesale.
-TEST(TimingWheel, DeadNodesDropAtCascadeAndSweep) {
+// Remove is O(1): it clears a slot's occupancy bit when the slot empties, so
+// NextEventTick stays exact. A wheel that lost nodes to Remove reports the
+// same next events, and delivers the same nodes at the same ticks, as a wheel
+// that only ever held the survivors.
+TEST(TimingWheel, RemoveKeepsOccupancyAndNextEventTickExact) {
   TimingWheel w;
   w.InitCurTick(0);
-  TestNode live, dead;
-  live.node.expiry_tick = 4096 + 10;
-  dead.node.expiry_tick = 4096 + 20;
-  dead.dead = true;
-  w.Insert(&live.node);
-  w.Insert(&dead.node);
-
-  WheelNode out;
-  WheelListInit(&out);
-  // Advancing to the 4096 cascade boundary pushes the dead node out early
-  // (reaped at slot turnover) while the live one re-buckets.
-  w.Advance(4096, &out, NodeDead);
-  auto dropped = Collect(&out);
-  ASSERT_EQ(dropped.size(), 1u);
-  EXPECT_TRUE(dropped[0]->dead);
-  EXPECT_EQ(w.size(), 1u);
-  EXPECT_GE(w.cascades(), 1u);
-
-  // RemoveIf: sweep the live one out by predicate.
-  WheelNode swept;
-  WheelListInit(&swept);
-  w.RemoveIf([](const WheelNode*) { return true; }, &swept);
-  EXPECT_EQ(Collect(&swept).size(), 1u);
+  TestNode a, b, c;
+  a.node.expiry_tick = 10;
+  b.node.expiry_tick = 10;   // shares a's level-0 slot
+  c.node.expiry_tick = 100;  // level 1: processed at its 64-tick boundary
+  w.Insert(&a.node);
+  w.Insert(&b.node);
+  w.Insert(&c.node);
+  EXPECT_EQ(w.NextEventTick(), 10u);
+  w.Remove(&a.node);  // b still holds the slot
+  EXPECT_EQ(w.NextEventTick(), 10u);
+  w.Remove(&b.node);  // the slot empties
+  EXPECT_EQ(w.NextEventTick(), 64u);
+  w.Remove(&c.node);
   EXPECT_EQ(w.size(), 0u);
   EXPECT_EQ(w.NextEventTick(), TimingWheel::kNoEvent);
+
+  SplitMix64 rng(0xca11);
+  const uint64_t kStart = 1'000'000;
+  constexpr int kNodes = 2048;
+  TimingWheel pruned, survivors;
+  pruned.InitCurTick(kStart);
+  survivors.InitCurTick(kStart);
+  std::vector<TestNode> all(kNodes), kept(kNodes);
+  std::vector<bool> keep(kNodes);
+  for (int i = 0; i < kNodes; ++i) {
+    // Near, far and beyond-horizon expiries, as in RandomizedExactExpiry.
+    uint64_t expiry =
+        kStart + 1 + rng.NextBounded(1ull << (6 + rng.NextBounded(20)));
+    all[i].node.expiry_tick = expiry;
+    kept[i].node.expiry_tick = expiry;
+    pruned.Insert(&all[i].node);
+    keep[i] = rng.NextBounded(2) == 0;
+    if (keep[i]) {
+      survivors.Insert(&kept[i].node);
+    }
+  }
+  for (int i = 0; i < kNodes; ++i) {
+    if (!keep[i]) {
+      pruned.Remove(&all[i].node);
+    }
+  }
+  ASSERT_EQ(pruned.size(), survivors.size());
+  uint64_t now = kStart;
+  while (survivors.size() > 0) {
+    ASSERT_EQ(pruned.NextEventTick(), survivors.NextEventTick()) << now;
+    now += 1 + rng.NextBounded(3000);
+    WheelNode out_pruned, out_survivors;
+    WheelListInit(&out_pruned);
+    WheelListInit(&out_survivors);
+    pruned.Advance(now, &out_pruned);
+    survivors.Advance(now, &out_survivors);
+    std::vector<TestNode*> got = Collect(&out_pruned);
+    std::vector<TestNode*> want = Collect(&out_survivors);
+    ASSERT_EQ(got.size(), want.size()) << now;
+    for (size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k] - all.data(), want[k] - kept.data());
+    }
+  }
+  EXPECT_EQ(pruned.size(), 0u);
+  EXPECT_EQ(pruned.NextEventTick(), TimingWheel::kNoEvent);
 }
 
 TEST(TimingWheel, NextEventTickIsExactAcrossLevels) {
@@ -214,7 +246,7 @@ TEST(TimingWheel, RandomizedExactExpiry) {
     uint64_t now = prev + step;
     WheelNode out;
     WheelListInit(&out);
-    w.Advance(now, &out, NodeDead);
+    w.Advance(now, &out);
     for (TestNode* n : Collect(&out)) {
       EXPECT_GT(n->armed_expiry, prev) << "fired in an earlier window";
       EXPECT_LE(n->armed_expiry, now) << "fired before its expiry";
@@ -251,7 +283,7 @@ TEST(WheelEngine, CancelledOneShotNeverFires) {
   g_cb_count.store(0);
   timer_id_t id = timer_arm_callback(50 * kMs, &CountCb, nullptr, 0);
   ASSERT_NE(id, kInvalidTimerId);
-  EXPECT_EQ(timer_cancel(id), 0);   // armed -> tombstone: fire suppressed
+  EXPECT_EQ(timer_cancel(id), 0);   // armed -> unlinked: fire suppressed
   EXPECT_EQ(timer_cancel(id), -1);  // second cancel of the same id
   thread_sleep_ms(80);
   EXPECT_EQ(g_cb_count.load(), 0);
@@ -333,10 +365,10 @@ TEST(WheelEngine, PeriodicRejectsBadArguments) {
             kInvalidTimerId);
 }
 
-// Lazy cancellation: a burst of arm/cancel pairs tombstones in place; crossing
-// the reap threshold triggers a wholesale sweep that recycles entries onto the
-// shard free lists, and a second burst reuses them instead of carving fresh.
-TEST(WheelEngine, TombstoneReapRecyclesPool) {
+// Cancel unlinks an armed entry and puts it straight back on its shard's free
+// list: a burst of cancels recycles every entry before the next sweep, and a
+// second burst reuses them instead of carving fresh ones.
+TEST(WheelEngine, CancelRecyclesEntryAtOnce) {
   constexpr int kBurst = 5000;
   TimerEngineStats before = timer_engine_stats();
   std::vector<timer_id_t> ids;
@@ -349,16 +381,11 @@ TEST(WheelEngine, TombstoneReapRecyclesPool) {
   for (timer_id_t id : ids) {
     EXPECT_EQ(timer_cancel(id), 0);
   }
-  // Crossing kReapThreshold kicks the ticker; wait for the sweep to land.
-  int64_t deadline = MonotonicNowNs() + 2'000 * kMs;
   TimerEngineStats after = timer_engine_stats();
-  while (after.reaps - before.reaps < 4000 && MonotonicNowNs() < deadline) {
-    thread_sleep_ms(5);
-    after = timer_engine_stats();
-  }
-  EXPECT_GE(after.reaps - before.reaps, 4000u) << "tombstone sweep never ran";
-  EXPECT_GE(after.sweeps, before.sweeps + 1);
-  EXPECT_LT(after.tombstones, 1024u);
+  EXPECT_GE(after.reaps - before.reaps, static_cast<uint64_t>(kBurst));
+  EXPECT_GE(after.cancels - before.cancels, static_cast<uint64_t>(kBurst));
+  EXPECT_LE(after.live, before.live);
+  EXPECT_EQ(after.tombstones, 0u);
 
   // Second burst: the shard free lists now hold thousands of entries, so at
   // most a stray chunk carve may happen (thread migration can shift the home
@@ -380,7 +407,6 @@ TEST(WheelEngine, StatsLineInProcessState) {
                    std::to_string(timer_engine_stats().shards)),
             std::string::npos)
       << s;
-  EXPECT_NE(s.find("tombstones="), std::string::npos);
   EXPECT_NE(s.find("cascades="), std::string::npos);
 }
 
