@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <new>
 #include <thread>
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -16,8 +15,11 @@
 #include "src/core/trace.h"
 #include "src/net/net.h"
 #include "src/net/poller.h"
+#include "src/pthread/pthread_compat.h"
+#include "src/rlimit/rlimit.h"
 #include "src/signal/signal.h"
 #include "src/timer/timer.h"
+#include "src/tls/tsd.h"
 #include "src/util/check.h"
 #include "src/util/clock.h"
 #include "src/util/futex.h"
@@ -68,13 +70,14 @@ void ServiceMain(Runtime* rt) {
       // A full period after the tick's work, as the watchdog always slept.
       next_watchdog = MonotonicNowNs() + kWatchdogPeriodNs;
     }
-    if (!LwpRegistry::ClockNeeded()) {
+    if (!LwpRegistry::ClockNeeded() && !CpuLimitArmed()) {
       next_clock = INT64_MAX;
     } else if (next_clock == INT64_MAX) {
       last_clock = now;  // (re)start: the first tick is one period away
       next_clock = now + LwpRegistry::kClockTickNs;
     } else if (now >= next_clock) {
       LwpRegistry::ClockTick(now - last_clock);
+      CheckCpuLimit();
       last_clock = now;
       next_clock = now + LwpRegistry::kClockTickNs;
     }
@@ -113,44 +116,30 @@ Runtime& Runtime::Get() {
   return *rt;
 }
 
-namespace {
-
-// Fork-child handler registry: lock-free append into a fixed array (a lock
-// here would itself be fork-unsafe).
-constexpr int kMaxForkHandlers = 16;
-std::atomic<Runtime::ForkChildHandler> g_fork_handlers[kMaxForkHandlers];
-std::atomic<int> g_fork_handler_count{0};
-
-}  // namespace
-
-void Runtime::RegisterForkChildHandler(ForkChildHandler handler) {
-  int slot = g_fork_handler_count.fetch_add(1, std::memory_order_acq_rel);
-  SUNMT_CHECK(slot < kMaxForkHandlers);
-  g_fork_handlers[slot].store(handler, std::memory_order_release);
-}
-
 void Runtime::ResetAfterFork() {
-  // Called in a fork1() child: the parent's LWP kernel threads do not exist in
-  // this process, so the old Runtime (and every TCB it tracked) is abandoned and
-  // a fresh one is built lazily. The calling thread re-adopts on next use.
+  // Called in a fork1() child, on its only kernel thread: the parent's LWP
+  // kernel threads do not exist in this process, so the old Runtime (and every
+  // TCB it tracked) is abandoned and a fresh one is built lazily. The calling
+  // thread re-adopts on next use.
   //
-  // Package-internal locks may have been copied in a locked state (the paper's
-  // fork1 hazard, applied to the library itself); every layer repairs its own
-  // state here. The LWP registry and ON-PROC table go first, so no repair
-  // sees the parent's LWPs.
+  // Package-internal state may have been copied mid-mutation (the paper's
+  // fork1 hazard, applied to the library itself). This is the one list of
+  // repairs, in the order they must run: stale lock images are Reset(), no
+  // repair arms a timer or builds the runtime, and a module the process never
+  // used gets nothing built. Lockdep goes first (with the detector on, every
+  // later acquire runs its hooks), then the LWP registry and ON-PROC table,
+  // so no repair sees the parent's LWPs.
+  lockdep::ResetAfterFork();
   Lwp::DropCurrentAfterFork();
-  int count = g_fork_handler_count.load(std::memory_order_acquire);
-  for (int i = 0; i < count && i < kMaxForkHandlers; ++i) {
-    ForkChildHandler handler = g_fork_handlers[i].load(std::memory_order_acquire);
-    if (handler != nullptr) {
-      handler();
-    }
-  }
-  // One fork-repair path for every magazine cache (stacks, HTTP conn args,
-  // cxx closures): rebuild depots/registries, bump the epoch.
+  TimerResetAfterFork();
+  NetPoller::ResetAfterFork();
+  SignalResetAfterFork();
+  TsdResetAfterFork();
+  PthreadResetAfterFork();
+  RlimitResetAfterFork();
   ObjectCacheResetAfterForkAll();
-  TlsArena::ResetLockAfterFork();
-  new (&g_runtime_create_lock) SpinLock();
+  TlsArena::ResetAfterFork();
+  g_runtime_create_lock.Reset();
   // The service thread did not survive the fork; the rebuilt runtime starts
   // its own, which sweeps the (repaired) wheel on its first pass.
   g_initialized.store(false, std::memory_order_release);
@@ -166,19 +155,9 @@ void Runtime::Configure(const RuntimeConfig& config) {
 
 namespace {
 
-// Environment override, consulted only where Configure() left the default —
-// explicit configuration always wins. Sizes the pool of a process that cannot
-// call Configure() first, such as a fork1() child's rebuilt runtime.
-void ApplyEnvOverrides(RuntimeConfig* config) {
-  const char* env;
-  if (config->initial_pool_lwps <= 0 && (env = getenv("SUNMT_POOL_LWPS")) != nullptr) {
-    config->initial_pool_lwps = atoi(env);
-  }
-}
-
-// Observability switches, honored once at runtime initialization. Unlike the
-// config knobs above these have no Configure() equivalent — code can always
-// call Stats::Enable()/Trace::Enable() directly.
+// Observability switches, honored once at runtime initialization. They have
+// no Configure() equivalent — code can always call Stats::Enable()/
+// Trace::Enable() directly.
 void ApplyObservabilityEnv() {
   const char* env;
   if ((env = getenv("SUNMT_STATS")) != nullptr && env[0] == '1') {
@@ -196,7 +175,6 @@ void ApplyObservabilityEnv() {
 
 Runtime::Runtime() : max_pool_lwps_(std::max(64, 4 * OnlineCpus())) {
   config_ = g_pending_config;
-  ApplyEnvOverrides(&config_);
   ApplyObservabilityEnv();
   if (config_.initial_pool_lwps <= 0) {
     config_.initial_pool_lwps = OnlineCpus();

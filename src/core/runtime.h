@@ -7,8 +7,9 @@
 //
 // The service loop is the process's one service thread: a plain kernel thread,
 // outside the LWP registry, that sleeps on one futex word until the earliest of
-// the SIGWAITING watchdog tick, the LWP clock tick (while the clock is needed)
-// and the timer wheel's next event.
+// the SIGWAITING watchdog tick, the LWP clock tick (while the clock or a CPU
+// limit needs it; the CPU-limit check rides the tick) and the timer wheel's
+// next event.
 
 #ifndef SUNMT_SRC_CORE_RUNTIME_H_
 #define SUNMT_SRC_CORE_RUNTIME_H_
@@ -72,18 +73,13 @@ class Runtime {
   // Overrides the configuration; must be called before the first Get().
   static void Configure(const RuntimeConfig& config);
 
-  // fork1() child-side reset: abandons the inherited runtime (whose LWPs do not
-  // exist in the child) so a fresh one is built on next use, and runs every
-  // registered fork-child handler. See src/ipc/fork1.h.
+  // fork1() child-side reset, on the child's only kernel thread: the one list
+  // of fork1 repairs. Calls each module's repair of state fork may have copied
+  // mid-mutation (e.g. a spinlock held by a parent thread that does not exist
+  // in the child), in order, then abandons the inherited runtime (whose LWPs
+  // do not exist in the child) so a fresh one is built on next use. See
+  // src/ipc/fork1.h.
   static void ResetAfterFork();
-
-  // Registers a handler run in the fork1() child before the runtime resets.
-  // Handlers repair module-local state that fork may have copied mid-mutation
-  // (e.g. a spinlock held by a parent thread that does not exist in the child).
-  // Lock-free registry; at most 16 handlers; idempotent registration is the
-  // caller's concern. Safe to call from lazy-init paths.
-  using ForkChildHandler = void (*)();
-  static void RegisterForkChildHandler(ForkChildHandler handler);
 
   // ---- Run queues & pool --------------------------------------------------
   ShardedRunQueue& queues() { return queues_; }

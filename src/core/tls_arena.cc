@@ -50,9 +50,7 @@ size_t TlsArena::FrozenSize() {
 
 bool TlsArena::IsFrozen() { return State().frozen.load(std::memory_order_acquire); }
 
-void TlsArena::ResetLockAfterFork() {
-  State().lock.Unlock();
-}
+void TlsArena::ResetAfterFork() { State().lock.Reset(); }
 
 void TlsArena::ResetForTest() {
   ArenaState& s = State();

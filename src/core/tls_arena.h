@@ -36,9 +36,9 @@ class TlsArena {
   // exist; used by unit tests in a child process.
   static void ResetForTest();
 
-  // fork1() child-side repair: reinitializes the lock, keeping the layout
-  // (child threads still need the frozen TLS size).
-  static void ResetLockAfterFork();
+  // fork1() child repair (Runtime::ResetAfterFork): resets the lock, keeping
+  // the layout (child threads still need the frozen TLS size).
+  static void ResetAfterFork();
 };
 
 }  // namespace sunmt

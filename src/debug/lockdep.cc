@@ -14,7 +14,6 @@
 
 #include "src/debug/lockdep.h"
 
-#include <pthread.h>
 #include <sched.h>
 #include <time.h>
 #include <unistd.h>
@@ -727,18 +726,11 @@ void WalkAndMaybeReport(ThreadNode* self, ObjDebug* start) {
   ReportDeadlock(self, start, hops, count);
 }
 
-// ---- SUNMT_DEBUG env + fork handling at static-init time.
+// ---- SUNMT_DEBUG env at static-init time.
 
 struct EnvInit {
   EnvInit() {
     g_pid.store(static_cast<uint32_t>(getpid()), std::memory_order_relaxed);
-    pthread_atfork(nullptr, nullptr, +[] {
-      g_pid.store(static_cast<uint32_t>(getpid()), std::memory_order_relaxed);
-      // A kernel thread that held either lock across the fork does not exist
-      // in the child.
-      g_graph_lock.store(0, std::memory_order_relaxed);
-      g_report_lock.store(0, std::memory_order_relaxed);
-    });
     const char* spec = getenv("SUNMT_DEBUG");
     if (spec == nullptr) return;
     g_configured.store(true, std::memory_order_relaxed);
@@ -976,6 +968,14 @@ void ResetForTest() {
   g_report[0] = '\0';
   g_report_len.store(0, std::memory_order_relaxed);
   UnlockReport();
+}
+
+void ResetAfterFork() {
+  g_pid.store(static_cast<uint32_t>(getpid()), std::memory_order_relaxed);
+  // A kernel thread that held either lock across the fork does not exist in
+  // the child.
+  g_graph_lock.store(0, std::memory_order_relaxed);
+  g_report_lock.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace lockdep

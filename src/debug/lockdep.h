@@ -201,6 +201,9 @@ void Disable();
 // survive (they are interned by key). Callers must quiesce lock traffic that
 // could race the wipe — in-tree tests only.
 void ResetForTest();
+// fork1() child repair (Runtime::ResetAfterFork): the child's pid, and the
+// detector's two raw locks.
+void ResetAfterFork();
 
 // Report kind, as the kLockdep trace event's arg carries it.
 enum ReportKind : uint8_t { kReportInversion = 1, kReportDeadlock = 2 };

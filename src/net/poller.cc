@@ -8,8 +8,6 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <new>
-
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/lsan_interface.h>
 #endif
@@ -34,7 +32,7 @@ std::atomic<NetPoller*> g_poller{nullptr};
 SpinLock g_poller_create_lock;
 
 // net_poller_stop(): parked waiters fail with ECANCELED. Process-global so the
-// fork handler can reset it without touching a half-built singleton.
+// fork1() repair can reset it without touching a half-built singleton.
 std::atomic<bool> g_stopped{false};
 
 // Wake reasons delivered through Tcb::park_result.
@@ -54,23 +52,16 @@ void WakeFdWaiter(Tcb* tcb) {
 // readiness and the timer dequeues the waiter first wins.
 using NetTimedWait = TimedWait<&WakeFdWaiter>;
 
-// fork1() child repair: the parked waiters do not exist in the child; abandon
-// the parent's poller so the child lazily builds a fresh one. The inherited
-// epoll fd leaks, which is the safe direction.
-void NetForkChildRepair() {
+}  // namespace
+
+// The parked waiters do not exist in the child; abandon the parent's poller so
+// the child lazily builds a fresh one. The inherited epoll fd leaks, which is
+// the safe direction.
+void NetPoller::ResetAfterFork() {
   g_poller.store(nullptr, std::memory_order_release);
   g_stopped.store(false, std::memory_order_release);
-  new (&g_poller_create_lock) SpinLock();
+  g_poller_create_lock.Reset();
 }
-
-void EnsureForkHandler() {
-  static std::atomic<bool> once{false};
-  if (!once.exchange(true, std::memory_order_acq_rel)) {
-    Runtime::RegisterForkChildHandler(&NetForkChildRepair);
-  }
-}
-
-}  // namespace
 
 NetPoller& NetPoller::Get() {
   NetPoller* poller = g_poller.load(std::memory_order_acquire);
@@ -91,7 +82,6 @@ bool NetPoller::Exists() {
 }
 
 NetPoller::NetPoller() {
-  EnsureForkHandler();
   // Not `new ...[kMaxFds]()`: value-initializing would touch every page. A
   // zero-filled mapping is already an array of null atomic pointers.
   size_t table_bytes = kMaxFds * sizeof(std::atomic<FdEntry*>);

@@ -45,6 +45,9 @@ class NetPoller {
   // poll checks) skip without instantiating the poller.
   static bool Exists();
 
+  // fork1() child repair (Runtime::ResetAfterFork): drops the parent's poller.
+  static void ResetAfterFork();
+
   // ---- Lifecycle ------------------------------------------------------------
   // Resumes readiness delivery after Stop(); starts no thread. Idempotent.
   int Start();

@@ -6,7 +6,6 @@
 
 #include <new>
 
-#include "src/core/runtime.h"
 #include "src/core/thread.h"
 #include "src/util/check.h"
 #include "src/util/spinlock.h"
@@ -30,20 +29,11 @@ struct Registry {
   std::unordered_map<thread_id_t, PtRecord*> records;
 };
 
+Registry* g_registry = nullptr;  // built by the first Recs(), leaked
+
 Registry& Recs() {
-  static Registry* registry = new Registry;
+  static Registry* registry = g_registry = new Registry;
   return *registry;
-}
-
-// fork1() child repair: parent pthread records reference threads that do not
-// exist here; rebuild the registry empty (records leak — safe direction).
-void PthreadForkChildRepair() { new (&Recs()) Registry(); }
-
-void EnsureForkHandler() {
-  static std::atomic<bool> once{false};
-  if (!once.exchange(true, std::memory_order_acq_rel)) {
-    Runtime::RegisterForkChildHandler(&PthreadForkChildRepair);
-  }
 }
 
 // Finds a joinable thread's record for pt_join (`detach` false) or pt_detach
@@ -107,6 +97,14 @@ void ArmReaper(PtRecord* record) {
 
 }  // namespace
 
+// Parent pthread records reference threads that do not exist here; rebuild the
+// registry empty (records leak — safe direction).
+void PthreadResetAfterFork() {
+  if (g_registry != nullptr) {
+    new (g_registry) Registry();
+  }
+}
+
 int pt_attr_init(pt_attr_t* attr) {
   *attr = pt_attr_t{};
   return 0;
@@ -160,7 +158,6 @@ int pt_create(pt_t* thread, const pt_attr_t* attr, void* (*start)(void*), void* 
   pt_attr_t defaults;
   const pt_attr_t& a = attr != nullptr ? *attr : defaults;
 
-  EnsureForkHandler();
   auto* record = new PtRecord;
   record->start = start;
   record->arg = arg;

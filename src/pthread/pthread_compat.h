@@ -119,6 +119,10 @@ int pt_key_create(pt_key_t* key, void (*destructor)(void*));
 int pt_setspecific(pt_key_t key, const void* value);
 void* pt_getspecific(pt_key_t key);
 
+// Package-internal: fork1() child repair (Runtime::ResetAfterFork). Rebuilds
+// the thread-record registry empty, if one was built.
+void PthreadResetAfterFork();
+
 }  // namespace sunmt
 
 #endif  // SUNMT_SRC_PTHREAD_PTHREAD_COMPAT_H_

@@ -6,7 +6,6 @@
 #include "src/lwp/lwp.h"
 #include "src/lwp/onproc.h"
 #include "src/signal/signal.h"
-#include "src/timer/timer.h"
 #include "src/util/spinlock.h"
 
 namespace sunmt {
@@ -38,15 +37,11 @@ SumState Sum() {
   return sum;
 }
 
-constexpr int64_t kCheckPeriodNs = 5 * 1000 * 1000;
-
 struct LimitState {
   std::atomic<int64_t> soft_ns{0};
   std::atomic<int> sig{SIG_XCPU};
   std::atomic<bool> fired{false};
-  SpinLock lock;  // guards the two fields below
-  timer_id_t check = kInvalidTimerId;  // armed while soft_ns > 0
-  bool fork_handler = false;
+  SpinLock lock;  // serializes setters
 };
 
 LimitState& Limit() {
@@ -54,8 +49,15 @@ LimitState& Limit() {
   return state;
 }
 
-// The periodic check, a timer callback on the service thread.
-void CheckLimit(void*, uint64_t) {
+}  // namespace
+
+bool CpuLimitArmed() {
+  LimitState& limit = Limit();
+  return limit.soft_ns.load(std::memory_order_acquire) > 0 &&
+         !limit.fired.load(std::memory_order_acquire);
+}
+
+void CheckCpuLimit() {
   LimitState& limit = Limit();
   int64_t soft = limit.soft_ns.load(std::memory_order_acquire);
   if (soft <= 0 || limit.fired.load(std::memory_order_acquire)) {
@@ -75,42 +77,22 @@ void CheckLimit(void*, uint64_t) {
   }
 }
 
-timer_id_t ArmCheck() {
-  return timer_arm_callback_periodic(kCheckPeriodNs, kCheckPeriodNs, &CheckLimit,
-                                     nullptr, 0);
-}
-
-// fork1() child repair: the armed limit survived the fork, but its check lived
-// in the parent's wheel. Registered after the first arm, so it runs after the
-// timer engine's own repair has rebuilt the wheel it re-arms in. A child that
-// forks again before rebuilding its runtime has none yet, and an arm here
-// would build one mid-reset: there the next process_set_cpu_limit re-arms.
-void RlimitForkChildRepair() {
-  LimitState& limit = Limit();
-  limit.lock.Reset();
-  bool armed = limit.soft_ns.load(std::memory_order_acquire) > 0;
-  limit.check = armed && Runtime::IsInitialized() ? ArmCheck() : kInvalidTimerId;
-}
-
-}  // namespace
+// The limit itself is plain state the child inherits; the child's rebuilt
+// runtime checks it on its own clock.
+void RlimitResetAfterFork() { Limit().lock.Reset(); }
 
 ProcessUsage process_rusage() { return Sum().usage; }
 
 void process_set_cpu_limit(int64_t soft_ns, int sig) {
   LimitState& limit = Limit();
-  SpinLockGuard guard(limit.lock);
-  limit.sig.store(sig > 0 ? sig : SIG_XCPU, std::memory_order_relaxed);
-  limit.fired.store(false, std::memory_order_release);
-  limit.soft_ns.store(soft_ns, std::memory_order_release);
-  if (soft_ns > 0 && limit.check == kInvalidTimerId) {
-    limit.check = ArmCheck();
-    if (!limit.fork_handler) {
-      limit.fork_handler = true;
-      Runtime::RegisterForkChildHandler(&RlimitForkChildRepair);
-    }
-  } else if (soft_ns <= 0 && limit.check != kInvalidTimerId) {
-    timer_cancel(limit.check);
-    limit.check = kInvalidTimerId;
+  {
+    SpinLockGuard guard(limit.lock);
+    limit.sig.store(sig > 0 ? sig : SIG_XCPU, std::memory_order_relaxed);
+    limit.fired.store(false, std::memory_order_release);
+    limit.soft_ns.store(soft_ns, std::memory_order_release);
+  }
+  if (soft_ns > 0) {
+    Runtime::Get();  // its service loop checks the limit on each clock tick
   }
 }
 

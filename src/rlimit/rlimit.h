@@ -29,13 +29,25 @@ ProcessUsage process_rusage();
 
 // Arms a soft CPU limit: once the process's summed LWP user time exceeds
 // `soft_ns`, `sig` (default SIG_XCPU) is delivered once, to the thread on the
-// LWP that consumed the most CPU. soft_ns == 0 disarms. The check is a 5 ms
-// periodic timer callback (src/timer) on the runtime's service thread, armed
-// only while a limit is set, so detection latency is about one period.
+// LWP that consumed the most CPU. soft_ns == 0 disarms. The check rides the
+// LWP clock tick (5 ms) of the runtime's service loop, which keeps the clock
+// running while a limit is armed, so detection latency is about one tick. A
+// nonzero limit builds the runtime, as a timer arm does. The limit is plain
+// state: a fork1() child inherits it, and the child's rebuilt runtime checks
+// it against the child's own LWPs.
 void process_set_cpu_limit(int64_t soft_ns, int sig);
 
 // True once an armed limit has fired (resets when a new limit is armed).
 bool process_cpu_limit_exceeded();
+
+// ---- Package-internal: the service loop's CPU-limit duty ---------------------
+// True while a limit is set and has not fired: the loop keeps the clock on.
+bool CpuLimitArmed();
+// Called after each LWP clock tick; delivers the signal once the limit is
+// exceeded.
+void CheckCpuLimit();
+// fork1() child repair (Runtime::ResetAfterFork): resets the setter's lock.
+void RlimitResetAfterFork();
 
 }  // namespace sunmt
 

@@ -47,18 +47,6 @@ SignalState& State() {
 
 bool ValidSig(int sig) { return sig >= 1 && sig <= SIG_MAX; }
 
-// fork1() child repair: drop the (plain-array) state lock if a parent thread
-// held it at fork. Handlers and pending sets are preserved, matching fork
-// semantics for signal dispositions.
-void SignalForkChildRepair() { State().lock.Unlock(); }
-
-void EnsureInit() {
-  static std::atomic<bool> once{false};
-  if (!once.exchange(true, std::memory_order_acq_rel)) {
-    Runtime::RegisterForkChildHandler(&SignalForkChildRepair);
-  }
-}
-
 // Marks `sig` pending on `tcb`; counts a coalesced signal if it already was.
 void PendOnThread(Tcb* tcb, int sig) {
   uint64_t old = tcb->pending_signals.fetch_or(SigBit(sig), std::memory_order_acq_rel);
@@ -180,6 +168,10 @@ void ClaimProcessPending(Tcb* tcb) {
 
 }  // namespace
 
+// Handlers and pending sets are preserved, matching fork semantics for signal
+// dispositions; only the table's lock may hold a parent thread's image.
+void SignalResetAfterFork() { State().lock.Reset(); }
+
 void DeliverPendingSignals(Tcb* self) {
   if (self->handling_signal) {
     return;  // serial handling per thread
@@ -200,7 +192,6 @@ void DeliverPendingSignals(Tcb* self) {
 
 SignalHandler signal_handler_set(int sig, SignalHandler handler) {
   SUNMT_CHECK(ValidSig(sig));
-  EnsureInit();
   SpinLockGuard guard(State().lock);
   SignalHandler old = State().handlers[sig];
   State().handlers[sig] = handler;
@@ -214,7 +205,6 @@ SignalHandler signal_handler_get(int sig) {
 }
 
 int thread_sigsetmask(int how, const sigset64_t* set, sigset64_t* oset) {
-  EnsureInit();
   Tcb* self = sched::CurrentTcbOrAdopt();
   uint64_t old = self->sigmask.load(std::memory_order_acquire);
   if (oset != nullptr) {
@@ -247,7 +237,6 @@ int thread_kill(thread_id_t thread_id, int sig) {
   if (!ValidSig(sig)) {
     return -1;
   }
-  EnsureInit();
   Runtime& rt = Runtime::Get();
   bool found = rt.WithThread(thread_id, [sig](Tcb* target) { PendOnThread(target, sig); });
   if (!found) {
@@ -266,7 +255,6 @@ int sigsend(int id_type, thread_id_t id, int sig) {
   if (!ValidSig(sig)) {
     return -1;
   }
-  EnsureInit();
   if (id_type == P_THREAD) {
     return thread_kill(id, sig);
   }
@@ -283,7 +271,6 @@ int signal_raise_process(int sig) {
   if (!ValidSig(sig)) {
     return -1;
   }
-  EnsureInit();
   // "An interrupt may be handled by any thread that has it enabled in its signal
   // mask. If more than one thread is enabled to receive the interrupt, only one
   // is chosen."
@@ -314,7 +301,6 @@ int signal_raise_trap(int sig) {
   if (!ValidSig(sig) || !signal_is_trap(sig)) {
     return -1;
   }
-  EnsureInit();
   Tcb* self = sched::CurrentTcbOrAdopt();
   PendOnThread(self, sig);
   sched::SafePoint();  // synchronous: handled by the causing thread, now
@@ -322,7 +308,6 @@ int signal_raise_trap(int sig) {
 }
 
 void signal_poll() {
-  EnsureInit();
   DeliverPendingSignals(sched::CurrentTcbOrAdopt());
 }
 
@@ -339,7 +324,6 @@ bool signal_is_trap(int sig) {
 }
 
 void signal_enable_sigwaiting() {
-  EnsureInit();
   Runtime::Get().RaiseSigwaitingSignal();
 }
 
@@ -348,7 +332,6 @@ uint64_t signal_coalesced_count() {
 }
 
 int signal_altstack(void* base, size_t size) {
-  EnsureInit();
   Tcb* self = sched::CurrentTcbOrAdopt();
   Lwp* lwp = self->bound_lwp;
   if (lwp == nullptr) {

@@ -144,6 +144,10 @@ bool signal_on_altstack();
 struct Tcb;
 void DeliverPendingSignals(Tcb* self);
 
+// fork1() child repair (Runtime::ResetAfterFork): resets the handler table's
+// lock.
+void SignalResetAfterFork();
+
 }  // namespace sunmt
 
 #endif  // SUNMT_SRC_SIGNAL_SIGNAL_H_

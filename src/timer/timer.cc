@@ -154,11 +154,10 @@ WheelState& Wheel() {
   return *state;
 }
 
-// fork1() child repair: any engine structure may have been copied
-// mid-mutation; rebuild everything in place (parent entries and pool chunks
-// leak in the child — the safe direction). The child's rebuilt runtime starts
-// a service loop that sweeps the fresh wheel.
-void TimerForkChildRepair() { new (&Wheel()) WheelState(); }
+// Set by the first arm, once the wheel exists. Until then the service loop's
+// sweeps find nothing to do and build no wheel, and neither does a fork1()
+// child's repair.
+std::atomic<bool> g_armed{false};
 
 // Delivers one expiry. Returns false when the timer must not re-arm: the
 // thread its signal targets has exited.
@@ -295,23 +294,14 @@ uint64_t ProcessShard(TimerShard& sh, uint64_t now_tick) {
   return next_tick;
 }
 
-// Set by the first arm. Until then the service loop's sweeps find nothing to
-// do and build no wheel.
-std::atomic<bool> g_armed{false};
-
-void EnsureArmed() {
-  if (!g_armed.load(std::memory_order_acquire) &&
-      !g_armed.exchange(true, std::memory_order_acq_rel)) {
-    Runtime::RegisterForkChildHandler(&TimerForkChildRepair);
-  }
-}
-
 timer_id_t ArmEntry(int64_t delay_ns, int64_t period_ns, FireKind kind, int sig,
                     thread_id_t target, void (*fn)(void*, uint64_t),
                     void* cookie, uint64_t arg) {
-  EnsureArmed();
   Runtime::Get();  // its service loop sweeps the wheel
   WheelState& st = Wheel();
+  if (!g_armed.load(std::memory_order_relaxed)) {
+    g_armed.store(true, std::memory_order_release);  // later arms write nothing
+  }
   int64_t deadline = MonotonicNowNs() + delay_ns;
   int home = static_cast<int>(stats_internal::ShardToken() % kShards);
   timer_id_t id = kInvalidTimerId;
@@ -369,6 +359,16 @@ void SleepFire(void* cookie, uint64_t) {
 }
 
 }  // namespace
+
+// Any engine structure may have been copied mid-mutation; rebuild everything
+// in place (parent entries and pool chunks leak in the child — the safe
+// direction). The child's rebuilt runtime starts a service loop that sweeps
+// the fresh wheel.
+void TimerResetAfterFork() {
+  if (g_armed.load(std::memory_order_acquire)) {
+    new (&Wheel()) WheelState();
+  }
+}
 
 int64_t SweepTimerWheel(int64_t now_ns) {
   if (!g_armed.load(std::memory_order_acquire)) {

@@ -96,6 +96,10 @@ TimerEngineStats timer_engine_stats();
 // is empty, or when no timer was ever armed (then it builds no wheel).
 int64_t SweepTimerWheel(int64_t now_ns);
 
+// Package-internal: fork1() child repair (Runtime::ResetAfterFork). Rebuilds
+// the wheel empty if a timer was ever armed.
+void TimerResetAfterFork();
+
 }  // namespace sunmt
 
 #endif  // SUNMT_SRC_TIMER_TIMER_H_

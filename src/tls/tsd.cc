@@ -3,9 +3,6 @@
 #include <stdlib.h>
 #include <string.h>
 
-#include <atomic>
-
-#include "src/core/runtime.h"
 #include "src/tls/thread_local.h"
 #include "src/util/spinlock.h"
 
@@ -84,15 +81,11 @@ void RunTsdDestructors() {
   Slot().Get() = nullptr;
 }
 
-// fork1() child repair: keys stay valid in the child (plain array), only the
-// lock needs releasing.
-void TsdForkChildRepair() { Keys().lock.Unlock(); }
+// Keys stay valid in the child (plain array); only the lock may hold a parent
+// thread's image.
+void TsdResetAfterFork() { Keys().lock.Reset(); }
 
 tsd_key_t tsd_key_create(void (*destructor)(void*)) {
-  static std::atomic<bool> fork_handler_once{false};
-  if (!fork_handler_once.exchange(true, std::memory_order_acq_rel)) {
-    Runtime::RegisterForkChildHandler(&TsdForkChildRepair);
-  }
   KeyTable& keys = Keys();
   SpinLockGuard guard(keys.lock);
   if (keys.next >= kMaxTsdKeys) {

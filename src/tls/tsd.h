@@ -34,6 +34,10 @@ void* tsd_get(tsd_key_t key);
 // thread's own stack, so destructors may run user code.
 void RunTsdDestructors();
 
+// Package-internal: fork1() child repair (Runtime::ResetAfterFork). Resets the
+// key table's lock.
+void TsdResetAfterFork();
+
 }  // namespace sunmt
 
 #endif  // SUNMT_SRC_TLS_TSD_H_

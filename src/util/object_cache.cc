@@ -5,7 +5,6 @@
 namespace sunmt {
 namespace objcache_internal {
 
-std::atomic<uint32_t> g_fork_epoch{0};
 std::atomic<uint64_t> g_fallback_allocs{0};
 
 namespace {
@@ -56,9 +55,6 @@ void ObjectCacheResetAfterForkAll() {
   for (auto* n = objcache_internal::Head(); n != nullptr; n = n->next) {
     n->reset_after_fork();
   }
-  // Bumped after the depots/registries are rebuilt: a surviving magazine that
-  // observes the new epoch must find the fresh registry, never the stale one.
-  objcache_internal::g_fork_epoch.fetch_add(1, std::memory_order_release);
 }
 
 size_t ObjectCacheSnapshotAll(ObjectCacheStats* out, size_t max) {

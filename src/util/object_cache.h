@@ -27,11 +27,12 @@
 //
 // Every instantiation registers itself (lock-free, on first use) with a global
 // cache list so introspection, thread-exit magazine retirement, and the fork1()
-// child repair find it without any per-cache wiring. Fork discipline is the
-// same epoch scheme as the original stack cache: ObjectCacheResetAfterForkAll()
-// rebuilds each depot/registry empty and bumps a global epoch; surviving
-// per-thread magazines notice the new epoch on next use (or at thread exit) and
-// abandon parent-generation entries instead of double-freeing them.
+// child repair find it without any per-cache wiring. The repair,
+// ObjectCacheResetAfterForkAll(), runs on the child's only kernel thread: it
+// rebuilds each depot/registry empty and empties and re-registers that
+// thread's magazine in place, abandoning parent-generation entries instead of
+// double-freeing them. Every other magazine belonged to a kernel thread the
+// child does not have.
 //
 // Traits contract:
 //   static constexpr const char* kName;          // stats/introspection name
@@ -99,11 +100,6 @@ CacheNode* Head();
 // cleanup while every magazine access stays atomic or lock-guarded.
 void ArmThreadRetire();
 
-// Bumped by ObjectCacheResetAfterForkAll() so magazines inherited from the
-// parent notice they are stale and re-register (abandoning parent-cached
-// entries) on next use. One epoch for all caches: fork repair is one event.
-extern std::atomic<uint32_t> g_fork_epoch;
-
 // Process-wide count of cache misses that fell back to a real allocation on a
 // hot path. The zero-alloc assertion tests snapshot this around steady-state
 // churn: a warm cache must not let it move.
@@ -111,10 +107,10 @@ extern std::atomic<uint64_t> g_fallback_allocs;
 
 }  // namespace objcache_internal
 
-// fork1() child-side repair: rebuilds every registered cache's depot and
-// magazine registry empty (the child's copies are reachable only here;
-// abandoning them is safe) and bumps the fork epoch so surviving thread-local
-// magazines lazily re-register with clean state.
+// fork1() child repair (Runtime::ResetAfterFork): rebuilds every registered
+// cache's depot and magazine registry empty (the child's copies are reachable
+// only here; abandoning them is safe), and empties and re-registers the
+// calling thread's magazine.
 void ObjectCacheResetAfterForkAll();
 
 // Snapshots up to `max` registered caches into `out`; returns how many were
@@ -278,7 +274,6 @@ class ObjectCache {
     uint64_t hits = 0;
     uint64_t refills = 0;
     uint64_t flushes = 0;
-    std::atomic<uint32_t> fork_epoch{0};
     T entries[kMagazineCapacity];
     ListNode registry_node;
   };
@@ -304,22 +299,19 @@ class ObjectCache {
     return *reg;
   }
 
-  // The calling kernel thread's magazine, created + registered on first use
-  // and re-registered after a fork. Registration is the only path where the
-  // owner touches the registry lock, and never while holding its own magazine
-  // lock. The thread_local itself is a constant-initialized atomic pointer:
-  // no init-guard byte, no __cxa_thread_atexit — every access a user thread
-  // (fiber) makes through here is an atomic op or happens under a lock, so
-  // two fibers sharing this LWP's TLS never touch unsynchronized state. The
-  // release/acquire pair orders the heap magazine's construction before any
-  // other fiber's first use of it.
+  // The calling kernel thread's magazine, created + registered on first use.
+  // Registration is the only path where the owner touches the registry lock,
+  // and never while holding its own magazine lock. The thread_local itself is
+  // a constant-initialized atomic pointer: no init-guard byte, no
+  // __cxa_thread_atexit — every access a user thread (fiber) makes through
+  // here is an atomic op or happens under a lock, so two fibers sharing this
+  // LWP's TLS never touch unsynchronized state. The release/acquire pair
+  // orders the heap magazine's construction before any other fiber's first
+  // use of it.
   static Magazine& Local() {
     Magazine* m = t_magazine_.load(std::memory_order_acquire);
-    uint32_t epoch =
-        objcache_internal::g_fork_epoch.load(std::memory_order_acquire);
     if (__builtin_expect(m == nullptr, 0)) {
       m = new Magazine();
-      m->fork_epoch.store(epoch, std::memory_order_relaxed);
       {
         Registry& r = GetRegistry();
         SpinLockGuard guard(r.lock);
@@ -327,21 +319,6 @@ class ObjectCache {
       }
       objcache_internal::ArmThreadRetire();
       t_magazine_.store(m, std::memory_order_release);
-      return *m;
-    }
-    if (__builtin_expect(
-            m->fork_epoch.load(std::memory_order_relaxed) != epoch, 0)) {
-      // Inherited across fork1(): the child is single-threaded here, and the
-      // parent-generation state is not ours — the lock may carry a locked
-      // image, the entries would double-free, and the registry link points
-      // into the parent's rebuilt-away list.
-      m->lock.Reset();
-      m->count = 0;
-      m->registry_node = ListNode{};
-      m->fork_epoch.store(epoch, std::memory_order_relaxed);
-      Registry& r = GetRegistry();
-      SpinLockGuard guard(r.lock);
-      r.magazines.PushBack(m);
     }
     return *m;
   }
@@ -349,17 +326,14 @@ class ObjectCache {
   // Thread-exit path, reached through the registered node by the pthread TSD
   // destructor ArmThreadRetire installed: flush the exiting thread's magazine
   // to the depot, fold its counters into the retired accumulators (keeping
-  // Snapshot() monotonic), and free it. A magazine from a pre-fork generation
-  // is just freed — its entries and registry link belong to the parent.
+  // Snapshot() monotonic), and free it.
   static void RetireThreadMagazine() {
     Magazine* m = t_magazine_.load(std::memory_order_acquire);
     if (m == nullptr) {
       return;
     }
     t_magazine_.store(nullptr, std::memory_order_release);
-    uint32_t epoch =
-        objcache_internal::g_fork_epoch.load(std::memory_order_acquire);
-    if (m->fork_epoch.load(std::memory_order_relaxed) == epoch) {
+    {  // every guard drops before the delete below
       {
         SpinLockGuard guard(m->lock);
         FlushBatchLocked(*m, m->count);
@@ -411,14 +385,23 @@ class ObjectCache {
     }
   }
 
-  // fork1() child repair for this cache, reached through the registered node.
-  // No locks taken: the parent may have forked with any of them held.
+  // fork1() child repair for this cache, reached through the registered node
+  // on the child's only kernel thread. No locks taken: the parent may have
+  // forked with any of them held. That thread's magazine is the only one left:
+  // its entries and registry link belong to the parent's generation.
   static void ResetAfterFork() {
     Depot& d = GetDepot();
-    new (&d.lock) SpinLock();
+    d.lock.Reset();
     d.count = 0;
     Registry& r = GetRegistry();
     new (&r) Registry();
+    Magazine* m = t_magazine_.load(std::memory_order_relaxed);
+    if (m != nullptr) {
+      m->lock.Reset();
+      m->count = 0;
+      m->registry_node = ListNode{};
+      r.magazines.PushBack(m);
+    }
   }
 
   static void EnsureRegistered() {

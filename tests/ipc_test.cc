@@ -16,6 +16,7 @@
 #include "src/ipc/fork1.h"
 #include "src/ipc/shared_arena.h"
 #include "src/lwp/lwp.h"
+#include "src/signal/signal.h"
 #include "src/sync/sync.h"
 #include "tests/test_util.h"
 
@@ -236,23 +237,50 @@ TEST(CrossProcess, SharedRwlockAcrossFork) {
   EXPECT_EQ(*value, static_cast<uint64_t>(2 * kIters));
 }
 
-TEST(Fork1, EnvConfigAppliesInChildRuntime) {
-  // The child's fresh runtime reads SUNMT_POOL_LWPS (explicit Configure would
-  // win, but the child never configures).
+TEST(Fork1, ChildConfiguresItsRebuiltRuntime) {
+  // The child's runtime is rebuilt lazily, so a Configure() before its first
+  // package call sizes the child's pool.
   SharedArena arena = SharedArena::CreateAnonymous(16 * 1024);
   auto* child_pool = arena.New<std::atomic<int>>();
   child_pool->store(-1);
-  setenv("SUNMT_POOL_LWPS", "3", 1);
   pid_t pid = fork1();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
+    RuntimeConfig config;
+    config.initial_pool_lwps = 3;
+    Runtime::Configure(config);
     (void)thread_get_id();  // initialize the child runtime
     child_pool->store(Runtime::Get().pool_size());
     _exit(0);
   }
-  unsetenv("SUNMT_POOL_LWPS");
   EXPECT_EQ(WaitForChild(pid), 0);
   EXPECT_EQ(child_pool->load(), 3);
+}
+
+TEST(Fork1, SignalTableLockIsRepairedInChild) {
+  // A raw kernel thread takes the signal handler table's lock over and over;
+  // a fork1() landing while it holds the lock copies a locked image into the
+  // child. The repair runs whether or not the process ever installed a
+  // handler: this one only reads them.
+  static std::atomic<bool> stop;
+  stop.store(false);
+  std::thread reader([] {
+    while (!stop.load()) {
+      (void)signal_handler_get(SIG_USR1);
+    }
+  });
+  for (int round = 0; round < 50 && !HasFailure(); ++round) {
+    pid_t pid = fork1();
+    if (pid == 0) {
+      _exit(signal_handler_get(SIG_USR1) == SIG_DEFAULT ? 0 : 13);
+    }
+    EXPECT_GT(pid, 0);
+    if (pid > 0) {
+      EXPECT_EQ(WaitForChild(pid, 5'000'000'000), 0) << "round " << round;
+    }
+  }
+  stop.store(true);
+  reader.join();
 }
 
 TEST(Fork1, PackageLocksAreRepairedInChild) {

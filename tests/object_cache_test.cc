@@ -1,10 +1,10 @@
 // Object-cache suite: the reusable per-LWP magazine cache extracted from the
 // stack cache (src/util/object_cache.h). Exercises the magazine/depot protocol
 // on a purpose-built small cache (so every tier boundary is reachable in a few
-// operations), the CachedAlloc new/delete adapter, fork-epoch repair through
-// fork1(), an inject sweep over the timed-wait arming paths, and the
-// zero-alloc steady-state assertion the CI lane runs: once warm, sema/cv/net
-// deadline waits and HTTP connection handling must not fall back to the heap.
+// operations), the CachedAlloc new/delete adapter, the fork1() child repair,
+// an inject sweep over the timed-wait arming paths, and the zero-alloc
+// steady-state assertion the CI lane runs: once warm, sema/cv/net deadline
+// waits and HTTP connection handling must not fall back to the heap.
 //
 // Runs with a 4-LWP pool (like lifecycle_cache_test) so entries really land in
 // several per-LWP magazines and Drain/Snapshot have cross-thread work to do.
@@ -219,7 +219,7 @@ TEST(ObjectCache, SurfacedInProcessStateAndStats) {
   EXPECT_EQ(FormatStats().find("test.value"), std::string::npos);
 }
 
-// ---- Fork-epoch repair -------------------------------------------------------
+// ---- fork1() repair ----------------------------------------------------------
 
 // fork1() child: every registered cache must come up empty (parent-cached
 // values are abandoned, never double-disposed), the full protocol must work on

@@ -166,13 +166,11 @@ TEST(RlimitExt, SoftCpuLimitDeliversSigXcpu) {
   signal_handler_set(SIG_XCPU, SIG_DEFAULT);
 }
 
-// In a fork1() child: arms a soft limit just above current usage and burns
-// through it. Exits 0 once SIG_XCPU arrives, 10 if it never does.
-[[noreturn]] void ChildBurnsThroughCpuLimit() {
+// In a fork1() child: burns CPU until SIG_XCPU arrives or `timeout_ns`
+// passes. Exits 0 once the signal has arrived, 10 if it never does.
+[[noreturn]] void BurnUntilSigXcpu(int64_t timeout_ns) {
   g_xcpu.store(0);
-  signal_handler_set(SIG_XCPU, &XcpuHandler);
-  process_set_cpu_limit(process_rusage().user_ns + 20 * 1000 * 1000, SIG_XCPU);
-  int64_t deadline = MonotonicNowNs() + 5 * 1000 * 1000 * 1000ll;
+  int64_t deadline = MonotonicNowNs() + timeout_ns;
   volatile long sink = 0;
   while (g_xcpu.load() == 0 && MonotonicNowNs() < deadline) {
     for (long i = 0; i < 1000000; ++i) {
@@ -181,6 +179,22 @@ TEST(RlimitExt, SoftCpuLimitDeliversSigXcpu) {
     thread_poll();  // the delivered signal lands at a safe point
   }
   _exit(g_xcpu.load() == 1 ? 0 : 10);
+}
+
+// In a fork1() child: arms a soft limit just above current usage and burns
+// through it.
+[[noreturn]] void ChildBurnsThroughCpuLimit() {
+  signal_handler_set(SIG_XCPU, &XcpuHandler);
+  process_set_cpu_limit(process_rusage().user_ns + 20 * 1000 * 1000, SIG_XCPU);
+  BurnUntilSigXcpu(5 * 1000 * 1000 * 1000ll);
+}
+
+// Arms a soft limit 100 ms of CPU above this process's usage, with the
+// counting handler installed. A fork1() child inherits both.
+void ArmInheritableCpuLimit() {
+  g_xcpu.store(0);
+  signal_handler_set(SIG_XCPU, &XcpuHandler);
+  process_set_cpu_limit(process_rusage().user_ns + 100 * 1000 * 1000, SIG_XCPU);
 }
 
 // A fork1() child rebuilds the runtime from the same configuration (one pool
@@ -243,23 +257,46 @@ TEST(Fork1, ChildCpuLimitFires) {
   EXPECT_EQ(WaitForChild(pid), 0);
 }
 
-// A limit still armed at the fork: its check lived in the parent's timer
-// wheel, so the child re-arms it in the wheel the timer engine's own fork
-// repair rebuilt (a re-arm that ran first would be wiped). A limit the child
-// sets then fires there.
+// A limit still armed at the fork is plain state the child inherits: the
+// child's rebuilt runtime checks it on its own LWP clock, so the child burns
+// through the parent's limit without setting one.
 TEST(Fork1, ChildKeepsArmedCpuLimit) {
 #if SUNMT_TEST_TSAN
   GTEST_SKIP() << "TSan cannot start threads after a multi-threaded fork";
 #endif
-  process_set_cpu_limit(process_rusage().user_ns + 3600 * 1000000000ll,
-                        SIG_XCPU);
+  ArmInheritableCpuLimit();
   pid_t pid = fork1();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    ChildBurnsThroughCpuLimit();
+    BurnUntilSigXcpu(20ll * 1000 * 1000 * 1000);
   }
-  process_set_cpu_limit(0, SIG_XCPU);
   EXPECT_EQ(WaitForChild(pid), 0);
+  process_set_cpu_limit(0, SIG_XCPU);
+  signal_handler_set(SIG_XCPU, SIG_DEFAULT);
+}
+
+// The same limit inherited through two fork1()s: the child makes no package
+// call (so it never builds a runtime) before it forks the grandchild, whose
+// rebuilt runtime must still check the limit. The test process itself never
+// reaches its limit while it waits.
+TEST(Fork1, GrandchildKeepsInheritedCpuLimit) {
+#if SUNMT_TEST_TSAN
+  GTEST_SKIP() << "TSan cannot start threads after a multi-threaded fork";
+#endif
+  ArmInheritableCpuLimit();
+  pid_t pid = fork1();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    pid_t grandchild = fork1();
+    if (grandchild == 0) {
+      BurnUntilSigXcpu(20ll * 1000 * 1000 * 1000);
+    }
+    _exit(grandchild > 0 ? WaitForChild(grandchild) : 20);
+  }
+  EXPECT_EQ(WaitForChild(pid), 0);
+  EXPECT_EQ(g_xcpu.load(), 0);
+  process_set_cpu_limit(0, SIG_XCPU);
+  signal_handler_set(SIG_XCPU, SIG_DEFAULT);
 }
 
 }  // namespace

@@ -62,8 +62,8 @@ void IgnoreTimer(void*, uint64_t) {}
 void IgnoreLwpTimer(Lwp*, LwpTimerKind, void*) {}
 
 // First in the file, so no timed duty has run yet in this process. The
-// runtime's service loop sweeps the wheel, runs the LWP clock and, through a
-// timer, the CPU-limit check: arming each starts no kernel thread.
+// runtime's service loop sweeps the wheel, runs the LWP clock and, on each
+// clock tick, the CPU-limit check: arming each starts no kernel thread.
 TEST(ServiceThread, TimedDutiesStartNoKernelThread) {
   thread_get_id();  // builds the runtime and adopts this thread as an LWP
   int before = StableNonLwpThreads();
@@ -361,6 +361,34 @@ TEST(Timer, ManySleepersWakeInOrder) {
   EXPECT_EQ(wake_order[0].load(), 1);  // 10ms
   EXPECT_EQ(wake_order[1].load(), 2);  // 20ms
   EXPECT_EQ(wake_order[2].load(), 0);  // 30ms
+}
+
+std::atomic<int> g_xcpu{0};
+void XcpuHandler(int sig) {
+  EXPECT_EQ(sig, SIG_XCPU);
+  g_xcpu.fetch_add(1);
+}
+
+// This binary runs no timeslice, LWP timer or profiling buffer, so only the
+// armed limit can keep the LWP clock, and with it the check, running.
+TEST(CpuLimit, FiresWithNothingElseOnTheClock) {
+  thread_get_id();  // this thread's LWP counts in the usage read below
+  ASSERT_FALSE(LwpRegistry::ClockNeeded());
+  g_xcpu.store(0);
+  signal_handler_set(SIG_XCPU, &XcpuHandler);
+  process_set_cpu_limit(process_rusage().user_ns + 20 * 1000 * 1000, SIG_XCPU);
+  int64_t deadline = MonotonicNowNs() + 5 * kSec;
+  volatile long sink = 0;
+  while (g_xcpu.load() == 0 && MonotonicNowNs() < deadline) {
+    for (long i = 0; i < 1000000; ++i) {
+      sink = sink + 1;
+    }
+    thread_poll();  // the delivered signal lands at a safe point
+  }
+  EXPECT_EQ(g_xcpu.load(), 1);
+  EXPECT_TRUE(process_cpu_limit_exceeded());
+  process_set_cpu_limit(0, SIG_XCPU);
+  signal_handler_set(SIG_XCPU, SIG_DEFAULT);
 }
 
 }  // namespace
